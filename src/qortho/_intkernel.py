@@ -11,6 +11,12 @@ at q = 2**w for a width w that provably bounds every coefficient of the
 product, multiply once as integers, and read the coefficients back off
 as balanced base-2**w digits.  Packing and unpacking are linear in the
 bit length because they go through ``int.to_bytes``/``from_bytes``.
+
+The gcd is the heuristic GCDHEU: pack both inputs at the same 2**w, take
+one integer gcd and read it back as a polynomial.  The candidate is
+accepted only when it divides both inputs exactly, which above the
+GCDHEU width bound makes it the gcd; after a few failed widths the
+primitive PRS takes over.
 """
 
 from __future__ import annotations
@@ -199,14 +205,8 @@ def _prem(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
-def gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd with positive leading coefficient (primitive PRS)."""
-    _, f = primitive(a)
-    _, g = primitive(b)
-    if not f:
-        return g
-    if not g:
-        return f
+def _gcd_prs(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd of primitive nonzero f, g by the primitive PRS."""
     if len(f) < len(g):
         f, g = g, f
     while g:
@@ -215,11 +215,44 @@ def gcd(a: list[int], b: list[int]) -> list[int]:
     return f
 
 
-def lcm(a: list[int], b: list[int]) -> list[int]:
-    """Primitive lcm with positive leading coefficient."""
-    if not a or not b:
-        return []
-    g = gcd(a, b)
-    _, pa = primitive(a)
-    _, pb = primitive(b)
-    return mul(pa, divexact(pb, g))
+# Evaluation widths tried per gcd: the first, then this many doublings.
+_GCDHEU_RETRIES = 3
+
+
+def _gcd_heuristic(f: list[int], g: list[int]) -> list[int] | None:
+    """GCDHEU on primitive nonconstant f, g; None when every width fails.
+
+    Evaluates both at q = 2**w, takes the integer gcd and reads it back
+    as a polynomial.  With 2**w > 2*min(|f|, |g|) + 2 (max norms), a
+    candidate whose primitive part divides both inputs is their gcd
+    (Char, Geddes & Gonnet 1989), so divexact is the acceptance test.
+    """
+    # Covering the larger norm lets pack hold both inputs, and already
+    # clears the bound above: 2**w > 4*max(|f|, |g|) >= 2*min + 2.
+    w = _width_for(max(max(map(abs, f)), max(map(abs, g))))
+    for _ in range(_GCDHEU_RETRIES + 1):
+        _, h = primitive(unpack(math.gcd(pack(f, w), pack(g, w)), w))
+        try:
+            divexact(f, h)
+            divexact(g, h)
+            return h
+        except ValueError:
+            w *= 2
+    return None
+
+
+def gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient.
+
+    Heuristic gcd (GCDHEU) first, the primitive PRS when it gives up.
+    """
+    _, f = primitive(a)
+    _, g = primitive(b)
+    if not f:
+        return g
+    if not g:
+        return f
+    if len(f) == 1 or len(g) == 1:
+        return [1]
+    h = _gcd_heuristic(f, g)
+    return h if h is not None else _gcd_prs(f, g)

@@ -281,6 +281,9 @@ class QPolynomial:
         return self._num == o._num and self._den == o._den
 
     def __hash__(self):
+        # A constant equals its Fraction, so it must hash like one.
+        if len(self._num) <= 1:
+            return hash(Fraction(self._num[0] if self._num else 0, self._den))
         return hash((self._num, self._den))
 
     def __bool__(self):
@@ -550,6 +553,9 @@ class QRational:
         return self._num == o._num and self._den == o._den
 
     def __hash__(self):
+        # A polynomial value equals its QPolynomial, so it hashes like one.
+        if self._den.is_one:
+            return hash(self._num)
         return hash((self._num, self._den))
 
     def __bool__(self):

@@ -123,29 +123,30 @@ def stieltjes(moments: MomentSequence, depth: int) -> RecurrenceTable:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    state = moments.scratch.setdefault(
-        "stieltjes", {"p": [XPolynomial.one()], "s": [], "t": [], "norms": []}
-    )
-    p, s, t, norms = state["p"], state["s"], state["t"], state["norms"]
-    while len(s) < depth:
-        k = len(s)
-        pk = p[k]
-        square = pk * pk
-        norm_k = apply_functional(moments, square)
-        if norm_k.is_zero:
-            raise QuasiDefinitenessError(k + 1, moments.name)
-        s_k = apply_functional(moments, square.shift_x(1)) / norm_k
-        norms.append(norm_k)
-        s.append(s_k)
-        succ = pk.shift_x(1) - pk.scale(s_k)
-        if k > 0:
-            t_k = norm_k / norms[k - 1]
-            t.append(t_k)
-            succ = succ - p[k - 1].scale(t_k)
-        p.append(succ)
-    return RecurrenceTable(
-        tuple(s[:depth]), tuple(t[: max(depth - 1, 0)]), tuple(norms[:depth])
-    )
+    with moments.scratch_lock:
+        state = moments.scratch.setdefault(
+            "stieltjes", {"p": [XPolynomial.one()], "s": [], "t": [], "norms": []}
+        )
+        p, s, t, norms = state["p"], state["s"], state["t"], state["norms"]
+        while len(s) < depth:
+            k = len(s)
+            pk = p[k]
+            square = pk * pk
+            norm_k = apply_functional(moments, square)
+            if norm_k.is_zero:
+                raise QuasiDefinitenessError(k + 1, moments.name)
+            s_k = apply_functional(moments, square.shift_x(1)) / norm_k
+            norms.append(norm_k)
+            s.append(s_k)
+            succ = pk.shift_x(1) - pk.scale(s_k)
+            if k > 0:
+                t_k = norm_k / norms[k - 1]
+                t.append(t_k)
+                succ = succ - p[k - 1].scale(t_k)
+            p.append(succ)
+        return RecurrenceTable(
+            tuple(s[:depth]), tuple(t[: max(depth - 1, 0)]), tuple(norms[:depth])
+        )
 
 
 def orthopoly_recur(moments: MomentSequence, n: int) -> XPolynomial:

@@ -209,6 +209,9 @@ class MomentSequence:
         self._cache: list[QRational] = []
         self._lock = threading.Lock()
         self.scratch: dict = {}  # derived caches (recurrence tables, pivots)
+        # Held while a scratch entry is built in several steps.  It is not
+        # _lock, because moment() takes _lock inside such a build.
+        self.scratch_lock = threading.RLock()
         first = self.moment(0)
         if not first.is_one:
             raise ValueError(f"moment(0) must be 1, got {first}")

@@ -1,6 +1,7 @@
 """Exercises the rational-function tower: integer-coefficient polynomial
 arithmetic, normalized quotients, and evaluation at rational points."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,19 @@ class TestQRational:
         assert QRational.from_json(r.to_json()) == r
 
 
+def test_equal_constants_hash_equal():
+    assert len({1, Fraction(1), QPolynomial.one(), QRational.one()}) == 1
+    half = Fraction(3, 2)
+    assert len({half, QPolynomial.constant(half), QRational.of(half)}) == 1
+    assert len({0, QPolynomial.zero(), QRational.zero()}) == 1
+
+
+def test_polynomial_values_hash_like_their_polynomial():
+    p = qp(1, Fraction(-3, 2), 2)
+    assert QRational.of(p) == p
+    assert len({p, QRational.of(p)}) == 1
+
+
 def test_rational_string_helpers_round_trip():
     for f in (Fraction(3), Fraction(-7, 2), Fraction(0)):
         assert rational_from_str(rational_to_str(f)) == f
@@ -205,6 +219,66 @@ long_int_coeffs = st.lists(
 def test_kernel_multiplication_matches_schoolbook(a, b):
     # inputs are long enough that mul takes the packed-integer route
     assert _intkernel.mul(a, b) == _intkernel.strip(_intkernel._mul_schoolbook(a, b))
+
+
+def _sized_int_poly(max_digits):
+    """Nonzero integer polynomials whose coefficients share one size, 1 to 10**max_digits."""
+    return st.integers(min_value=0, max_value=max_digits).flatmap(
+        lambda e: st.lists(
+            st.integers(min_value=-(10**e), max_value=10**e), min_size=1, max_size=6
+        ).filter(any)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sized_int_poly(30), _sized_int_poly(30), _sized_int_poly(8))
+def test_kernel_gcd_matches_the_prs_oracle(a, b, c):
+    # c is a planted common factor; a and b draw their sizes apart, so one
+    # pair can mix coefficients of 1 and of 10**30.
+    ac, bc = _intkernel.mul(a, c), _intkernel.mul(b, c)
+    expected = _intkernel._gcd_prs(_intkernel.primitive(ac)[1], _intkernel.primitive(bc)[1])
+    assert _intkernel.gcd(ac, bc) == expected
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([-1, 0, 1], [1, 2, 1]),
+        ([10**30, 1, -(10**29)], [1, 1]),
+        ([6, 5, 1], [3, 4, 1]),
+        ([2, 3], [5, 7]),
+    ],
+)
+def test_kernel_gcd_falls_back_to_the_prs_when_the_heuristic_gives_up(monkeypatch, a, b):
+    c = [7, -3, 1]
+    ac, bc = _intkernel.mul(a, c), _intkernel.mul(b, c)
+    expected = _intkernel._gcd_prs(_intkernel.primitive(ac)[1], _intkernel.primitive(bc)[1])
+    calls = []
+
+    def give_up(f, g):
+        calls.append((f, g))
+        return None
+
+    monkeypatch.setattr(_intkernel, "_gcd_heuristic", give_up)
+    assert _intkernel.gcd(ac, bc) == expected
+    assert calls
+
+
+def test_kernel_gcd_rejects_a_candidate_that_does_not_divide():
+    # At the first width, 2**8, the integer gcd of the two values reads back
+    # as q - 127, which divides neither input; the true gcd is 1.
+    a, b = [2, 1], [3, 2, 0, 0, -2, 3]
+    w = _intkernel._width_for(3)
+    first = _intkernel.unpack(math.gcd(_intkernel.pack(a, w), _intkernel.pack(b, w)), w)
+    assert _intkernel.primitive(first)[1] == [-127, 1]
+    assert _intkernel.gcd(a, b) == [1]
+
+
+def test_kernel_gcd_of_a_constant_is_one():
+    assert _intkernel.gcd([6], [2, 4]) == [1]
+    assert _intkernel.gcd([0, 3, 3], [-5]) == [1]
+    assert _intkernel.gcd([0, -2], []) == [0, 1]
+    assert _intkernel.gcd([], []) == []
 
 
 @settings(max_examples=80, deadline=None)

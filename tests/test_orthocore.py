@@ -6,6 +6,8 @@ permanent-style determinant over plain fractions backs up the Hankel
 values at q = 1.
 """
 
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
 
@@ -159,6 +161,33 @@ class TestStieltjes:
         with pytest.raises(QuasiDefinitenessError) as err:
             stieltjes(seq, 2)
         assert err.value.level == 2
+
+    def test_threads_sharing_a_sequence_get_the_single_threaded_table(self):
+        moments = family("q-factorial:m=1").moments
+        expected = stieltjes(MomentSequence(moments.moment), 8)
+        for _ in range(3):
+            shared = MomentSequence(moments.moment)
+            results, errors = [], []
+
+            def run():
+                try:
+                    results.append(stieltjes(shared, 8))
+                except Exception as exc:  # reported below, not swallowed
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run) for _ in range(2)]
+            old_interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=120)
+            finally:
+                sys.setswitchinterval(old_interval)
+            assert not any(th.is_alive() for th in threads)
+            assert errors == []
+            assert results == [expected, expected]
 
 
 class TestOrthopolyRecur:
