@@ -249,8 +249,7 @@ def cmd_recurrence(args) -> int:
                 tvals = [QRational.of(QPolynomial([v.eval_at(args.q)])) for v in tvals]
         else:
             t_source = "stieltjes"
-            aer = fam.aerated_moments if args.q is None else seq.aerated()
-            tvals = list(aerated_recurrence(aer, depth))
+            tvals = list(aerated_recurrence(seq.aerated(), depth))
         results["aerated"] = {
             "source": t_source,
             "values": [{"j": j, "T": v.to_json()} for j, v in enumerate(tvals)],

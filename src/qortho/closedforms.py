@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import PoleError, QPolynomial, QRational
-from .momentfamilies import FamilyId, family
+from .momentfamilies import _SPECS, FamilyId, family
 from .orthocore import (
     aerated_orthopoly,
     aerated_recurrence,
@@ -37,7 +37,7 @@ from .qcombinatorics import (
     q_double_factorial,
     q_pochhammer_signed,
 )
-from .xpoly import MomentSequence, XPolynomial, apply_functional, even_part_compress
+from .xpoly import XPolynomial, apply_functional
 
 __all__ = [
     "cf_qbinomial_sum",
@@ -55,6 +55,7 @@ __all__ = [
     "cf_qlucas",
     "closed_polynomial",
     "classical_polynomial",
+    "classical_geometric_style",
     "classical_laguerre_style",
     "classical_multifactorial_style",
     "classical_hermite_style",
@@ -249,38 +250,31 @@ def cf_qlucas(n: int) -> XPolynomial:
     return XPolynomial(coeffs)
 
 
-# -- dispatch ---------------------------------------------------------------------
+# -- per-family lookup ------------------------------------------------------------
 
 
 def closed_polynomial(fid: "FamilyId | str", n: int) -> XPolynomial | None:
     """The registered closed form for p_n of a family, or None.
 
-    Intentionally resolves the cf_* functions through module globals at
-    call time, so tests can substitute a deliberately wrong formula and
-    watch verification catch it.
+    The family table resolves the cf_* functions through this module's
+    globals at call time, so tests can substitute a deliberately wrong
+    formula and watch verification catch it.
     """
     if isinstance(fid, str):
         fid = FamilyId.parse(fid)
-    tag = fid.tag
-    if tag == "geometric-q":
-        return cf_geometric_poly(n)
-    if tag == "q-factorial":
-        return cf_qlaguerre(n, fid.m)
-    if tag == "multifactorial":
-        return cf_multifactorial_poly(n, fid.r, fid.m)
-    if tag == "q-double-factorial":
-        return cf_qhermite(n)
-    if tag == "andrews-q-catalan":
-        return even_part_compress(cf_chebU(2 * n))
-    if tag == "q-central-binomial":
-        return even_part_compress(cf_chebT(2 * n))
-    # The q-Fibonacci and q-Lucas bases define their functionals' moments
-    # but are not themselves orthogonal for q != 1 (they satisfy no
-    # three-term recurrence in x), so no closed form is registered.
-    return None
+    formula = _SPECS[fid.tag].closed_poly
+    return None if formula is None else formula(fid, n)
 
 
 # -- classical (q = 1) counterparts ------------------------------------------------
+
+
+def classical_geometric_style(n: int) -> XPolynomial:
+    """sum_j (-1)^j C(n,j) x^{n-j} = (x - 1)^n."""
+    coeffs = [Fraction(0)] * (n + 1)
+    for j in range(n + 1):
+        coeffs[n - j] = Fraction(_sign(j) * math.comb(n, j))
+    return XPolynomial(coeffs)
 
 
 def classical_laguerre_style(n: int, m: int) -> XPolynomial:
@@ -350,23 +344,8 @@ def classical_polynomial(fid: "FamilyId | str", n: int) -> XPolynomial | None:
     """The q = 1 counterpart of a family's closed form, or None."""
     if isinstance(fid, str):
         fid = FamilyId.parse(fid)
-    tag = fid.tag
-    if tag == "geometric-q":
-        coeffs = [Fraction(0)] * (n + 1)
-        for j in range(n + 1):
-            coeffs[n - j] = Fraction(_sign(j) * math.comb(n, j))
-        return XPolynomial(coeffs)
-    if tag == "q-factorial":
-        return classical_laguerre_style(n, fid.m)
-    if tag == "multifactorial":
-        return classical_multifactorial_style(n, fid.r, fid.m)
-    if tag == "q-double-factorial":
-        return classical_hermite_style(n)
-    if tag == "andrews-q-catalan":
-        return even_part_compress(classical_chebU_style(2 * n))
-    if tag == "q-central-binomial":
-        return even_part_compress(classical_chebT_style(2 * n))
-    return None
+    formula = _SPECS[fid.tag].classical_poly
+    return None if formula is None else formula(fid, n)
 
 
 def specialize_poly(p: XPolynomial, point) -> XPolynomial:
@@ -440,16 +419,10 @@ class _Verifier:
         self.max_n = max_n
         self.q = None if q is None else Fraction(q)
         self.report = VerificationReport(str(self.fam.fid), max_n)
-        if self.q is None:
-            self.moments = self.fam.moments
-            self.aerated = self.fam.aerated_moments if self.fam.aerated_capable else None
-        else:
-            self.moments = self.fam.specialized_moments(self.q)
-            self.aerated = (
-                self.moments.scratch.setdefault("aerated", self.moments.aerated())
-                if self.fam.aerated_capable
-                else None
-            )
+        self.moments = (
+            self.fam.moments if self.q is None else self.fam.specialized_moments(self.q)
+        )
+        self.aerated = self.moments.aerated() if self.fam.aerated_capable else None
 
     # closed-form values are produced symbolically and then pinned to
     # the working point, so a specialization error is a finding, not a crash

@@ -1,7 +1,7 @@
 """Exact arithmetic in q: polynomials over the rationals and their fractions.
 
 Everything is exact.  There is no floating point anywhere in this
-package; scalars are ``fractions.Fraction`` (aliased ``RationalNumber``),
+package; scalars are ``fractions.Fraction``,
 polynomials in q are :class:`QPolynomial`, and elements of the rational
 function field Q(q) are :class:`QRational` kept in a canonical reduced
 form (gcd of numerator and denominator is 1, denominator monic).  Two
@@ -21,19 +21,7 @@ from typing import Iterable, Union
 
 from . import _intkernel as _k
 
-RationalNumber = Fraction
-
-__all__ = [
-    "RationalNumber",
-    "QPolynomial",
-    "QRational",
-    "PoleError",
-    "qpoly_arith",
-    "qrat_normalize",
-    "qrat_eval_at",
-    "rational_to_str",
-    "rational_from_str",
-]
+__all__ = ["QPolynomial", "QRational", "PoleError"]
 
 
 class PoleError(ZeroDivisionError):
@@ -42,15 +30,6 @@ class PoleError(ZeroDivisionError):
 
 def _ilcm(a: int, b: int) -> int:
     return a // _igcd(a, b) * b
-
-
-def rational_to_str(r: Fraction) -> str:
-    """Serialize a rational as 'num/den' (or plain 'num' for integers)."""
-    return str(r)
-
-
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 _Scalar = Union[int, Fraction]
@@ -321,11 +300,11 @@ class QPolynomial:
 
     def to_json(self) -> list[str]:
         """Ascending coefficients, each as a 'num/den' decimal string."""
-        return [rational_to_str(c) for c in self.coefficients]
+        return [str(c) for c in self.coefficients]
 
     @classmethod
     def from_json(cls, data: list[str]) -> "QPolynomial":
-        return cls([rational_from_str(s) for s in data])
+        return cls([Fraction(s) for s in data])
 
 
 def _poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
@@ -576,27 +555,3 @@ class QRational:
     def from_json(cls, data: dict) -> "QRational":
         return cls(QPolynomial.from_json(data["num"]), QPolynomial.from_json(data["den"]))
 
-
-# -- operation-style wrappers ------------------------------------------------
-
-
-def qpoly_arith(a: QPolynomial, b: QPolynomial, kind: str) -> QPolynomial:
-    """Dispatch add/sub/mul/divexact by name."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "divexact":
-        return a.divexact(b)
-    raise ValueError(f"unknown polynomial operation {kind!r}")
-
-
-def qrat_normalize(num: QPolynomial, den: QPolynomial) -> QRational:
-    """Canonical fraction num/den (gcd removed, denominator made monic)."""
-    return QRational(num, den)
-
-
-def qrat_eval_at(r: QRational, point: _Scalar) -> Fraction:
-    return r.eval_at(point)

@@ -3,7 +3,10 @@
 A family is a named moment sequence a(n) in Q(q) with a(0) = 1, plus
 whatever closed-form extras it supports: three-term recurrence
 coefficients s_n/t_n, aerated recurrence coefficients T_n, and (via the
-closedforms module) explicit orthogonal polynomials.
+closedforms module) explicit orthogonal polynomials and their q = 1
+limits.  Each family is one entry of the table ``_SPECS``: its
+parameters, moment rule, registry sweep and optional formulas.  Adding
+a family means adding one entry plus its formulas.
 
 Families are addressed by a tag plus small integer parameters, written
 ``tag`` or ``tag:key=value,key=value`` on the command line:
@@ -26,7 +29,7 @@ specializing it there raises a quasi-definiteness error downstream.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .exactalg import QPolynomial, QRational
@@ -37,7 +40,7 @@ from .qcombinatorics import (
     q_multifactorial,
     q_power_binom2,
 )
-from .xpoly import MomentSequence, XPolynomial
+from .xpoly import MomentSequence, XPolynomial, even_part_compress
 
 __all__ = [
     "FamilyId",
@@ -59,29 +62,6 @@ __all__ = [
 DEFAULT_DEPTH_CAP = 12
 HARD_DEPTH_CAP = 20
 
-_TAGS_WITH_M = {"q-factorial", "multifactorial"}
-_TAGS_WITH_R = {"multifactorial"}
-_ALL_TAGS = (
-    "geometric-q",
-    "q-factorial",
-    "multifactorial",
-    "q-double-factorial",
-    "andrews-q-catalan",
-    "q-central-binomial",
-    "fibonacci-functional",
-    "lucas-functional",
-)
-# Families whose aerated recurrence the machinery exposes.
-_AERATED_TAGS = {
-    "q-factorial",
-    "multifactorial",
-    "q-double-factorial",
-    "andrews-q-catalan",
-    "q-central-binomial",
-}
-_CLOSED_T_TAGS = {"q-factorial", "multifactorial", "andrews-q-catalan", "q-central-binomial"}
-_CLOSED_ST_TAGS = {"q-factorial", "multifactorial"}
-
 
 @dataclass(frozen=True)
 class FamilyId:
@@ -92,22 +72,19 @@ class FamilyId:
     r: int | None = None
 
     def __post_init__(self):
-        if self.tag not in _ALL_TAGS:
+        spec = _SPECS.get(self.tag)
+        if spec is None:
             raise ValueError(f"unknown family {self.tag!r}")
-        if self.tag in _TAGS_WITH_M:
-            m = 0 if self.m is None else self.m
-            if not isinstance(m, int) or m < 0:
-                raise ValueError(f"family {self.tag} needs integer m >= 0")
-            object.__setattr__(self, "m", m)
-        elif self.m is not None:
-            raise ValueError(f"family {self.tag} takes no parameter m")
-        if self.tag in _TAGS_WITH_R:
-            r = 1 if self.r is None else self.r
-            if not isinstance(r, int) or r < 1:
-                raise ValueError(f"family {self.tag} needs integer r >= 1")
-            object.__setattr__(self, "r", r)
-        elif self.r is not None:
-            raise ValueError(f"family {self.tag} takes no parameter r")
+        for name in ("m", "r"):
+            value = getattr(self, name)
+            if name in spec.params:
+                low = spec.params[name]
+                value = low if value is None else value
+                if not isinstance(value, int) or value < low:
+                    raise ValueError(f"family {self.tag} needs integer {name} >= {low}")
+                object.__setattr__(self, name, value)
+            elif value is not None:
+                raise ValueError(f"family {self.tag} takes no parameter {name}")
 
     @classmethod
     def parse(cls, spec: str) -> "FamilyId":
@@ -140,39 +117,142 @@ def _qr(num, den=None) -> QRational:
     return QRational.of(num) if den is None else QRational.of(num, den)
 
 
-def _moment_rule(fid: FamilyId) -> Callable[[int], QRational]:
-    tag = fid.tag
-    if tag == "geometric-q":
-        return lambda n: _qr(q_power_binom2(n))
-    if tag == "q-factorial":
-        m = fid.m
-        return lambda n: _qr(q_factorial(n + m).divexact(q_factorial(m)))
-    if tag == "multifactorial":
-        r, m = fid.r, fid.m
-        return lambda n: _qr(q_multifactorial(r * n + m, r).divexact(q_multifactorial(m, r)))
-    if tag == "q-double-factorial":
-        return lambda n: _qr(q_double_factorial(n, "odd"))
-    if tag == "andrews-q-catalan":
-        return lambda n: _qr(
+def _cf():
+    """The closedforms module, imported late because it imports this one.
+
+    Table entries fetch their closedforms formula through it at call time,
+    so a formula substituted on that module (as the negative control in
+    the acceptance tests does) is the one that runs.
+    """
+    from . import closedforms
+
+    return closedforms
+
+
+def _one_plus_q(e: int) -> QPolynomial:
+    return QPolynomial.one() + QPolynomial.monomial(e)
+
+
+def _multifactorial_T(r: int, m: int, j: int) -> QRational:
+    i, odd = divmod(j, 2)
+    if odd:
+        return _qr(QPolynomial.monomial(r * (i + 1) + m) * q_bracket(r * (i + 1)))
+    return _qr(QPolynomial.monomial(r * i) * q_bracket(r * (i + 1) + m))
+
+
+def _multifactorial_st(r: int, m: int, i: int) -> tuple[QRational, QRational]:
+    s = QPolynomial.monomial(r * i) * (
+        q_bracket(r * (i + 1) + m) + QPolynomial.monomial(m) * q_bracket(r * i)
+    )
+    t = QPolynomial.monomial(r * (2 * i + 1) + m) * q_bracket(r * (i + 1)) * q_bracket(
+        r * (i + 1) + m
+    )
+    return _qr(s), _qr(t)
+
+
+def _catalan_T(j: int) -> QRational:
+    return _qr(QPolynomial.monomial(j), _one_plus_q(j + 1) * _one_plus_q(j + 2))
+
+
+def _central_binomial_T(j: int) -> QRational:
+    if j == 0:
+        return _qr(QPolynomial.one(), _one_plus_q(1))
+    return _qr(QPolynomial.monomial(j), _one_plus_q(j) * _one_plus_q(j + 1))
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """Everything known about one family tag.
+
+    ``params`` maps each integer parameter to its minimum, which is also
+    its default.  ``rule(fid)`` is the moment rule n -> a(n), and
+    ``sweep`` lists the parameter sets that ``registry_family_ids``
+    yields.  ``aerated`` marks the families whose aerated recurrence is
+    exposed, and ``functional`` those whose moments come from a polynomial
+    basis (left out by ``include_functionals=False``).  The optional
+    formulas take (fid, index) and give T_j, (s_i, t_i), the closed p_n and
+    its q = 1 counterpart.
+    """
+
+    rule: Callable[[FamilyId], Callable[[int], QRational]]
+    params: dict[str, int] = field(default_factory=dict)
+    sweep: tuple[dict[str, int], ...] = ({},)
+    aerated: bool = False
+    functional: bool = False
+    closed_T: Callable[[FamilyId, int], QRational] | None = None
+    closed_st: Callable[[FamilyId, int], tuple[QRational, QRational]] | None = None
+    closed_poly: Callable[[FamilyId, int], XPolynomial] | None = None
+    classical_poly: Callable[[FamilyId, int], XPolynomial] | None = None
+
+
+# One entry per family, in registry order.  q-factorial:m=M is
+# multifactorial:r=1,m=M, so the two share their recurrence formulas.
+_SPECS: dict[str, _Spec] = {
+    "geometric-q": _Spec(
+        rule=lambda fid: lambda n: _qr(q_power_binom2(n)),
+        closed_poly=lambda fid, n: _cf().cf_geometric_poly(n),
+        classical_poly=lambda fid, n: _cf().classical_geometric_style(n),
+    ),
+    "q-factorial": _Spec(
+        params={"m": 0},
+        rule=lambda fid: lambda n: _qr(q_factorial(n + fid.m).divexact(q_factorial(fid.m))),
+        sweep=tuple({"m": m} for m in range(4)),
+        aerated=True,
+        closed_T=lambda fid, j: _multifactorial_T(1, fid.m, j),
+        closed_st=lambda fid, i: _multifactorial_st(1, fid.m, i),
+        closed_poly=lambda fid, n: _cf().cf_qlaguerre(n, fid.m),
+        classical_poly=lambda fid, n: _cf().classical_laguerre_style(n, fid.m),
+    ),
+    "multifactorial": _Spec(
+        params={"m": 0, "r": 1},
+        rule=lambda fid: lambda n: _qr(
+            q_multifactorial(fid.r * n + fid.m, fid.r).divexact(q_multifactorial(fid.m, fid.r))
+        ),
+        sweep=tuple({"r": r, "m": m} for r in (1, 2, 3) for m in (0, 1, 2)),
+        aerated=True,
+        closed_T=lambda fid, j: _multifactorial_T(fid.r, fid.m, j),
+        closed_st=lambda fid, i: _multifactorial_st(fid.r, fid.m, i),
+        closed_poly=lambda fid, n: _cf().cf_multifactorial_poly(n, fid.r, fid.m),
+        classical_poly=lambda fid, n: _cf().classical_multifactorial_style(n, fid.r, fid.m),
+    ),
+    "q-double-factorial": _Spec(
+        rule=lambda fid: lambda n: _qr(q_double_factorial(n, "odd")),
+        aerated=True,
+        closed_poly=lambda fid, n: _cf().cf_qhermite(n),
+        classical_poly=lambda fid, n: _cf().classical_hermite_style(n),
+    ),
+    "andrews-q-catalan": _Spec(
+        rule=lambda fid: lambda n: _qr(
             q_bracket(2) * q_double_factorial(n, "odd"), q_double_factorial(n + 1, "even")
-        )
-    if tag == "q-central-binomial":
-        return lambda n: _qr(q_double_factorial(n, "odd"), q_double_factorial(n, "even"))
-    if tag == "fibonacci-functional":
-        def fib_rule(n: int) -> QRational:
-            from . import closedforms  # deferred; closedforms imports this module
+        ),
+        aerated=True,
+        closed_T=lambda fid, j: _catalan_T(j),
+        closed_poly=lambda fid, n: even_part_compress(_cf().cf_chebU(2 * n)),
+        classical_poly=lambda fid, n: even_part_compress(_cf().classical_chebU_style(2 * n)),
+    ),
+    "q-central-binomial": _Spec(
+        rule=lambda fid: lambda n: _qr(q_double_factorial(n, "odd"), q_double_factorial(n, "even")),
+        aerated=True,
+        closed_T=lambda fid, j: _central_binomial_T(j),
+        closed_poly=lambda fid, n: even_part_compress(_cf().cf_chebT(2 * n)),
+        classical_poly=lambda fid, n: even_part_compress(_cf().classical_chebT_style(2 * n)),
+    ),
+    # The q-Fibonacci and q-Lucas bases define their functionals' moments
+    # but are not themselves orthogonal for q != 1 (they satisfy no
+    # three-term recurrence in x), so no closed form is registered.
+    "fibonacci-functional": _Spec(
+        rule=lambda fid: lambda n: functional_from_basis(_cf().cf_qfibonacci, n),
+        functional=True,
+    ),
+    "lucas-functional": _Spec(
+        rule=lambda fid: lambda n: functional_from_basis(_cf().cf_qlucas, n),
+        functional=True,
+    ),
+}
 
-            return functional_from_basis(closedforms.cf_qfibonacci, n)
 
-        return fib_rule
-    if tag == "lucas-functional":
-        def lucas_rule(n: int) -> QRational:
-            from . import closedforms
-
-            return functional_from_basis(closedforms.cf_qlucas, n)
-
-        return lucas_rule
-    raise ValueError(f"unknown family {tag!r}")
+def _moment_rule(fid: FamilyId) -> Callable[[int], QRational]:
+    return _SPECS[fid.tag].rule(fid)
 
 
 def closed_T(fid: "FamilyId | str", j: int) -> QRational:
@@ -180,32 +260,10 @@ def closed_T(fid: "FamilyId | str", j: int) -> QRational:
     fid = _as_fid(fid)
     if j < 0:
         raise ValueError("T index must be >= 0")
-    tag = fid.tag
-    if tag == "q-factorial":
-        m = fid.m
-        i, odd = divmod(j, 2)
-        if odd:
-            return _qr(QPolynomial.monomial(i + m + 1) * q_bracket(i + 1))
-        return _qr(QPolynomial.monomial(i) * q_bracket(i + 1 + m))
-    if tag == "multifactorial":
-        r, m = fid.r, fid.m
-        i, odd = divmod(j, 2)
-        if odd:
-            return _qr(QPolynomial.monomial(r * (i + 1) + m) * q_bracket(r * (i + 1)))
-        return _qr(QPolynomial.monomial(r * i) * q_bracket(r * (i + 1) + m))
-    if tag == "andrews-q-catalan":
-        den = (QPolynomial.one() + QPolynomial.monomial(j + 1)) * (
-            QPolynomial.one() + QPolynomial.monomial(j + 2)
-        )
-        return _qr(QPolynomial.monomial(j), den)
-    if tag == "q-central-binomial":
-        if j == 0:
-            return _qr(QPolynomial.one(), QPolynomial.one() + QPolynomial.variable())
-        den = (QPolynomial.one() + QPolynomial.monomial(j)) * (
-            QPolynomial.one() + QPolynomial.monomial(j + 1)
-        )
-        return _qr(QPolynomial.monomial(j), den)
-    raise ValueError(f"no closed aerated recurrence for family {fid}")
+    formula = _SPECS[fid.tag].closed_T
+    if formula is None:
+        raise ValueError(f"no closed aerated recurrence for family {fid}")
+    return formula(fid, j)
 
 
 def closed_st(fid: "FamilyId | str", i: int) -> tuple[QRational, QRational]:
@@ -213,22 +271,10 @@ def closed_st(fid: "FamilyId | str", i: int) -> tuple[QRational, QRational]:
     fid = _as_fid(fid)
     if i < 0:
         raise ValueError("recurrence index must be >= 0")
-    tag = fid.tag
-    if tag == "q-factorial":
-        m = fid.m
-        s = QPolynomial.monomial(i) * (q_bracket(i + m + 1) + QPolynomial.monomial(m) * q_bracket(i))
-        t = QPolynomial.monomial(2 * i + m + 1) * q_bracket(i + 1) * q_bracket(i + 1 + m)
-        return _qr(s), _qr(t)
-    if tag == "multifactorial":
-        r, m = fid.r, fid.m
-        s = QPolynomial.monomial(r * i) * (
-            q_bracket(r * (i + 1) + m) + QPolynomial.monomial(m) * q_bracket(r * i)
-        )
-        t = QPolynomial.monomial(r * (2 * i + 1) + m) * q_bracket(r * (i + 1)) * q_bracket(
-            r * (i + 1) + m
-        )
-        return _qr(s), _qr(t)
-    raise ValueError(f"no closed three-term coefficients for family {fid}")
+    formula = _SPECS[fid.tag].closed_st
+    if formula is None:
+        raise ValueError(f"no closed three-term coefficients for family {fid}")
+    return formula(fid, i)
 
 
 class MomentFamily:
@@ -237,7 +283,6 @@ class MomentFamily:
     def __init__(self, fid: FamilyId):
         self.fid = fid
         self.moments = MomentSequence(_moment_rule(fid), name=str(fid))
-        self._aerated: MomentSequence | None = None
         self._specialized: dict = {}
         self._lock = threading.Lock()
 
@@ -247,22 +292,19 @@ class MomentFamily:
 
     @property
     def aerated_capable(self) -> bool:
-        return self.fid.tag in _AERATED_TAGS
+        return _SPECS[self.tag].aerated
 
     @property
     def has_closed_T(self) -> bool:
-        return self.fid.tag in _CLOSED_T_TAGS
+        return _SPECS[self.tag].closed_T is not None
 
     @property
     def has_closed_st(self) -> bool:
-        return self.fid.tag in _CLOSED_ST_TAGS
+        return _SPECS[self.tag].closed_st is not None
 
     @property
     def aerated_moments(self) -> MomentSequence:
-        with self._lock:
-            if self._aerated is None:
-                self._aerated = self.moments.aerated()
-            return self._aerated
+        return self.moments.aerated()
 
     def specialized_moments(self, point) -> MomentSequence:
         from fractions import Fraction
@@ -352,13 +394,9 @@ def functional_from_basis(basis: Callable[[int], XPolynomial], n: int) -> QRatio
 
 def registry_family_ids(include_functionals: bool = True) -> list[FamilyId]:
     """The standard sweep of family instances used by verification."""
-    ids: list[FamilyId] = [FamilyId("geometric-q")]
-    ids += [FamilyId("q-factorial", m=m) for m in range(4)]
-    ids += [FamilyId("multifactorial", m=m, r=r) for r in (1, 2, 3) for m in (0, 1, 2)]
-    ids.append(FamilyId("q-double-factorial"))
-    ids.append(FamilyId("andrews-q-catalan"))
-    ids.append(FamilyId("q-central-binomial"))
-    if include_functionals:
-        ids.append(FamilyId("fibonacci-functional"))
-        ids.append(FamilyId("lucas-functional"))
-    return ids
+    return [
+        FamilyId(tag, **params)
+        for tag, spec in _SPECS.items()
+        if include_functionals or not spec.functional
+        for params in spec.sweep
+    ]

@@ -85,15 +85,6 @@ def q_binomial(n: int, k: int, base: int = 1) -> QPolynomial:
     return _binomial_base1(n, k).inflate(base)
 
 
-def q_binomial_by_division(n: int, k: int, base: int = 1) -> QPolynomial:
-    """[n]!/([k]![n-k]!) computed by exact division; cross-check path only."""
-    _check_base(base)
-    if k < 0 or k > n:
-        return QPolynomial.zero()
-    num = q_factorial(n, base)
-    return num.divexact(q_factorial(k, base)).divexact(q_factorial(n - k, base))
-
-
 def q_pochhammer_signed(sign: int, power: int, length: int) -> QPolynomial:
     """prod_{j=0}^{length-1} (1 - sign * q^(power+j)).
 

@@ -18,7 +18,6 @@ from .exactalg import QPolynomial, QRational
 __all__ = [
     "XPolynomial",
     "MomentSequence",
-    "xpoly_arith",
     "apply_functional",
     "even_part_compress",
 ]
@@ -212,6 +211,7 @@ class MomentSequence:
         # Held while a scratch entry is built in several steps.  It is not
         # _lock, because moment() takes _lock inside such a build.
         self.scratch_lock = threading.RLock()
+        self._aerated: MomentSequence | None = None
         first = self.moment(0)
         if not first.is_one:
             raise ValueError(f"moment(0) must be 1, got {first}")
@@ -241,25 +241,21 @@ class MomentSequence:
         )
 
     def aerated(self) -> "MomentSequence":
-        """Interleave zeros: A(2n) = a(n), A(2n+1) = 0."""
-        return MomentSequence(
-            lambda n: self.moment(n // 2) if n % 2 == 0 else QRational.zero(),
-            name=f"{self.name}-aerated" if self.name else "aerated",
-        )
+        """Interleave zeros: A(2n) = a(n), A(2n+1) = 0.
+
+        Built once; every call returns the same sequence, so its own
+        caches (moments, recurrence tables) are shared.
+        """
+        with self.scratch_lock:
+            if self._aerated is None:
+                self._aerated = MomentSequence(
+                    lambda n: self.moment(n // 2) if n % 2 == 0 else QRational.zero(),
+                    name=f"{self.name}-aerated" if self.name else "aerated",
+                )
+            return self._aerated
 
     def __repr__(self):
         return f"MomentSequence({self.name or self._rule!r})"
-
-
-def xpoly_arith(a: XPolynomial, b: XPolynomial, kind: str) -> XPolynomial:
-    """Dispatch add/sub/mul by name (scale and shift live on the class)."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise ValueError(f"unknown x-polynomial operation {kind!r}")
 
 
 def apply_functional(moments: MomentSequence, p: XPolynomial) -> QRational:

@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qortho import _intkernel
-from qortho.exactalg import (
-    PoleError,
-    QPolynomial,
-    QRational,
-    rational_from_str,
-    rational_to_str,
-)
+from qortho.exactalg import PoleError, QPolynomial, QRational
 
 
 def qp(*coeffs):
@@ -143,11 +137,6 @@ def test_polynomial_values_hash_like_their_polynomial():
     p = qp(1, Fraction(-3, 2), 2)
     assert QRational.of(p) == p
     assert len({p, QRational.of(p)}) == 1
-
-
-def test_rational_string_helpers_round_trip():
-    for f in (Fraction(3), Fraction(-7, 2), Fraction(0)):
-        assert rational_from_str(rational_to_str(f)) == f
 
 
 # -- randomized algebra laws ----------------------------------------------------

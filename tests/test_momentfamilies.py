@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from qortho.closedforms import classical_polynomial, closed_polynomial
 from qortho.exactalg import QPolynomial, QRational
 from qortho.momentfamilies import (
     FamilyId,
@@ -85,6 +86,47 @@ class TestFamilyId:
         assert len(ids) == 19
         assert len(registry_family_ids(include_functionals=False)) == 17
         assert len(set(ids)) == len(ids)
+        # the order of the reports of verify --all
+        assert [str(fid) for fid in ids] == [
+            "geometric-q",
+            "q-factorial:m=0",
+            "q-factorial:m=1",
+            "q-factorial:m=2",
+            "q-factorial:m=3",
+            "multifactorial:r=1,m=0",
+            "multifactorial:r=1,m=1",
+            "multifactorial:r=1,m=2",
+            "multifactorial:r=2,m=0",
+            "multifactorial:r=2,m=1",
+            "multifactorial:r=2,m=2",
+            "multifactorial:r=3,m=0",
+            "multifactorial:r=3,m=1",
+            "multifactorial:r=3,m=2",
+            "q-double-factorial",
+            "andrews-q-catalan",
+            "q-central-binomial",
+            "fibonacci-functional",
+            "lucas-functional",
+        ]
+
+    def test_every_tag_reports_what_it_has(self):
+        ids = registry_family_ids()
+        assert len({fid.tag for fid in ids}) == 8
+        for fid in ids:
+            fam = family(fid)
+            for has, formula in ((fam.has_closed_T, closed_T), (fam.has_closed_st, closed_st)):
+                if has:
+                    formula(fid, 1)
+                else:
+                    with pytest.raises(ValueError):
+                        formula(fid, 1)
+            for n in (0, 3):
+                closed = closed_polynomial(fid, n)
+                assert (closed is None) == (classical_polynomial(fid, n) is None), (str(fid), n)
+        plain = registry_family_ids(include_functionals=False)
+        assert [fid for fid in ids if fid in plain] == plain
+        dropped = [str(fid) for fid in ids if fid not in plain]
+        assert dropped == ["fibonacci-functional", "lucas-functional"]
 
 
 class TestMoments:
@@ -114,6 +156,13 @@ class TestMoments:
         assert aerated_moment("q-double-factorial", 4) == QRational.of(
             q_double_factorial(2, "odd")
         )
+
+    def test_aerated_sequence_is_built_once(self):
+        fam = family("q-double-factorial")
+        assert fam.moments.aerated() is fam.moments.aerated()
+        at = fam.specialized_moments(Fraction(3, 2))
+        assert at.aerated() is at.aerated()
+        assert family("q-double-factorial").aerated_moments is fam.moments.aerated()
 
     def test_multifactorial_collapses_to_factorial_at_step_one(self):
         for n in range(7):

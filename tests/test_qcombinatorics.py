@@ -11,7 +11,6 @@ import pytest
 from qortho.exactalg import QPolynomial
 from qortho.qcombinatorics import (
     q_binomial,
-    q_binomial_by_division,
     q_bracket,
     q_double_factorial,
     q_factorial,
@@ -23,6 +22,14 @@ from qortho.qcombinatorics import (
 
 def qp(*coeffs):
     return QPolynomial(coeffs)
+
+
+def q_binomial_by_division(n: int, k: int, base: int = 1) -> QPolynomial:
+    """[n]!/([k]![n-k]!) computed by exact division; the oracle for q_binomial."""
+    if k < 0 or k > n:
+        return QPolynomial.zero()
+    num = q_factorial(n, base)
+    return num.divexact(q_factorial(k, base)).divexact(q_factorial(n - k, base))
 
 
 class TestBracket:

@@ -1,6 +1,8 @@
 """Polynomials in x over the rational-function field, the moment
 functional that integrates them, and even-part compression."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,30 @@ class TestMomentSequence:
         assert aer.moment(0) == qr(1)
         assert aer.moment(1).is_zero
         assert aer.moment(4) == qr(3)
+
+    def test_threads_share_one_aerated_sequence(self):
+        for _ in range(20):
+            seq = MomentSequence(lambda n: qr(n + 1), name="counting")
+            start = threading.Barrier(8)
+            seen = []
+
+            def run():
+                start.wait(timeout=60)
+                seen.append(seq.aerated())
+
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            old_interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+            finally:
+                sys.setswitchinterval(old_interval)
+            assert not any(th.is_alive() for th in threads)
+            assert len(seen) == 8
+            assert all(a is seen[0] for a in seen)
 
 
 class TestEvenPartCompress:
