@@ -12,6 +12,7 @@ from qortho.momentfamilies import family
 from qortho.orthocore import (
     QuasiDefinitenessError,
     hankel_direct,
+    hankel_minors,
     hankel_product,
     orthopoly_det,
     stieltjes,
@@ -29,9 +30,10 @@ for n in range(5):
 factorial_at_one = family("q-factorial:m=0").specialized_moments(1)
 print("factorial d_3 at q=1:", hankel_direct(factorial_at_one, 3))
 
+# hankel_minors reads d_0, ..., d_n off one elimination.
 catalan_like = family("fibonacci-functional").specialized_moments(1)
 print("catalan-style d_n at q=1:",
-      [str(hankel_direct(catalan_like, n)) for n in range(7)])
+      [str(d) for d in hankel_minors(catalan_like, 6)])
 
 # Quasi-definiteness can fail at special points. The geometric family has
 # moments q^binom(n,2), and at q=1 every moment is 1, so the 2x2 Hankel

@@ -17,11 +17,18 @@ one integer gcd and read it back as a polynomial.  The candidate is
 accepted only when it divides both inputs exactly, which above the
 GCDHEU width bound makes it the gcd; after a few failed widths the
 primitive PRS takes over.
+
+Exact integer division by one divisor, the inner step of fraction-free
+elimination, goes through ``ExactDivider``: before CPython 3.12 it
+multiplies by the divisor's 2-adic inverse and checks each quotient by
+multiplying it back; from 3.12 on, whose big-int division is
+subquadratic, it uses ``divmod`` and checks the remainder.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import reduce
 
 # Below this many coefficients on the shorter side, schoolbook wins.
@@ -156,6 +163,75 @@ def eval_int(cs: list[int], x: int) -> int:
     for c in reversed(cs):
         acc = acc * x + c
     return acc
+
+
+class ExactDivider:
+    """Exact division of integers by one fixed nonzero divisor d.
+
+    ``_by_inverse`` uses the 2-adic inverse of d (Jebelean, J. Symb.
+    Comp. 15 (1993)): with d = 2**s * u and u odd, the quotient of
+    n = q*d is (n >> s) * u**-1 mod 2**K, read as a balanced value, for
+    any K that covers |q|.  That costs multiplications where ``divmod``
+    runs a quadratic long division.  The inverse is lifted by Newton
+    iteration only as far as the largest quotient asked for so far.
+    Every quotient is multiplied back, so a numerator d does not divide
+    raises ArithmeticError instead of returning a wrong value.
+
+    From CPython 3.12 on, ``divmod`` of big ints is subquadratic and
+    faster than the 2-adic route, so calls go to ``_by_divmod`` there,
+    which raises the same ArithmeticError on a nonzero remainder.
+    """
+
+    __slots__ = ("_d", "_shift", "_odd", "_odd_bits", "_inv", "_bits")
+
+    def __init__(self, d: int):
+        if d == 0:
+            raise ZeroDivisionError("exact division by zero")
+        self._d = d
+        self._shift = (d & -d).bit_length() - 1
+        self._odd = d >> self._shift
+        self._odd_bits = self._odd.bit_length()
+        # every odd u is its own inverse modulo 2
+        self._inv = 1
+        self._bits = 1
+
+    def _lift(self, bits: int) -> None:
+        """Extend the inverse of the odd part to precision 2**bits."""
+        targets = []
+        while bits > self._bits:
+            targets.append(bits)
+            bits = (bits + 1) // 2
+        inv, have, odd = self._inv, self._bits, self._odd
+        for b in reversed(targets):
+            # odd*inv = 1 + 2**have * t, and inv*(2 - odd*inv) = inv - 2**have * inv * t,
+            # so only t mod 2**(b - have) enters the correction
+            low = (1 << (b - have)) - 1
+            t = ((odd & ((1 << b) - 1)) * inv >> have) & low
+            inv = (inv - ((inv * t & low) << have)) & ((1 << b) - 1)
+            have = b
+        self._inv, self._bits = inv, have
+
+    def _by_inverse(self, n: int) -> int:
+        # |q| < 2**(bits - 1), so the balanced residue mod 2**bits is q
+        bits = max(n.bit_length() - self._shift - self._odd_bits + 2, 1)
+        if bits > self._bits:
+            self._lift(bits)
+        mask = (1 << bits) - 1
+        inv = self._inv if bits == self._bits else self._inv & mask
+        q = ((n >> self._shift) & mask) * inv & mask
+        if q >> (bits - 1):
+            q -= 1 << bits
+        if q * self._d != n:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        return q
+
+    def _by_divmod(self, n: int) -> int:
+        q, r = divmod(n, self._d)
+        if r:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        return q
+
+    __call__ = _by_divmod if sys.version_info >= (3, 12) else _by_inverse
 
 
 def divexact(f: list[int], g: list[int]) -> list[int]:

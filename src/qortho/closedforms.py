@@ -504,8 +504,8 @@ class _Verifier:
                 for k in range(n)
                 if not apply_functional(self.moments, p.shift_x(k)).is_zero
             ]
-            norm = apply_functional(self.moments, p * p)
-            if bad or norm.is_zero:
+            # with L(x^k p_n) = 0 for k < n, the norm L(p_n^2) is L(x^n p_n)
+            if bad or apply_functional(self.moments, p.shift_x(n)).is_zero:
                 note = f"nonzero against x^k for k in {bad}" if bad else "vanishing norm"
                 self.report.entries.append(
                     VerificationEntry(

@@ -15,11 +15,16 @@ coefficients t_j.
 Determinant internals: each matrix row over Q(q) is scaled to integer
 polynomial entries (clearing denominators and integer content, with the
 scale remembered), every entry is then evaluated at q = 2^w for a width
-w chosen from an a-priori bound on all minors, and Bareiss elimination
+w chosen from an a-priori bound on all minors, and one Bareiss sweep
 runs on plain Python integers.  Because the bound makes every minor's
 coefficient vector recoverable from its image, the final values unpack
-to exact polynomials.  This keeps the inner loop in fast bigint
-arithmetic instead of rational-function arithmetic.
+to exact polynomials.  Without row exchanges the sweep's pivot chain is
+the chain of cleared leading minors, so ``hankel_minors`` reads every
+d_k off one sweep and ``orthopoly_det`` checks quasi-definiteness on
+the way.  Each step divides exactly by the previous pivot through one
+``_intkernel.ExactDivider`` (a 2-adic inverse with every quotient
+multiplied back, or ``divmod`` from CPython 3.12 on), so a division that
+leaves a remainder raises instead of returning a wrong value.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "orthopoly_recur",
     "orthopoly_det",
     "hankel_direct",
+    "hankel_minors",
     "hankel_product",
     "expansion_triangle",
     "deaerate",
@@ -224,15 +230,83 @@ def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
     return _k._width_for(bound)
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
+def _packed_rows(
+    moments: MomentSequence, nrows: int, ncols: int
+) -> tuple[list[list[int]], int, list[QRational]]:
+    """Rows a(i+j), i < nrows, j < ncols, cleared and packed at q = 2^w.
+
+    Returns (packed rows, w, row scales).  w covers every minor of an
+    ncols x ncols matrix made of these rows and, when nrows < ncols, the
+    symbolic border row.  The coefficient lists are dropped on return,
+    before any elimination starts.
+    """
+    int_rows, scales, maxima = _clear_rows(
+        [[moments.moment(i + j) for j in range(ncols)] for i in range(nrows)]
+    )
+    w = _minor_width(ncols, maxima)
+    return [[_k.pack(cs, w) for cs in row] for row in int_rows], w, scales
 
 
-def _moment_rows(moments: MomentSequence, nrows: int, ncols: int) -> list[list[QRational]]:
-    return [[moments.moment(i + j) for j in range(ncols)] for i in range(nrows)]
+def _bareiss(
+    rows: list[list[int]], xcols: list[list[int]] | None = None, pivoting: bool = False
+) -> tuple[list[int], int]:
+    """Fraction-free elimination of ``rows`` in place, one step per row.
+
+    Returns (pivots, sign).  Without row exchanges the pivot of step k is
+    the leading (k+1)-minor of the input, and the sweep stops right
+    after the first zero pivot.  With ``pivoting`` a zero pivot is
+    replaced by a lower row (``sign`` records the exchanges), and the
+    sweep stops after a zero pivot only when its whole column is zero.
+    ``xcols``, the column-major coefficients of a symbolic border row,
+    is eliminated alongside.  Each step divides by the previous pivot
+    through one ``ExactDivider``, which checks every quotient.  Row k
+    and border column k are never read after step k, so their entries
+    past the pivot are dropped then; only the last border column and
+    the pivots are left to read.
+    """
+    n, ncols = len(rows), len(rows[0])
+    pivots: list[int] = []
+    sign = 1
+    div = _k.ExactDivider(1)
+    for k in range(n):
+        if rows[k][k] == 0 and pivoting:
+            for i in range(k + 1, n):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+        pivot = rows[k][k]
+        pivots.append(pivot)
+        if pivot == 0:
+            break
+        row_k = rows[k]
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            factor = row_i[k]
+            for j in range(k + 1, ncols):
+                row_i[j] = div(pivot * row_i[j] - factor * row_k[j])
+            row_i[k] = 0
+        if xcols is not None:
+            xk = xcols[k]
+            for j in range(k + 1, ncols):
+                col = xcols[j]
+                rkj = row_k[j]
+                for e in range(len(col)):
+                    col[e] = div(pivot * col[e] - xk[e] * rkj)
+            xk.clear()
+        del row_k[k + 1 :]
+        div = _k.ExactDivider(pivot)
+    return pivots, sign
+
+
+def _unscale(cleared: int, w: int, scales: Sequence[QRational]) -> QRational:
+    """A determinant of cleared rows, unpacked and divided by the row scales."""
+    if cleared == 0:
+        return QRational.zero()
+    det = QRational.of(QPolynomial(_k.unpack(cleared, w)))
+    for s in scales:
+        det = det / s
+    return det
 
 
 def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
@@ -249,37 +323,19 @@ def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return XPolynomial.one()
-    int_rows, _, maxima = _clear_rows(_moment_rows(moments, n, n + 1))
-    w = _minor_width(n + 1, maxima)
-    rows = [[_k.pack(cs, w) for cs in row] for row in int_rows]
+    rows, w, _ = _packed_rows(moments, n, n + 1)
     # Column-major border: xcols[j][e] is the x^e coefficient of the
     # bottom-row entry in column j (initially exactly x^j).
     xcols = [[0] * (n + 1) for _ in range(n + 1)]
     for j in range(n + 1):
         xcols[j][j] = 1
-    prev = 1
-    for k in range(n):
-        pivot = rows[k][k]
-        if pivot == 0:
-            raise QuasiDefinitenessError(k + 1, moments.name)
-        row_k = rows[k]
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            factor = row_i[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = _exact_div(pivot * row_i[j] - factor * row_k[j], prev)
-            row_i[k] = 0
-        xk = xcols[k]
-        for j in range(k + 1, n + 1):
-            col = xcols[j]
-            rkj = row_k[j]
-            for e in range(n + 1):
-                col[e] = _exact_div(pivot * col[e] - xk[e] * rkj, prev)
-        prev = pivot
-    # prev is now the cleared order-n Hankel determinant; the border
-    # column holds the cleared full determinant, so the row scales
-    # cancel in the ratio and the quotient is the monic polynomial.
-    den = QPolynomial(_k.unpack(prev, w))
+    pivots, _ = _bareiss(rows, xcols)
+    if pivots[-1] == 0:
+        raise QuasiDefinitenessError(len(pivots), moments.name)
+    # The last pivot is the cleared order-n Hankel determinant; the
+    # border column holds the cleared full determinant, so the row
+    # scales cancel in the ratio and the quotient is the monic polynomial.
+    den = QPolynomial(_k.unpack(pivots[-1], w))
     return XPolynomial(
         [QRational.of(QPolynomial(_k.unpack(c, w)), den) for c in xcols[n]]
     )
@@ -295,33 +351,31 @@ def hankel_direct(moments: MomentSequence, n: int) -> QRational:
         raise ValueError("order must be >= 0")
     if n == 0:
         return QRational.one()
-    int_rows, scales, maxima = _clear_rows(_moment_rows(moments, n, n))
-    w = _minor_width(n, maxima)
-    rows = [[_k.pack(cs, w) for cs in row] for row in int_rows]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return QRational.zero()
-        pivot = rows[k][k]
-        row_k = rows[k]
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = _exact_div(pivot * row_i[j] - factor * row_k[j], prev)
-            row_i[k] = 0
-        prev = pivot
-    det = QRational.of(QPolynomial(_k.unpack(sign * prev, w)))
-    for s in scales:
-        det = det / s
-    return det
+    rows, w, scales = _packed_rows(moments, n, n)
+    pivots, sign = _bareiss(rows, pivoting=True)
+    return _unscale(sign * pivots[-1], w, scales)
+
+
+def hankel_minors(moments: MomentSequence, n: int) -> list[QRational]:
+    """The Hankel determinants d_0, ..., d_n from one elimination.
+
+    The pivots of an order-n sweep without row exchanges are the
+    cleared leading minors, and the order-n width bound covers all of
+    them.  If d_{k+1} vanishes the sweep stops there, and each higher
+    order comes from ``hankel_direct`` with its row exchanges.
+    """
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    out = [QRational.one()]
+    if n == 0:
+        return out
+    rows, w, scales = _packed_rows(moments, n, n)
+    pivots, _ = _bareiss(rows)
+    del rows  # a sweep that stopped early leaves rows the fallback does not need
+    for k, pivot in enumerate(pivots):
+        out.append(_unscale(pivot, w, scales[: k + 1]))
+    out.extend(hankel_direct(moments, m) for m in range(len(out), n + 1))
+    return out
 
 
 def hankel_product(moments: MomentSequence, n: int) -> QRational:

@@ -328,3 +328,24 @@ class TestVerificationEngine:
         a = verify_family("q-double-factorial", max_n=3)
         b = verify_family("q-double-factorial", max_n=3)
         assert [(e.n, e.check) for e in a.entries] == [(e.n, e.check) for e in b.entries]
+
+
+class TestOrthogonalityCheck:
+    def test_a_polynomial_off_the_sequence_is_flagged(self, monkeypatch):
+        real = closedforms.orthopoly_recur
+
+        def shifted(moments, n):
+            p = real(moments, n)
+            return p + XPolynomial.one() if n == 2 else p
+
+        monkeypatch.setattr(closedforms, "orthopoly_recur", shifted)
+        report = verify_family("q-double-factorial", max_n=3)
+        bad = [e for e in report.mismatches() if e.check == "orthogonality"]
+        assert [(e.n, e.note) for e in bad] == [(2, "nonzero against x^k for k in [0, 1]")]
+
+    def test_a_vanishing_norm_is_flagged(self):
+        # all moments are 1 at q = 1, so p_1 = x - 1 is orthogonal to 1 but L(p_1^2) = 0
+        verifier = closedforms._Verifier("geometric-q", 1, q=1)
+        verifier.check_orthogonality()
+        [entry] = verifier.report.entries
+        assert (entry.n, entry.status, entry.note) == (1, "mismatch", "vanishing norm")

@@ -278,3 +278,71 @@ def test_kernel_gcd_divides_both_inputs(a, b):
         for f in (a, b):
             if _intkernel.strip(list(f)):
                 _intkernel.divexact(_intkernel.strip(list(f)), g)
+
+
+def exact_div_by_divmod(num, den):
+    """Exact quotient by long division, as fraction-free elimination once did it."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
+
+
+def _sized_int(max_digits):
+    """Integers up to 10**e in size, with e itself drawn from 0..max_digits."""
+    return st.integers(min_value=0, max_value=max_digits).flatmap(
+        lambda e: st.integers(min_value=-(10**e), max_value=10**e)
+    )
+
+
+# odd part times a power of two, either sign; d = +-1 drawn on its own
+divisors = st.one_of(
+    st.sampled_from([1, -1]),
+    st.builds(
+        lambda odd, shift, sign: sign * (2 * odd + 1) << shift,
+        _sized_int(1500).map(abs),
+        st.integers(min_value=0, max_value=200),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sized_int(3000), divisors)
+def test_exact_divider_matches_the_divmod_oracle(q, d):
+    n = q * d
+    div = _intkernel.ExactDivider(d)
+    # both routes, whichever one this interpreter calls
+    assert div._by_inverse(n) == div._by_divmod(n) == exact_div_by_divmod(n, d) == q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_sized_int(3000), min_size=1, max_size=6), divisors)
+def test_exact_divider_serves_numerators_of_any_size_in_any_order(qs, d):
+    # the inverse is lifted as larger quotients arrive and reused for smaller ones
+    div = _intkernel.ExactDivider(d)
+    assert [div._by_inverse(q * d) for q in qs] == [exact_div_by_divmod(q * d, d) for q in qs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sized_int(3000), divisors.filter(lambda d: abs(d) > 1), st.data())
+def test_exact_divider_rejects_a_remainder(q, d, data):
+    r = data.draw(st.integers(min_value=1, max_value=abs(d) - 1))
+    div = _intkernel.ExactDivider(d)
+    for route in (div._by_inverse, div._by_divmod):
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            route(q * d + r)
+
+
+def test_exact_divider_edge_cases():
+    for d in (1, -1, 2, -6, 3 << 70):
+        div = _intkernel.ExactDivider(d)
+        assert div._by_inverse(0) == div._by_divmod(0) == 0
+    div = _intkernel.ExactDivider(-1)
+    assert div._by_inverse(-(10**50)) == div._by_divmod(-(10**50)) == 10**50
+    div = _intkernel.ExactDivider(4)
+    for route in (div._by_inverse, div._by_divmod):
+        with pytest.raises(ArithmeticError):
+            route(2)
+    with pytest.raises(ZeroDivisionError):
+        _intkernel.ExactDivider(0)

@@ -14,7 +14,7 @@ from itertools import permutations
 import pytest
 
 from qortho.exactalg import QPolynomial, QRational
-from qortho.momentfamilies import family
+from qortho.momentfamilies import family, registry_family_ids
 from qortho.orthocore import (
     ExpansionTriangle,
     QuasiDefinitenessError,
@@ -24,6 +24,7 @@ from qortho.orthocore import (
     deaerate,
     expansion_triangle,
     hankel_direct,
+    hankel_minors,
     hankel_product,
     orthopoly_det,
     orthopoly_recur,
@@ -96,6 +97,30 @@ class TestHankelDirect:
         d3 = hankel_direct(fam.moments, 3)
         d3_at_1 = hankel_direct(fam.specialized_moments(1), 3)
         assert QRational.of(QPolynomial([d3.eval_at(1)])) == d3_at_1
+
+
+class TestHankelMinors:
+    def test_orders_zero_and_below(self):
+        seq = family("geometric-q").moments
+        assert hankel_minors(seq, 0) == [QRational.one()]
+        with pytest.raises(ValueError):
+            hankel_minors(seq, -1)
+
+    def test_equals_one_direct_determinant_per_order_on_every_family(self):
+        for fid in registry_family_ids():
+            seq = family(str(fid)).moments
+            assert hankel_minors(seq, 5) == [hankel_direct(seq, m) for m in range(6)], fid
+
+    def test_orders_past_a_vanishing_minor_come_from_row_exchanges(self):
+        seq = constant_moments([1, 1, 1, 2, 5, 14], "plateau")
+        minors = hankel_minors(seq, 3)
+        assert minors == [hankel_direct(seq, m) for m in range(4)]
+        assert minors[2].is_zero
+        assert minors[3] == qr(-1)
+
+    def test_singular_leading_block(self):
+        seq = family("geometric-q").specialized_moments(1)
+        assert hankel_minors(seq, 4) == [QRational.one()] * 2 + [QRational.zero()] * 3
 
 
 class TestOrthopolyDet:
