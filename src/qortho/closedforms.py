@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .exactalg import PoleError, QPolynomial, QRational
@@ -25,9 +26,8 @@ from .orthocore import (
     aerated_recurrence,
     deaerate,
     expansion_triangle,
-    hankel_direct,
     hankel_product,
-    orthopoly_det,
+    orthopoly_det_sweep,
     orthopoly_recur,
     stieltjes,
 )
@@ -483,11 +483,20 @@ class _Verifier:
             self.check_geometric_norms()
         return self.report
 
+    @cached_property
+    def _determinants(self):
+        """p_0..p_N and d_0..d_N, read off one bordered elimination."""
+        return orthopoly_det_sweep(self.moments, self.max_n)
+
     def check_polynomial_paths(self):
+        # The recurrence runs first and to full depth, so a sequence that
+        # is not quasi-definite raises from it, at the same level and before
+        # the elimination reads any moment the recurrence has not.
+        orthopoly_recur(self.moments, self.max_n)
+        dets = self._determinants[0]
         for n in range(self.max_n + 1):
             recur = orthopoly_recur(self.moments, n)
-            det = orthopoly_det(self.moments, n)
-            self._record(n, "determinant-vs-recurrence", det, recur)
+            self._record(n, "determinant-vs-recurrence", dets[n], recur)
             closed = closed_polynomial(self.fam.fid, n)
             if closed is None:
                 self._skip("closed-vs-recurrence", "no closed form registered", n)
@@ -516,13 +525,8 @@ class _Verifier:
                 self._record(n, "orthogonality", "orthogonal", "orthogonal")
 
     def check_hankel(self):
-        for n in range(self.max_n + 1):
-            self._record(
-                n,
-                "hankel-two-path",
-                hankel_direct(self.moments, n),
-                hankel_product(self.moments, n),
-            )
+        for n, direct in enumerate(self._determinants[1]):
+            self._record(n, "hankel-two-path", direct, hankel_product(self.moments, n))
 
     def check_triangle(self):
         tri = expansion_triangle(self.moments, self.max_n)

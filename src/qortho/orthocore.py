@@ -14,22 +14,31 @@ coefficients t_j.
 
 Determinant internals: each matrix row over Q(q) is scaled to integer
 polynomial entries (clearing denominators and integer content, with the
-scale remembered), every entry is then evaluated at q = 2^w for a width
-w chosen from an a-priori bound on all minors, and one Bareiss sweep
-runs on plain Python integers.  Because the bound makes every minor's
-coefficient vector recoverable from its image, the final values unpack
-to exact polynomials.  Without row exchanges the sweep's pivot chain is
-the chain of cleared leading minors, so ``hankel_minors`` reads every
-d_k off one sweep and ``orthopoly_det`` checks quasi-definiteness on
-the way.  Each step divides exactly by the previous pivot through one
-``_intkernel.ExactDivider`` (a 2-adic inverse with every quotient
-multiplied back, or ``divmod`` from CPython 3.12 on), so a division that
-leaves a remainder raises instead of returning a wrong value.
+scale remembered) and divided by the gcd of its entries; then each
+column is divided by the gcd of its entries.  The moments of the
+registry families nest (a(j) divides every a(i+j) of q-factorial), so
+these row and column contents hold most of the entries' size, and they
+are multiplied back only into the values read off at the end.  Every
+entry is then evaluated at q = 2^w for a width w chosen from an
+a-priori bound on all minors, and one Bareiss sweep runs on plain
+Python integers.  Because the bound makes every minor's coefficient
+vector recoverable from its image, the final values unpack to exact
+polynomials.  Without row exchanges the sweep's pivot chain is the
+chain of cleared leading minors, and after step k of the bordered sweep
+of ``orthopoly_det`` border column k+1 holds the cleared d_{k+1} p_{k+1}.
+So ``hankel_minors`` reads every d_k off one sweep,
+``orthopoly_det_sweep`` every p_k and d_k, and ``orthopoly_det`` checks
+quasi-definiteness on the way.  Each step divides exactly by the
+previous pivot through one ``_intkernel.ExactDivider`` (a 2-adic
+inverse with every quotient multiplied back, or ``divmod`` from CPython
+3.12 on), so a division that leaves a remainder raises instead of
+returning a wrong value.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -45,6 +54,7 @@ __all__ = [
     "stieltjes",
     "orthopoly_recur",
     "orthopoly_det",
+    "orthopoly_det_sweep",
     "hankel_direct",
     "hankel_minors",
     "hankel_product",
@@ -174,17 +184,59 @@ def _poly_lcm_monic(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     return a.divexact(_poly_gcd(a, b)) * b
 
 
+def _divide_content(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(h, [p / h for p in polys]) for the primitive gcd h of integer polynomials.
+
+    GCDHEU over all of them at once, as ``_k.gcd`` runs it over two:
+    evaluate each at q = 2^w, with w covering every coefficient, take
+    one integer gcd and read its primitive part h back.  Each quotient
+    is the exact integer quotient of the values, read back as digits.
+    They are accepted only when max|quotient| * |h|_1 < 2^(w-1): then
+    quotient * h and p both have coefficients below 2^(w-1) and agree
+    at 2^w, so they are equal.  If that fails at w and at 2w, the
+    pairwise ``_k.gcd`` and schoolbook division take over.  A nonzero constant among them, or
+    all of them zero, gives h = [1] at once, so a matrix of constants
+    costs no polynomial gcd at all.
+    """
+    nonzero = [cs for cs in polys if cs]
+    if not nonzero or any(len(cs) == 1 for cs in nonzero):
+        return [1], polys
+    w = _k._width_for(max(max(map(abs, cs)) for cs in nonzero))
+    for w in (w, 2 * w):
+        values = [_k.pack(cs, w) for cs in polys]
+        # smallest first, so every later gcd step reduces a big value by a small one
+        _, h = _k.primitive(_k.unpack(math.gcd(*sorted(values, key=abs)), w))
+        if len(h) == 1:
+            return [1], polys
+        div, norm, half = _k.ExactDivider(_k.pack(h, w)), _k.l1(h), 1 << (w - 1)
+        try:
+            quotients = [_k.unpack(div(v), w) for v in values]
+        except ArithmeticError:
+            continue
+        if all(not cs or max(map(abs, cs)) * norm < half for cs in quotients):
+            return h, quotients
+    h = reduce(_k.gcd, nonzero, [])
+    return h, [_k.divexact(cs, h) for cs in polys]
+
+
 def _clear_rows(
     qrows: Sequence[Sequence[QRational]],
-) -> tuple[list[list[list[int]]], list[QRational], list[int]]:
-    """Scale each row to integer polynomial entries.
+) -> tuple[list[list[list[int]]], list[QRational], list[list[int]], list[list[int]], list[int]]:
+    """Scale the rows, then the columns, to coprime integer polynomials.
 
-    Returns (integer rows, per-row scales, per-row max L1 norms), where
-    cleared_row_i = scale_i * original_row_i entrywise.
+    Each row is multiplied by scale_i to clear denominators and integer
+    content, then divided by its polynomial content h_i, the primitive
+    gcd of its entries.  Each column is then divided by its content c_j,
+    the primitive gcd times the integer gcd of its entries (1 for an
+    all-zero column), so
+    cleared_ij = scale_i * original_ij / (h_i * c_j).
+    On constant entries both contents are integer gcds.
+    Returns (integer rows, scales, row contents h, column contents c,
+    per-row max L1 norms of the cleared entries).
     """
     int_rows: list[list[list[int]]] = []
     scales: list[QRational] = []
-    maxima: list[int] = []
+    hs: list[list[int]] = []
     for row in qrows:
         den_lcm = QPolynomial.one()
         for entry in row:
@@ -211,10 +263,40 @@ def _clear_rows(
             ints = [[c // g for c in cs] for cs in ints]
         else:
             g = max(g, 1)
+        h, ints = _divide_content(ints)
         int_rows.append(ints)
         scales.append(QRational.of(den_lcm * Fraction(shared, g)))
-        maxima.append(max((_k.l1(cs) for cs in ints), default=0) or 1)
-    return int_rows, scales, maxima
+        hs.append(h)
+    contents: list[list[int]] = []
+    for j in range(len(int_rows[0]) if int_rows else 0):
+        g = 0
+        for row in int_rows:
+            g = math.gcd(g, _k.content(row[j]))
+            if g == 1:
+                break
+        if g == 0:
+            contents.append([1])
+            continue
+        column = [row[j] for row in int_rows]
+        if g > 1:
+            column = [[c // g for c in cs] for cs in column]
+        h, column = _divide_content(column)
+        for row, cs in zip(int_rows, column):
+            row[j] = cs
+        contents.append(_k.mul_scalar(h, g))
+    maxima = [max((_k.l1(cs) for cs in row), default=0) or 1 for row in int_rows]
+    return int_rows, scales, hs, contents, maxima
+
+
+def _border(contents: Sequence[list[int]]) -> list[list[int]]:
+    """The integer polynomials L / c_j, where L is the lcm of the c_j."""
+    k, h = 1, [1]
+    parts = [_k.primitive(c) for c in contents]
+    for kc, hc in parts:
+        k = k * kc // math.gcd(k, kc)
+        if len(hc) > 1:
+            h = _k.mul(h, _k.divexact(hc, _k.gcd(h, hc)))
+    return [_k.mul_scalar(_k.divexact(h, hc), k // kc) for kc, hc in parts]
 
 
 def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
@@ -222,7 +304,7 @@ def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
 
     A k x k minor is a signed sum of at most k! products of entries, so
     its L1 norm is at most k! times the product of per-row maxima (rows
-    not listed in ``maxima``, like the symbolic border row, count as 1).
+    not listed in ``maxima`` count as 1).
     """
     bound = math.factorial(nrows_total)
     for m in maxima:
@@ -230,21 +312,41 @@ def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
     return _k._width_for(bound)
 
 
-def _packed_rows(
-    moments: MomentSequence, nrows: int, ncols: int
-) -> tuple[list[list[int]], int, list[QRational]]:
+@dataclass
+class _Packed:
+    """A Hankel block a(i+j) cleared by ``_clear_rows`` and packed at q = 2^w.
+
+    ``factors[i]`` is h_i * c_i, so a leading minor of order k+1 is the
+    packed one times factors[0..k] over scales[0..k].  ``border[j]`` is
+    L / c_j, the x^j entry of the border row, when the block has one
+    column more than rows; it is empty otherwise.
+    """
+
+    rows: list[list[int]]
+    w: int
+    scales: list[QRational]
+    factors: list[list[int]]
+    border: list[list[int]]
+
+
+def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     """Rows a(i+j), i < nrows, j < ncols, cleared and packed at q = 2^w.
 
-    Returns (packed rows, w, row scales).  w covers every minor of an
-    ncols x ncols matrix made of these rows and, when nrows < ncols, the
-    symbolic border row.  The coefficient lists are dropped on return,
+    w covers every minor of an ncols x ncols matrix made of these rows
+    and, when nrows < ncols, the border row L / c_j x^j, counted at its
+    largest L1 norm.  The coefficient lists are dropped on return,
     before any elimination starts.
     """
-    int_rows, scales, maxima = _clear_rows(
+    int_rows, scales, hs, cs, maxima = _clear_rows(
         [[moments.moment(i + j) for j in range(ncols)] for i in range(nrows)]
     )
+    border = _border(cs) if nrows < ncols else []
+    if border:
+        maxima.append(max(map(_k.l1, border)))
     w = _minor_width(ncols, maxima)
-    return [[_k.pack(cs, w) for cs in row] for row in int_rows], w, scales
+    factors = [_k.mul(h, c) for h, c in zip(hs, cs)]
+    packed = [[_k.pack(e, w) for e in row] for row in int_rows]
+    return _Packed(packed, w, scales, factors, border)
 
 
 def _bareiss(
@@ -258,11 +360,11 @@ def _bareiss(
     replaced by a lower row (``sign`` records the exchanges), and the
     sweep stops after a zero pivot only when its whole column is zero.
     ``xcols``, the column-major coefficients of a symbolic border row,
-    is eliminated alongside.  Each step divides by the previous pivot
-    through one ``ExactDivider``, which checks every quotient.  Row k
-    and border column k are never read after step k, so their entries
-    past the pivot are dropped then; only the last border column and
-    the pivots are left to read.
+    is eliminated alongside: step k writes border column k+1 for the
+    last time, and it then holds the bordered minor of rows 0..k and
+    columns 0..k+1.  Each step divides by the previous pivot through
+    one ``ExactDivider``, which checks every quotient.  Row k is never
+    read after step k, so its entries past the pivot are dropped then.
     """
     n, ncols = len(rows), len(rows[0])
     pivots: list[int] = []
@@ -293,20 +395,55 @@ def _bareiss(
                 rkj = row_k[j]
                 for e in range(len(col)):
                     col[e] = div(pivot * col[e] - xk[e] * rkj)
-            xk.clear()
         del row_k[k + 1 :]
         div = _k.ExactDivider(pivot)
     return pivots, sign
 
 
-def _unscale(cleared: int, w: int, scales: Sequence[QRational]) -> QRational:
-    """A determinant of cleared rows, unpacked and divided by the row scales."""
+def _unscale(cleared: int, m: _Packed, k: int) -> QRational:
+    """A minor of the first k rows and columns, from its cleared value.
+
+    Unpacks it, multiplies by factors[0..k-1] and divides by the row
+    scales one at a time.
+    """
     if cleared == 0:
         return QRational.zero()
-    det = QRational.of(QPolynomial(_k.unpack(cleared, w)))
-    for s in scales:
+    cs = _k.unpack(cleared, m.w)
+    for f in m.factors[:k]:
+        if f != [1]:
+            cs = _k.mul(cs, f)
+    det = QRational.of(QPolynomial(cs))
+    for s in m.scales[:k]:
         det = det / s
     return det
+
+
+def _border_poly(col: list[int], m: _Packed, pivot: int, k: int) -> XPolynomial:
+    """p_k from border column k, which holds the cleared d_k p_k.
+
+    The row scales and contents cancel against the pivot's, and the
+    border entry L / c_k stands in for column k, so
+    p_k = column / (pivot * L / c_k).
+    """
+    den = _k.mul(_k.unpack(pivot, m.w), m.border[k])
+    _, (den, *nums) = _divide_content([den] + [_k.unpack(c, m.w) for c in col[: k + 1]])
+    den = QPolynomial(den)
+    return XPolynomial([QRational.of(QPolynomial(num), den) for num in nums])
+
+
+def _bordered_sweep(
+    moments: MomentSequence, n: int
+) -> tuple[_Packed, list[list[int]], list[int]]:
+    """One bordered elimination of order n: (block, border columns, pivots)."""
+    m = _packed_rows(moments, n, n + 1)
+    # Column-major border: xcols[j][e] is the x^e coefficient of the
+    # bottom-row entry in column j (initially exactly L / c_j x^j).
+    xcols = [[0] * (n + 1) for _ in range(n + 1)]
+    for j, b in enumerate(m.border):
+        xcols[j][j] = _k.pack(b, m.w)
+    pivots, _ = _bareiss(m.rows, xcols)
+    m.rows = []
+    return m, xcols, pivots
 
 
 def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
@@ -323,22 +460,36 @@ def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return XPolynomial.one()
-    rows, w, _ = _packed_rows(moments, n, n + 1)
-    # Column-major border: xcols[j][e] is the x^e coefficient of the
-    # bottom-row entry in column j (initially exactly x^j).
-    xcols = [[0] * (n + 1) for _ in range(n + 1)]
-    for j in range(n + 1):
-        xcols[j][j] = 1
-    pivots, _ = _bareiss(rows, xcols)
+    m, xcols, pivots = _bordered_sweep(moments, n)
     if pivots[-1] == 0:
         raise QuasiDefinitenessError(len(pivots), moments.name)
-    # The last pivot is the cleared order-n Hankel determinant; the
-    # border column holds the cleared full determinant, so the row
-    # scales cancel in the ratio and the quotient is the monic polynomial.
-    den = QPolynomial(_k.unpack(pivots[-1], w))
-    return XPolynomial(
-        [QRational.of(QPolynomial(_k.unpack(c, w)), den) for c in xcols[n]]
-    )
+    return _border_poly(xcols[n], m, pivots[-1], n)
+
+
+def orthopoly_det_sweep(
+    moments: MomentSequence, n: int
+) -> tuple[list[XPolynomial], list[QRational]]:
+    """p_0, ..., p_K and d_0, ..., d_n from one bordered elimination.
+
+    The sweep of ``orthopoly_det(moments, n)`` passes through every
+    lower degree: after step k, border column k+1 holds the cleared
+    d_{k+1} p_{k+1}, and the pivots are the cleared d_1, ..., d_n.  The
+    polynomials stop at the last degree K whose d_K is nonzero; if
+    some d_{k+1} vanishes, each higher order comes from
+    ``hankel_direct`` with its row exchanges, as in ``hankel_minors``.
+    """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    polys, dets = [XPolynomial.one()], [QRational.one()]
+    if n == 0:
+        return polys, dets
+    m, xcols, pivots = _bordered_sweep(moments, n)
+    for k, pivot in enumerate(pivots):
+        dets.append(_unscale(pivot, m, k + 1))
+        if pivot != 0:
+            polys.append(_border_poly(xcols[k + 1], m, pivot, k + 1))
+    dets.extend(hankel_direct(moments, k) for k in range(len(dets), n + 1))
+    return polys, dets
 
 
 def hankel_direct(moments: MomentSequence, n: int) -> QRational:
@@ -351,9 +502,9 @@ def hankel_direct(moments: MomentSequence, n: int) -> QRational:
         raise ValueError("order must be >= 0")
     if n == 0:
         return QRational.one()
-    rows, w, scales = _packed_rows(moments, n, n)
-    pivots, sign = _bareiss(rows, pivoting=True)
-    return _unscale(sign * pivots[-1], w, scales)
+    m = _packed_rows(moments, n, n)
+    pivots, sign = _bareiss(m.rows, pivoting=True)
+    return _unscale(sign * pivots[-1], m, n)
 
 
 def hankel_minors(moments: MomentSequence, n: int) -> list[QRational]:
@@ -369,12 +520,12 @@ def hankel_minors(moments: MomentSequence, n: int) -> list[QRational]:
     out = [QRational.one()]
     if n == 0:
         return out
-    rows, w, scales = _packed_rows(moments, n, n)
-    pivots, _ = _bareiss(rows)
-    del rows  # a sweep that stopped early leaves rows the fallback does not need
+    m = _packed_rows(moments, n, n)
+    pivots, _ = _bareiss(m.rows)
+    m.rows = []  # a sweep that stopped early leaves rows the fallback does not need
     for k, pivot in enumerate(pivots):
-        out.append(_unscale(pivot, w, scales[: k + 1]))
-    out.extend(hankel_direct(moments, m) for m in range(len(out), n + 1))
+        out.append(_unscale(pivot, m, k + 1))
+    out.extend(hankel_direct(moments, k) for k in range(len(out), n + 1))
     return out
 
 

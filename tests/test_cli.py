@@ -240,6 +240,13 @@ class TestExitCodes:
         assert code == 1
         assert "order 2" in err
 
+    def test_degenerate_verify_stops_where_the_recurrence_does(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--family", "geometric-q", "--q", "1", "--max-n", "5"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: Hankel determinant of 'geometric-q@q=1' of order 2 vanishes\n"
+
     def test_pole_exits_two(self, capsys):
         code, _, err = run(
             capsys, "moments", "--family", "q-central-binomial", "--max-n", "1", "--q", "-1"

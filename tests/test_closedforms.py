@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import qortho.closedforms as closedforms
+import qortho.orthocore as orthocore
 from qortho.closedforms import (
     cf_chebT,
     cf_chebT_rescaled,
@@ -323,6 +324,20 @@ class TestVerificationEngine:
         assert any(e.n == 3 for e in bad)
         entry = next(e for e in bad if e.n == 3)
         assert entry.left and entry.right and entry.left != entry.right
+
+    def test_one_elimination_serves_both_determinant_checks(self, monkeypatch):
+        orders = []
+        real = orthocore._bareiss
+
+        def counted(rows, *args, **kwargs):
+            orders.append(len(rows))
+            return real(rows, *args, **kwargs)
+
+        monkeypatch.setattr(orthocore, "_bareiss", counted)
+        report = verify_family("q-factorial:m=1", max_n=5)
+        assert report.ok
+        assert report.counts["match"] > 0
+        assert orders == [5]
 
     def test_entries_are_deterministically_ordered(self):
         a = verify_family("q-double-factorial", max_n=3)

@@ -12,7 +12,10 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qortho import _intkernel, orthocore
 from qortho.exactalg import QPolynomial, QRational
 from qortho.momentfamilies import family, registry_family_ids
 from qortho.orthocore import (
@@ -27,6 +30,7 @@ from qortho.orthocore import (
     hankel_minors,
     hankel_product,
     orthopoly_det,
+    orthopoly_det_sweep,
     orthopoly_recur,
     stieltjes,
 )
@@ -58,6 +62,19 @@ def leibniz_det(rows):
 def constant_moments(values, name):
     vals = [Fraction(v) for v in values]
     return MomentSequence(lambda n: QRational.of(QPolynomial([vals[n]])), name=name)
+
+
+def point_mass_at_zero():
+    """Moments 1, 0, 0, ...: every Hankel column past the first is zero from order 2 on."""
+    return MomentSequence(lambda n: QRational.of(1 if n == 0 else 0), name="delta")
+
+
+def registry_sequences():
+    """Every registry family, symbolically and at q = 5/4."""
+    for fid in registry_family_ids():
+        fam = family(str(fid))
+        yield str(fid), fam.moments
+        yield f"{fid}@5/4", fam.specialized_moments(Fraction(5, 4))
 
 
 class TestHankelDirect:
@@ -107,9 +124,8 @@ class TestHankelMinors:
             hankel_minors(seq, -1)
 
     def test_equals_one_direct_determinant_per_order_on_every_family(self):
-        for fid in registry_family_ids():
-            seq = family(str(fid)).moments
-            assert hankel_minors(seq, 5) == [hankel_direct(seq, m) for m in range(6)], fid
+        for name, seq in registry_sequences():
+            assert hankel_minors(seq, 5) == [hankel_direct(seq, m) for m in range(6)], name
 
     def test_orders_past_a_vanishing_minor_come_from_row_exchanges(self):
         seq = constant_moments([1, 1, 1, 2, 5, 14], "plateau")
@@ -121,6 +137,108 @@ class TestHankelMinors:
     def test_singular_leading_block(self):
         seq = family("geometric-q").specialized_moments(1)
         assert hankel_minors(seq, 4) == [QRational.one()] * 2 + [QRational.zero()] * 3
+
+    def test_an_all_zero_column_has_unit_content(self):
+        seq = point_mass_at_zero()
+        expected = [QRational.one()] * 2 + [QRational.zero()] * 2
+        assert [hankel_direct(seq, m) for m in range(4)] == expected
+        assert hankel_minors(seq, 3) == expected
+
+
+class TestOrthopolyDetSweep:
+    def test_degree_zero_and_below(self):
+        seq = family("geometric-q").moments
+        assert orthopoly_det_sweep(seq, 0) == ([XPolynomial.one()], [QRational.one()])
+        with pytest.raises(ValueError):
+            orthopoly_det_sweep(seq, -1)
+
+    def test_equals_one_determinant_per_degree_on_every_family(self):
+        for name, seq in registry_sequences():
+            polys, dets = orthopoly_det_sweep(seq, 5)
+            assert polys == [orthopoly_det(seq, k) for k in range(6)], name
+            assert dets == [hankel_direct(seq, m) for m in range(6)], name
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            constant_moments([1, 1, 1, 2, 5, 14], "plateau"),
+            family("geometric-q").specialized_moments(1),
+            point_mass_at_zero(),
+        ],
+        ids=["plateau", "geometric-q@1", "delta"],
+    )
+    def test_polynomials_stop_at_the_first_vanishing_minor(self, seq):
+        polys, dets = orthopoly_det_sweep(seq, 3)
+        assert dets == [hankel_direct(seq, m) for m in range(4)]
+        assert dets[2].is_zero and not dets[1].is_zero
+        assert polys == [orthopoly_det(seq, k) for k in range(2)]
+        with pytest.raises(QuasiDefinitenessError) as err:
+            orthopoly_det(seq, 2)
+        assert err.value.level == len(polys)
+
+    def test_contents_narrow_the_packing(self):
+        # a(j) divides every a(i+j) of q-factorial, so the cleared rows and
+        # columns are far smaller than the moments; 384 bits without contents
+        block = orthocore._packed_rows(family("q-factorial:m=2").moments, 9, 10)
+        assert block.w <= 160
+
+
+def _int_polys(max_digits):
+    """Integer polynomials, the zero one included, with coefficients up to 10**max_digits."""
+    return st.lists(
+        st.integers(min_value=-(10**max_digits), max_value=10**max_digits), max_size=6
+    ).map(_intkernel.strip)
+
+
+def _content_oracle(polys):
+    """The primitive gcd by the primitive PRS, and the quotients by schoolbook division."""
+    h = []
+    for cs in polys:
+        if cs:
+            pp = _intkernel.primitive(cs)[1]
+            h = _intkernel._gcd_prs(h, pp) if h else pp
+    h = h if len(h) > 1 else [1]
+    return h, [_intkernel.divexact(cs, h) for cs in polys]
+
+
+class TestDivideContent:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_int_polys(20), min_size=1, max_size=5), _int_polys(6))
+    def test_matches_the_prs_oracle(self, polys, c):
+        # c is a planted common factor of every input
+        planted = [_intkernel.mul(p, c) for p in polys]
+        assert orthocore._divide_content(planted) == _content_oracle(planted)
+
+    @pytest.mark.parametrize("c", [[1], [3, 1], [1, 0, 1]])
+    def test_a_rejected_candidate_is_tried_again_wider(self, c):
+        # For c = 1 the values' gcd at 2**8 reads back as q - 127, and
+        # 2**8 - 127 divides a(2**8) = 258, but the quotient 2 fails the
+        # norm test; the planted factors fail the first width too.
+        a, b = [2, 1], [3, 2, 0, 0, -2, 3]
+        polys = [_intkernel.mul(a, c), _intkernel.mul(b, c)]
+        assert orthocore._divide_content(polys) == (c, [a, b])
+
+    @pytest.mark.parametrize(
+        "polys, expected",
+        [
+            ([[-1, 0, 1], [], [1, 2, 1], [2, 2]], ([1, 1], [[-1, 1], [], [1, 1], [2]])),
+            ([[2688, 4193280, 4193280]], ([1, 1560, 1560], [[2688]])),
+        ],
+    )
+    def test_gives_up_to_the_pairwise_gcd(self, monkeypatch, polys, expected):
+        class Refusing:
+            def __init__(self, d):
+                pass
+
+            def __call__(self, n):
+                raise ArithmeticError("refused")
+
+        monkeypatch.setattr(_intkernel, "ExactDivider", Refusing)
+        assert orthocore._divide_content(polys) == expected
+
+    def test_a_constant_or_nothing_has_unit_content(self):
+        assert orthocore._divide_content([[0, 2], [4]]) == ([1], [[0, 2], [4]])
+        assert orthocore._divide_content([[], []]) == ([1], [[], []])
 
 
 class TestOrthopolyDet:
@@ -145,6 +263,13 @@ class TestOrthopolyDet:
 
     def test_degenerate_sequence_raises_with_the_failing_level(self):
         seq = family("geometric-q").specialized_moments(1)
+        with pytest.raises(QuasiDefinitenessError) as err:
+            orthopoly_det(seq, 2)
+        assert err.value.level == 2
+
+    def test_an_all_zero_column_has_unit_content(self):
+        seq = point_mass_at_zero()
+        assert orthopoly_det(seq, 1) == XPolynomial([0, 1])
         with pytest.raises(QuasiDefinitenessError) as err:
             orthopoly_det(seq, 2)
         assert err.value.level == 2
