@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
 
 from .exactalg import PoleError, QPolynomial, QRational
 from .momentfamilies import _SPECS, FamilyId, family

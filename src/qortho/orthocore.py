@@ -194,15 +194,15 @@ def _divide_content(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]
     They are accepted only when max|quotient| * |h|_1 < 2^(w-1): then
     quotient * h and p both have coefficients below 2^(w-1) and agree
     at 2^w, so they are equal.  If that fails at w and at 2w, the
-    pairwise ``_k.gcd`` and schoolbook division take over.  A nonzero constant among them, or
-    all of them zero, gives h = [1] at once, so a matrix of constants
-    costs no polynomial gcd at all.
+    pairwise ``_k.gcd`` and schoolbook division take over.  A nonzero
+    constant among them, or all of them zero, gives h = [1] at once, so
+    a matrix of constants costs no polynomial gcd at all.
     """
     nonzero = [cs for cs in polys if cs]
     if not nonzero or any(len(cs) == 1 for cs in nonzero):
         return [1], polys
-    w = _k._width_for(max(max(map(abs, cs)) for cs in nonzero))
-    for w in (w, 2 * w):
+    first = _k._width_for(max(max(map(abs, cs)) for cs in nonzero))
+    for w in (first, 2 * first):
         values = [_k.pack(cs, w) for cs in polys]
         # smallest first, so every later gcd step reduces a big value by a small one
         _, h = _k.primitive(_k.unpack(math.gcd(*sorted(values, key=abs)), w))
@@ -423,7 +423,9 @@ def _border_poly(col: list[int], m: _Packed, pivot: int, k: int) -> XPolynomial:
 
     The row scales and contents cancel against the pivot's, and the
     border entry L / c_k stands in for column k, so
-    p_k = column / (pivot * L / c_k).
+    p_k = column / (pivot * L / c_k).  The factor that the denominator
+    shares with every coefficient is taken out once, before each
+    coefficient is reduced on its own.
     """
     den = _k.mul(_k.unpack(pivot, m.w), m.border[k])
     _, (den, *nums) = _divide_content([den] + [_k.unpack(c, m.w) for c in col[: k + 1]])
