@@ -12,11 +12,12 @@ product, multiply once as integers, and read the coefficients back off
 as balanced base-2**w digits.  Packing and unpacking are linear in the
 bit length because they go through ``int.to_bytes``/``from_bytes``.
 
-The gcd is the heuristic GCDHEU: pack both inputs at the same 2**w, take
-one integer gcd and read it back as a polynomial.  The candidate is
-accepted only when it divides both inputs exactly, which above the
-GCDHEU width bound makes it the gcd; after a few failed widths the
-primitive PRS takes over.
+Polynomial gcds come from one heuristic GCDHEU, ``divide_content``: pack
+every input at the same 2**w, take one integer gcd, read it back as a
+polynomial h and read the quotients off the packed values.  They are
+accepted only when a norm bound proves each quotient times h equals its
+input, which makes h the gcd; after a few failed widths the primitive
+PRS takes over.  ``gcd`` is its two-input case.
 
 Exact integer division by one divisor, the inner step of fraction-free
 elimination, goes through ``ExactDivider``: before CPython 3.12 it
@@ -291,37 +292,54 @@ def _gcd_prs(f: list[int], g: list[int]) -> list[int]:
     return f
 
 
-# Evaluation widths tried per gcd: the first, then this many doublings.
+# Evaluation widths tried by GCDHEU: the first, then this many doublings.
 _GCDHEU_RETRIES = 3
 
 
-def _gcd_heuristic(f: list[int], g: list[int]) -> list[int] | None:
-    """GCDHEU on primitive nonconstant f, g; None when every width fails.
+def divide_content(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(h, [p / h for p in polys]) for the primitive gcd h of integer polynomials.
 
-    Evaluates both at q = 2**w, takes the integer gcd and reads it back
-    as a polynomial.  With 2**w > 2*min(|f|, |g|) + 2 (max norms), a
-    candidate whose primitive part divides both inputs is their gcd
-    (Char, Geddes & Gonnet 1989), so divexact is the acceptance test.
+    GCDHEU over all of them at once: evaluate each at q = 2^w, with w
+    covering every coefficient (so 2^w > 4 max|p| clears the GCDHEU
+    bound 2 min|p| + 2), take one integer gcd and read its primitive
+    part h back.  Each quotient is the exact integer quotient
+    of the values, through one ``ExactDivider``, read back as digits.
+    They are accepted only when max|quotient| * |h|_1 < 2^(w-1): then
+    quotient * h and p both have coefficients below 2^(w-1) and agree
+    at 2^w, so they are equal, and h is the gcd (Char, Geddes & Gonnet
+    1989).  After ``_GCDHEU_RETRIES`` doublings of w, the primitive PRS
+    and schoolbook division take over.  A nonzero constant among them,
+    or all of them zero, gives h = [1] at once, so a matrix of constants
+    costs no polynomial gcd at all.
+
+    >>> divide_content([[-1, 0, 1], [], [1, 2, 1]])
+    ([1, 1], [[-1, 1], [], [1, 1]])
     """
-    # Covering the larger norm lets pack hold both inputs, and already
-    # clears the bound above: 2**w > 4*max(|f|, |g|) >= 2*min + 2.
-    w = _width_for(max(max(map(abs, f)), max(map(abs, g))))
+    nonzero = [cs for cs in polys if cs]
+    if not nonzero or any(len(cs) == 1 for cs in nonzero):
+        return [1], polys
+    w = _width_for(max(max(map(abs, cs)) for cs in nonzero))
     for _ in range(_GCDHEU_RETRIES + 1):
-        _, h = primitive(unpack(math.gcd(pack(f, w), pack(g, w)), w))
+        values = [pack(cs, w) for cs in polys]
+        # smallest first, so every later gcd step reduces a big value by a small one
+        _, h = primitive(unpack(math.gcd(*sorted(values, key=abs)), w))
+        if len(h) == 1:
+            return [1], polys
+        div, norm, half = ExactDivider(pack(h, w)), l1(h), 1 << (w - 1)
         try:
-            divexact(f, h)
-            divexact(g, h)
-            return h
-        except ValueError:
-            w *= 2
-    return None
+            quotients = [unpack(div(v), w) for v in values]
+        except ArithmeticError:
+            pass
+        else:
+            if all(not cs or max(map(abs, cs)) * norm < half for cs in quotients):
+                return h, quotients
+        w *= 2
+    h = reduce(_gcd_prs, [primitive(cs)[1] for cs in nonzero])
+    return h, [divexact(cs, h) for cs in polys]
 
 
 def gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd with positive leading coefficient.
-
-    Heuristic gcd (GCDHEU) first, the primitive PRS when it gives up.
-    """
+    """Primitive gcd with positive leading coefficient: ``divide_content``'s h."""
     _, f = primitive(a)
     _, g = primitive(b)
     if not f:
@@ -330,5 +348,4 @@ def gcd(a: list[int], b: list[int]) -> list[int]:
         return f
     if len(f) == 1 or len(g) == 1:
         return [1]
-    h = _gcd_heuristic(f, g)
-    return h if h is not None else _gcd_prs(f, g)
+    return divide_content([f, g])[0]

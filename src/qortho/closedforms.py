@@ -451,22 +451,19 @@ class _Verifier:
             VerificationEntry(self.report.family, n, check, "skipped", note=note)
         )
 
+    def _mismatch(self, n: int, check: str, note: str):
+        self.report.entries.append(
+            VerificationEntry(self.report.family, n, check, "mismatch", note=note)
+        )
+
     def _guarded(self, n: int, check: str, thunk):
         try:
             left, right = thunk()
         except PoleError as exc:
-            self.report.entries.append(
-                VerificationEntry(
-                    self.report.family, n, check, "mismatch", note=f"pole: {exc}"
-                )
-            )
+            self._mismatch(n, check, f"pole: {exc}")
             return
         except ValueError as exc:
-            self.report.entries.append(
-                VerificationEntry(
-                    self.report.family, n, check, "mismatch", note=str(exc)
-                )
-            )
+            self._mismatch(n, check, str(exc))
             return
         self._record(n, check, left, right)
 
@@ -516,11 +513,7 @@ class _Verifier:
             # with L(x^k p_n) = 0 for k < n, the norm L(p_n^2) is L(x^n p_n)
             if bad or apply_functional(self.moments, p.shift_x(n)).is_zero:
                 note = f"nonzero against x^k for k in {bad}" if bad else "vanishing norm"
-                self.report.entries.append(
-                    VerificationEntry(
-                        self.report.family, n, "orthogonality", "mismatch", note=note
-                    )
-                )
+                self._mismatch(n, "orthogonality", note)
             else:
                 self._record(n, "orthogonality", "orthogonal", "orthogonal")
 
@@ -554,11 +547,7 @@ class _Verifier:
         try:
             actual = aerated_recurrence(self.aerated, depth)
         except ValueError as exc:
-            self.report.entries.append(
-                VerificationEntry(
-                    self.report.family, -1, "aeration-symmetry", "mismatch", note=str(exc)
-                )
-            )
+            self._mismatch(-1, "aeration-symmetry", str(exc))
             return
         self._record(-1, "aeration-symmetry", "symmetric", "symmetric")
         for j in range(depth):
@@ -572,11 +561,7 @@ class _Verifier:
         try:
             detab = deaerate(lambda j: self._rat(self.fam.closed_T(j)), self.max_n)
         except PoleError as exc:
-            self.report.entries.append(
-                VerificationEntry(
-                    self.report.family, -1, "deaerated-s", "mismatch", note=f"pole: {exc}"
-                )
-            )
+            self._mismatch(-1, "deaerated-s", f"pole: {exc}")
             return
         table = stieltjes(self.moments, self.max_n)
         for k in range(self.max_n):

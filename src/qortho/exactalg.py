@@ -221,12 +221,6 @@ class QPolynomial:
         # self/other = (ca/da)/(cb/db) * (pa/pb)
         return QPolynomial._raw(_k.mul_scalar(quot, ca * o._den), self._den * cb)
 
-    def monic(self) -> "QPolynomial":
-        if self.is_zero:
-            raise ZeroDivisionError("monic of zero polynomial")
-        lead = self._num[-1]
-        return QPolynomial._raw(_k.mul_scalar(list(self._num), self._den), self._den * lead)
-
     def inflate(self, r: int) -> "QPolynomial":
         """Substitute q -> q**r (r >= 1)."""
         if r < 1:

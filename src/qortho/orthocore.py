@@ -38,7 +38,6 @@ returning a wrong value.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -184,41 +183,6 @@ def _poly_lcm_monic(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     return a.divexact(_poly_gcd(a, b)) * b
 
 
-def _divide_content(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """(h, [p / h for p in polys]) for the primitive gcd h of integer polynomials.
-
-    GCDHEU over all of them at once, as ``_k.gcd`` runs it over two:
-    evaluate each at q = 2^w, with w covering every coefficient, take
-    one integer gcd and read its primitive part h back.  Each quotient
-    is the exact integer quotient of the values, read back as digits.
-    They are accepted only when max|quotient| * |h|_1 < 2^(w-1): then
-    quotient * h and p both have coefficients below 2^(w-1) and agree
-    at 2^w, so they are equal.  If that fails at w and at 2w, the
-    pairwise ``_k.gcd`` and schoolbook division take over.  A nonzero
-    constant among them, or all of them zero, gives h = [1] at once, so
-    a matrix of constants costs no polynomial gcd at all.
-    """
-    nonzero = [cs for cs in polys if cs]
-    if not nonzero or any(len(cs) == 1 for cs in nonzero):
-        return [1], polys
-    first = _k._width_for(max(max(map(abs, cs)) for cs in nonzero))
-    for w in (first, 2 * first):
-        values = [_k.pack(cs, w) for cs in polys]
-        # smallest first, so every later gcd step reduces a big value by a small one
-        _, h = _k.primitive(_k.unpack(math.gcd(*sorted(values, key=abs)), w))
-        if len(h) == 1:
-            return [1], polys
-        div, norm, half = _k.ExactDivider(_k.pack(h, w)), _k.l1(h), 1 << (w - 1)
-        try:
-            quotients = [_k.unpack(div(v), w) for v in values]
-        except ArithmeticError:
-            continue
-        if all(not cs or max(map(abs, cs)) * norm < half for cs in quotients):
-            return h, quotients
-    h = reduce(_k.gcd, nonzero, [])
-    return h, [_k.divexact(cs, h) for cs in polys]
-
-
 def _clear_rows(
     qrows: Sequence[Sequence[QRational]],
 ) -> tuple[list[list[list[int]]], list[QRational], list[list[int]], list[list[int]], list[int]]:
@@ -263,7 +227,7 @@ def _clear_rows(
             ints = [[c // g for c in cs] for cs in ints]
         else:
             g = max(g, 1)
-        h, ints = _divide_content(ints)
+        h, ints = _k.divide_content(ints)
         int_rows.append(ints)
         scales.append(QRational.of(den_lcm * Fraction(shared, g)))
         hs.append(h)
@@ -280,7 +244,7 @@ def _clear_rows(
         column = [row[j] for row in int_rows]
         if g > 1:
             column = [[c // g for c in cs] for cs in column]
-        h, column = _divide_content(column)
+        h, column = _k.divide_content(column)
         for row, cs in zip(int_rows, column):
             row[j] = cs
         contents.append(_k.mul_scalar(h, g))
@@ -295,7 +259,7 @@ def _border(contents: Sequence[list[int]]) -> list[list[int]]:
     for kc, hc in parts:
         k = k * kc // math.gcd(k, kc)
         if len(hc) > 1:
-            h = _k.mul(h, _k.divexact(hc, _k.gcd(h, hc)))
+            h = _k.mul(h, _k.divide_content([h, hc])[1][1])
     return [_k.mul_scalar(_k.divexact(h, hc), k // kc) for kc, hc in parts]
 
 
@@ -428,7 +392,7 @@ def _border_poly(col: list[int], m: _Packed, pivot: int, k: int) -> XPolynomial:
     coefficient is reduced on its own.
     """
     den = _k.mul(_k.unpack(pivot, m.w), m.border[k])
-    _, (den, *nums) = _divide_content([den] + [_k.unpack(c, m.w) for c in col[: k + 1]])
+    _, (den, *nums) = _k.divide_content([den] + [_k.unpack(c, m.w) for c in col[: k + 1]])
     den = QPolynomial(den)
     return XPolynomial([QRational.of(QPolynomial(num), den) for num in nums])
 

@@ -219,38 +219,68 @@ def _sized_int_poly(max_digits):
     )
 
 
+def _planted(a, b, c):
+    """a*c, b*c and their primitive gcd by the primitive-PRS oracle."""
+    ac, bc = _intkernel.mul(a, c), _intkernel.mul(b, c)
+    return ac, bc, _intkernel._gcd_prs(_intkernel.primitive(ac)[1], _intkernel.primitive(bc)[1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_sized_int_poly(30), _sized_int_poly(30), _sized_int_poly(8))
 def test_kernel_gcd_matches_the_prs_oracle(a, b, c):
     # c is a planted common factor; a and b draw their sizes apart, so one
     # pair can mix coefficients of 1 and of 10**30.
-    ac, bc = _intkernel.mul(a, c), _intkernel.mul(b, c)
-    expected = _intkernel._gcd_prs(_intkernel.primitive(ac)[1], _intkernel.primitive(bc)[1])
+    ac, bc, expected = _planted(a, b, c)
     assert _intkernel.gcd(ac, bc) == expected
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        ([-1, 0, 1], [1, 2, 1]),
-        ([10**30, 1, -(10**29)], [1, 1]),
-        ([6, 5, 1], [3, 4, 1]),
-        ([2, 3], [5, 7]),
-    ],
-)
+# pairs that the planted common factor q^2 - 3q + 7 turns into gcd inputs
+_PLANTED = [
+    ([-1, 0, 1], [1, 2, 1]),
+    ([10**30, 1, -(10**29)], [1, 1]),
+    ([6, 5, 1], [3, 4, 1]),
+    ([2, 3], [5, 7]),
+]
+
+
+@pytest.mark.parametrize("a, b", _PLANTED)
 def test_kernel_gcd_falls_back_to_the_prs_when_the_heuristic_gives_up(monkeypatch, a, b):
-    c = [7, -3, 1]
-    ac, bc = _intkernel.mul(a, c), _intkernel.mul(b, c)
-    expected = _intkernel._gcd_prs(_intkernel.primitive(ac)[1], _intkernel.primitive(bc)[1])
-    calls = []
+    ac, bc, expected = _planted(a, b, [7, -3, 1])
+    refused, prs = [], []
+    gcd_prs = _intkernel._gcd_prs
 
-    def give_up(f, g):
-        calls.append((f, g))
-        return None
+    class Refusing:
+        def __init__(self, d):
+            pass
 
-    monkeypatch.setattr(_intkernel, "_gcd_heuristic", give_up)
+        def __call__(self, n):
+            refused.append(n)
+            raise ArithmeticError("refused")
+
+    def counted_prs(f, g):
+        prs.append((f, g))
+        return gcd_prs(f, g)
+
+    monkeypatch.setattr(_intkernel, "ExactDivider", Refusing)
+    monkeypatch.setattr(_intkernel, "_gcd_prs", counted_prs)
     assert _intkernel.gcd(ac, bc) == expected
-    assert calls
+    assert refused and prs
+
+
+@pytest.mark.parametrize("a, b", _PLANTED)
+def test_kernel_gcd_reads_the_cofactors_off_the_packed_values(monkeypatch, a, b):
+    # the heuristic accepts its candidate without any schoolbook division
+    ac, bc, expected = _planted(a, b, [7, -3, 1])
+    calls = []
+    divexact = _intkernel.divexact
+
+    def counted(f, g):
+        calls.append((f, g))
+        return divexact(f, g)
+
+    monkeypatch.setattr(_intkernel, "divexact", counted)
+    assert _intkernel.gcd(ac, bc) == expected
+    assert not calls
 
 
 def test_kernel_gcd_rejects_a_candidate_that_does_not_divide():

@@ -207,16 +207,20 @@ class TestDivideContent:
     def test_matches_the_prs_oracle(self, polys, c):
         # c is a planted common factor of every input
         planted = [_intkernel.mul(p, c) for p in polys]
-        assert orthocore._divide_content(planted) == _content_oracle(planted)
+        assert _intkernel.divide_content(planted) == _content_oracle(planted)
 
     @pytest.mark.parametrize("c", [[1], [3, 1], [1, 0, 1]])
-    def test_a_rejected_candidate_is_tried_again_wider(self, c):
+    def test_a_rejected_candidate_is_tried_again_wider(self, monkeypatch, c):
         # For c = 1 the values' gcd at 2**8 reads back as q - 127, and
         # 2**8 - 127 divides a(2**8) = 258, but the quotient 2 fails the
         # norm test; the planted factors fail the first width too.
+        def no_prs(f, g):
+            raise AssertionError("a wider width should have been accepted")
+
+        monkeypatch.setattr(_intkernel, "_gcd_prs", no_prs)
         a, b = [2, 1], [3, 2, 0, 0, -2, 3]
         polys = [_intkernel.mul(a, c), _intkernel.mul(b, c)]
-        assert orthocore._divide_content(polys) == (c, [a, b])
+        assert _intkernel.divide_content(polys) == (c, [a, b])
 
     @pytest.mark.parametrize(
         "polys, expected",
@@ -225,7 +229,7 @@ class TestDivideContent:
             ([[2688, 4193280, 4193280]], ([1, 1560, 1560], [[2688]])),
         ],
     )
-    def test_gives_up_to_the_pairwise_gcd(self, monkeypatch, polys, expected):
+    def test_gives_up_to_the_prs(self, monkeypatch, polys, expected):
         class Refusing:
             def __init__(self, d):
                 pass
@@ -234,11 +238,11 @@ class TestDivideContent:
                 raise ArithmeticError("refused")
 
         monkeypatch.setattr(_intkernel, "ExactDivider", Refusing)
-        assert orthocore._divide_content(polys) == expected
+        assert _intkernel.divide_content(polys) == expected
 
     def test_a_constant_or_nothing_has_unit_content(self):
-        assert orthocore._divide_content([[0, 2], [4]]) == ([1], [[0, 2], [4]])
-        assert orthocore._divide_content([[], []]) == ([1], [[], []])
+        assert _intkernel.divide_content([[0, 2], [4]]) == ([1], [[0, 2], [4]])
+        assert _intkernel.divide_content([[], []]) == ([1], [[], []])
 
 
 class TestOrthopolyDet:
