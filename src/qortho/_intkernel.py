@@ -72,10 +72,6 @@ def add(a: list[int], b: list[int]) -> list[int]:
     return strip(out)
 
 
-def neg(a: list[int]) -> list[int]:
-    return [-v for v in a]
-
-
 def mul_scalar(a: list[int], k: int) -> list[int]:
     if k == 0:
         return []
@@ -156,14 +152,6 @@ def mul(a: list[int], b: list[int]) -> list[int]:
     bound = min(len(a), len(b)) * max(abs(c) for c in a) * max(abs(c) for c in b)
     w = _width_for(bound)
     return unpack(pack(a, w) * pack(b, w), w)
-
-
-def eval_int(cs: list[int], x: int) -> int:
-    """Horner evaluation at an integer point."""
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
 
 
 class ExactDivider:

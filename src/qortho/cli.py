@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .closedforms import specialize_poly, verify_family
-from .exactalg import PoleError, QPolynomial, QRational
+from .exactalg import PoleError, QRational
 from .momentfamilies import (
     DEFAULT_DEPTH_CAP,
     HARD_DEPTH_CAP,
@@ -246,7 +246,7 @@ def cmd_recurrence(args) -> int:
             t_source = "closed"
             tvals = [fam.closed_T(j) for j in range(depth)]
             if args.q is not None:
-                tvals = [QRational.of(QPolynomial([v.eval_at(args.q)])) for v in tvals]
+                tvals = [QRational.of(v.eval_at(args.q)) for v in tvals]
         else:
             t_source = "stieltjes"
             tvals = list(aerated_recurrence(seq.aerated(), depth))

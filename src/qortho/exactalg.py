@@ -237,13 +237,20 @@ class QPolynomial:
         return QPolynomial._raw(list(reversed(self._num)), self._den)
 
     def evaluate(self, point: _Scalar) -> Fraction:
+        """Exact value at a rational point a/b, by one integer Horner.
+
+        With degree d, the sum of c_k a^k b^(d-k) is formed over the
+        integers and divided once by b^d times the shared denominator.
+        """
         p = Fraction(point)
-        if p.denominator == 1:
-            return Fraction(_k.eval_int(list(self._num), p.numerator), self._den)
-        acc = Fraction(0)
-        for c in reversed(self._num):
-            acc = acc * p + c
-        return acc / self._den
+        if not self._num:
+            return Fraction(0)
+        a, b = p.numerator, p.denominator
+        acc, bk = self._num[-1], 1
+        for c in reversed(self._num[:-1]):
+            bk *= b
+            acc = acc * a + c * bk
+        return Fraction(acc, bk * self._den)
 
     # -- comparisons, hashing, display ---------------------------------------
 

@@ -283,8 +283,6 @@ class MomentFamily:
     def __init__(self, fid: FamilyId):
         self.fid = fid
         self.moments = MomentSequence(_moment_rule(fid), name=str(fid))
-        self._specialized: dict = {}
-        self._lock = threading.Lock()
 
     @property
     def tag(self) -> str:
@@ -307,13 +305,7 @@ class MomentFamily:
         return self.moments.aerated()
 
     def specialized_moments(self, point) -> MomentSequence:
-        from fractions import Fraction
-
-        p = Fraction(point)
-        with self._lock:
-            if p not in self._specialized:
-                self._specialized[p] = self.moments.specialized(p)
-            return self._specialized[p]
+        return self.moments.specialized(point)
 
     def closed_T(self, j: int) -> QRational:
         return closed_T(self.fid, j)

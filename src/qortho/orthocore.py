@@ -12,13 +12,14 @@ Hankel determinants come in two flavors for cross-checking: a direct
 fraction-free determinant and the product formula over the recurrence
 coefficients t_j.
 
-Determinant internals: each matrix row over Q(q) is scaled to integer
-polynomial entries (clearing denominators and integer content, with the
-scale remembered) and divided by the gcd of its entries; then each
-column is divided by the gcd of its entries.  The moments of the
-registry families nest (a(j) divides every a(i+j) of q-factorial), so
-these row and column contents hold most of the entries' size, and they
-are multiplied back only into the values read off at the end.  Every
+Determinant internals: each matrix row over Q(q) is written as integer
+polynomials over integer denominators and multiplied by their lcm L_i,
+the row's scale; the row is then divided by its content (the integer
+gcd of its entries times their primitive gcd), and then each column by
+its content.  The moments of the registry families nest (a(j) divides
+every a(i+j) of q-factorial), so these row and column contents hold
+most of the entries' size, and they are multiplied back, and the
+scales divided out, only in the values read off at the end.  Every
 entry is then evaluated at q = 2^w for a width w chosen from an
 a-priori bound on all minors, and one Bareiss sweep runs on plain
 Python integers.  Because the bound makes every minor's coefficient
@@ -39,11 +40,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import _intkernel as _k
-from .exactalg import QPolynomial, QRational, _poly_gcd
+from .exactalg import QPolynomial, QRational
 from .xpoly import MomentSequence, XPolynomial, apply_functional, even_part_compress
 
 __all__ = [
@@ -175,92 +175,39 @@ def orthopoly_recur(moments: MomentSequence, n: int) -> XPolynomial:
 # -- exact integer elimination -------------------------------------------------
 
 
-def _poly_lcm_monic(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    if a.is_one:
-        return b
-    if b.is_one:
-        return a
-    return a.divexact(_poly_gcd(a, b)) * b
+def _lcm(polys: Sequence[list[int]]) -> list[int]:
+    """The lcm of nonzero integer polynomials, with positive leading coefficient.
 
-
-def _clear_rows(
-    qrows: Sequence[Sequence[QRational]],
-) -> tuple[list[list[list[int]]], list[QRational], list[list[int]], list[list[int]], list[int]]:
-    """Scale the rows, then the columns, to coprime integer polynomials.
-
-    Each row is multiplied by scale_i to clear denominators and integer
-    content, then divided by its polynomial content h_i, the primitive
-    gcd of its entries.  Each column is then divided by its content c_j,
-    the primitive gcd times the integer gcd of its entries (1 for an
-    all-zero column), so
-    cleared_ij = scale_i * original_ij / (h_i * c_j).
-    On constant entries both contents are integer gcds.
-    Returns (integer rows, scales, row contents h, column contents c,
-    per-row max L1 norms of the cleared entries).
+    It is the lcm of their integer contents times the lcm of their
+    primitive parts; the latter grows by the quotient p / gcd(lcm, p)
+    that ``divide_content`` returns for each nonconstant part p.
     """
-    int_rows: list[list[list[int]]] = []
-    scales: list[QRational] = []
-    hs: list[list[int]] = []
-    for row in qrows:
-        den_lcm = QPolynomial.one()
-        for entry in row:
-            d = entry.denominator
-            if not d.is_one:
-                den_lcm = _poly_lcm_monic(den_lcm, d)
-        cleared: list[QPolynomial] = []
-        for entry in row:
-            num = entry.numerator
-            if not den_lcm.is_one:
-                num = num * den_lcm.divexact(entry.denominator)
-            cleared.append(num)
-        parts = [p.int_parts() for p in cleared]
-        shared = 1
-        for _, d in parts:
-            shared = shared * d // math.gcd(shared, d)
-        ints = [_k.mul_scalar(cs, shared // d) if shared != d else cs for cs, d in parts]
-        g = 0
-        for cs in ints:
-            g = math.gcd(g, _k.content(cs))
-            if g == 1:
-                break
-        if g > 1:
-            ints = [[c // g for c in cs] for cs in ints]
-        else:
-            g = max(g, 1)
-        h, ints = _k.divide_content(ints)
-        int_rows.append(ints)
-        scales.append(QRational.of(den_lcm * Fraction(shared, g)))
-        hs.append(h)
-    contents: list[list[int]] = []
-    for j in range(len(int_rows[0]) if int_rows else 0):
-        g = 0
-        for row in int_rows:
-            g = math.gcd(g, _k.content(row[j]))
-            if g == 1:
-                break
-        if g == 0:
-            contents.append([1])
-            continue
-        column = [row[j] for row in int_rows]
-        if g > 1:
-            column = [[c // g for c in cs] for cs in column]
-        h, column = _k.divide_content(column)
-        for row, cs in zip(int_rows, column):
-            row[j] = cs
-        contents.append(_k.mul_scalar(h, g))
-    maxima = [max((_k.l1(cs) for cs in row), default=0) or 1 for row in int_rows]
-    return int_rows, scales, hs, contents, maxima
+    k, lcm = 1, [1]
+    for cs in polys:
+        c, p = _k.primitive(cs)
+        k = k * abs(c) // math.gcd(k, c)
+        if len(p) > 1:
+            lcm = _k.mul(lcm, _k.divide_content([lcm, p])[1][1])
+    return _k.mul_scalar(lcm, k)
 
 
-def _border(contents: Sequence[list[int]]) -> list[list[int]]:
-    """The integer polynomials L / c_j, where L is the lcm of the c_j."""
-    k, h = 1, [1]
-    parts = [_k.primitive(c) for c in contents]
-    for kc, hc in parts:
-        k = k * kc // math.gcd(k, kc)
-        if len(hc) > 1:
-            h = _k.mul(h, _k.divide_content([h, hc])[1][1])
-    return [_k.mul_scalar(_k.divexact(h, hc), k // kc) for kc, hc in parts]
+def _divide_out_content(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(content, [p / content for p in polys]) for integer polynomials.
+
+    The content is their integer gcd times their primitive gcd, the h of
+    ``divide_content``, or [1] if they are all zero.
+    """
+    g = 0
+    for cs in polys:
+        g = math.gcd(g, _k.content(cs))
+        if g == 1:
+            break
+    if g == 0:
+        return [1], polys
+    if g > 1:
+        polys = [[c // g for c in cs] for cs in polys]
+    h, polys = _k.divide_content(polys)
+    return _k.mul_scalar(h, g), polys
 
 
 def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
@@ -278,12 +225,14 @@ def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
 
 @dataclass
 class _Packed:
-    """A Hankel block a(i+j) cleared by ``_clear_rows`` and packed at q = 2^w.
+    """A Hankel block a(i+j) cleared by ``_packed_rows`` and packed at q = 2^w.
 
-    ``factors[i]`` is h_i * c_i, so a leading minor of order k+1 is the
-    packed one times factors[0..k] over scales[0..k].  ``border[j]`` is
-    L / c_j, the x^j entry of the border row, when the block has one
-    column more than rows; it is empty otherwise.
+    ``scales[i]`` is L_i, the integer lcm of row i's denominators, and
+    ``factors[i]`` is r_i * c_i, its row content times its column
+    content, so a leading minor of order k+1 is the packed one times
+    factors[0..k] over scales[0..k].  ``border[j]`` is L / c_j, the x^j
+    entry of the border row, when the block has one column more than
+    rows; it is empty otherwise.
     """
 
     rows: list[list[int]]
@@ -296,20 +245,53 @@ class _Packed:
 def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     """Rows a(i+j), i < nrows, j < ncols, cleared and packed at q = 2^w.
 
-    w covers every minor of an ncols x ncols matrix made of these rows
-    and, when nrows < ncols, the border row L / c_j x^j, counted at its
-    largest L1 norm.  The coefficient lists are dropped on return,
-    before any elimination starts.
+    Row i is written over the integers as numerators n_ij over
+    denominators e_ij and multiplied by L_i, the lcm of the e_ij; it is
+    then divided by its content r_i, and each column by its content c_j,
+    so cleared_ij = L_i * a(i+j) / (r_i * c_j).  Contents are integer
+    gcds times primitive polynomial gcds, [1] for an all-zero row or
+    column.  w covers every minor of an ncols x ncols matrix made of
+    these rows and, when nrows < ncols, the border row L / c_j x^j
+    (L the lcm of the c_j), counted at its largest L1 norm.  The
+    coefficient lists are dropped on return, before any elimination
+    starts.
     """
-    int_rows, scales, hs, cs, maxima = _clear_rows(
-        [[moments.moment(i + j) for j in range(ncols)] for i in range(nrows)]
-    )
-    border = _border(cs) if nrows < ncols else []
-    if border:
+    rows: list[list[list[int]]] = []
+    scales: list[QRational] = []
+    row_contents: list[list[int]] = []
+    for i in range(nrows):
+        nums, dens = [], []
+        for j in range(ncols):
+            # a(i+j) = (n / a) / (d / b) = n b / (d a)
+            value = moments.moment(i + j)
+            n, a = value.numerator.int_parts()
+            d, b = value.denominator.int_parts()
+            nums.append(_k.mul_scalar(n, b) if b != 1 else n)
+            dens.append(_k.mul_scalar(d, a) if a != 1 else d)
+        lcm = _lcm(dens)
+        if len(lcm) == 1:  # constant denominators, as at a rational q
+            ints = [_k.mul_scalar(n, lcm[0] // d[0]) for n, d in zip(nums, dens)]
+        else:
+            ints = [_k.mul(n, _k.divexact(lcm, d)) for n, d in zip(nums, dens)]
+        content, ints = _divide_out_content(ints)
+        rows.append(ints)
+        scales.append(QRational.of(QPolynomial(lcm)))
+        row_contents.append(content)
+    col_contents = []
+    for j in range(ncols):
+        content, column = _divide_out_content([row[j] for row in rows])
+        for row, cs in zip(rows, column):
+            row[j] = cs
+        col_contents.append(content)
+    maxima = [max((_k.l1(cs) for cs in row), default=0) or 1 for row in rows]
+    border = []
+    if nrows < ncols:
+        lcm = _lcm(col_contents)
+        border = [_k.divexact(lcm, c) for c in col_contents]
         maxima.append(max(map(_k.l1, border)))
     w = _minor_width(ncols, maxima)
-    factors = [_k.mul(h, c) for h, c in zip(hs, cs)]
-    packed = [[_k.pack(e, w) for e in row] for row in int_rows]
+    factors = [_k.mul(r, c) for r, c in zip(row_contents, col_contents)]
+    packed = [[_k.pack(e, w) for e in row] for row in rows]
     return _Packed(packed, w, scales, factors, border)
 
 
@@ -446,16 +428,14 @@ def orthopoly_det_sweep(
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    polys, dets = [XPolynomial.one()], [QRational.one()]
     if n == 0:
-        return polys, dets
+        return [XPolynomial.one()], [QRational.one()]
+    polys = [XPolynomial.one()]
     m, xcols, pivots = _bordered_sweep(moments, n)
     for k, pivot in enumerate(pivots):
-        dets.append(_unscale(pivot, m, k + 1))
         if pivot != 0:
             polys.append(_border_poly(xcols[k + 1], m, pivot, k + 1))
-    dets.extend(hankel_direct(moments, k) for k in range(len(dets), n + 1))
-    return polys, dets
+    return polys, _minors(moments, m, pivots, n)
 
 
 def hankel_direct(moments: MomentSequence, n: int) -> QRational:
@@ -483,16 +463,23 @@ def hankel_minors(moments: MomentSequence, n: int) -> list[QRational]:
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    out = [QRational.one()]
     if n == 0:
-        return out
+        return [QRational.one()]
     m = _packed_rows(moments, n, n)
     pivots, _ = _bareiss(m.rows)
     m.rows = []  # a sweep that stopped early leaves rows the fallback does not need
-    for k, pivot in enumerate(pivots):
-        out.append(_unscale(pivot, m, k + 1))
-    out.extend(hankel_direct(moments, k) for k in range(len(out), n + 1))
-    return out
+    return _minors(moments, m, pivots, n)
+
+
+def _minors(moments: MomentSequence, m: _Packed, pivots: list[int], n: int) -> list[QRational]:
+    """d_0, ..., d_n from the pivots of a sweep without row exchanges.
+
+    Each pivot is unscaled to its leading minor; every order past a zero
+    pivot, where the sweep stopped, comes from ``hankel_direct``.
+    """
+    dets = [QRational.one()] + [_unscale(p, m, k + 1) for k, p in enumerate(pivots)]
+    dets.extend(hankel_direct(moments, k) for k in range(len(dets), n + 1))
+    return dets
 
 
 def hankel_product(moments: MomentSequence, n: int) -> QRational:
@@ -594,10 +581,5 @@ def aerated_orthopoly(symmetric_moments: MomentSequence, n: int) -> XPolynomial:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return XPolynomial.one()
-    big = orthopoly_recur(symmetric_moments, 2 * n)
-    table = stieltjes(symmetric_moments, 2 * n)
-    if any(not v.is_zero for v in table.s):
-        raise ValueError(
-            f"moment sequence {symmetric_moments.name!r} is not symmetric"
-        )
-    return even_part_compress(big)
+    aerated_recurrence(symmetric_moments, 2 * n - 1)  # rejects an asymmetric sequence
+    return even_part_compress(orthopoly_recur(symmetric_moments, 2 * n))

@@ -212,6 +212,7 @@ class MomentSequence:
         # _lock, because moment() takes _lock inside such a build.
         self.scratch_lock = threading.RLock()
         self._aerated: MomentSequence | None = None
+        self._specialized: dict[Fraction, MomentSequence] = {}
         first = self.moment(0)
         if not first.is_one:
             raise ValueError(f"moment(0) must be 1, got {first}")
@@ -233,12 +234,19 @@ class MomentSequence:
     __call__ = moment
 
     def specialized(self, point) -> "MomentSequence":
-        """The same functional with q fixed at a rational point."""
+        """The same functional with q fixed at a rational point.
+
+        Built once per point; every call at that point returns the same
+        sequence, so its own caches are shared.
+        """
         p = Fraction(point)
-        return MomentSequence(
-            lambda n: QRational.of(self.moment(n).eval_at(p)),
-            name=f"{self.name}@q={p}" if self.name else f"@q={p}",
-        )
+        with self.scratch_lock:
+            if p not in self._specialized:
+                self._specialized[p] = MomentSequence(
+                    lambda n: QRational.of(self.moment(n).eval_at(p)),
+                    name=f"{self.name}@q={p}" if self.name else f"@q={p}",
+                )
+            return self._specialized[p]
 
     def aerated(self) -> "MomentSequence":
         """Interleave zeros: A(2n) = a(n), A(2n+1) = 0.

@@ -2,7 +2,9 @@
 plus the exit-code contract (0 success, 1 mathematical disagreement or
 degeneracy, 2 usage and evaluation errors)."""
 
+import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -277,3 +279,85 @@ class TestExitCodes:
     def test_negative_degree_exits_two(self, capsys):
         code, _, err = run(capsys, "orthopoly", "--family", "geometric-q", "--n", "-1")
         assert code == 2
+
+
+# sha256 of empty output
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr), pinned from a
+# known-good build: any change to what a command prints shows up here
+_PINNED = [
+    (
+        "verify --all --max-n 4",
+        0,
+        "4eb0a97ec98b3841a5fde86eb87c213e8431cc805b82552b64f48ca76dd5fd9b",
+        _EMPTY,
+    ),
+    (
+        "verify --all --max-n 4 --q 5/4 --format json",
+        0,
+        "c97ec103a90c43c9bcfe7c9371d4263a36c99d02a44ff0e0f8d8bdad8ca2ad6b",
+        _EMPTY,
+    ),
+    (
+        "verify --family geometric-q --q 1 --max-n 5",
+        1,
+        _EMPTY,
+        "880bb83d30db0849e8f711702ad492896ff818254daff41cb96f4487ae5736f6",
+    ),
+    (
+        "hankel --family andrews-q-catalan --max-n 5 --format json",
+        0,
+        "10882b296228e83ceea0cb05a5b5da564550118afc65d99b9ab028486d63e1bd",
+        _EMPTY,
+    ),
+    (
+        "hankel --family geometric-q --max-n 4 --q 1",
+        0,
+        "c31e1804c8e1e7b53313dd452a22b7db2dde2310ed64c07834466d6cd03a5687",
+        _EMPTY,
+    ),
+    (
+        "orthopoly --family q-central-binomial --n 5 --all-methods --format latex",
+        0,
+        "0de2ed4490c2c82bc734693311de9cbe9a9749a2fad35c8f1e2b34d7155b9bf0",
+        _EMPTY,
+    ),
+    (
+        "orthopoly --family multifactorial:r=2,m=1 --n 4 --method det --format json",
+        0,
+        "a7c1c218d4eef3370837503083a64551bdc8eafc458c4777efcb4e05dff9e474",
+        _EMPTY,
+    ),
+    (
+        "recurrence --family q-double-factorial --max-n 5 --q 3/2",
+        0,
+        "edaa0ddf2295f20b000b49f4ab538230b7fa2be4cb90a0696ee28ee77ee8b680",
+        _EMPTY,
+    ),
+    (
+        "recurrence --family andrews-q-catalan --max-n 4 --format latex",
+        0,
+        "0819446c71a34f8d873a3ab0102bcc720719a078f1792fcab37b99328e3f1a26",
+        _EMPTY,
+    ),
+    (
+        "moments --family lucas-functional --max-n 6 --q=-2/3",
+        0,
+        "6cb00ab89a488423d2c129a364365fed1736cb7e24f1a80cd10b60045d2d22fd",
+        _EMPTY,
+    ),
+    (
+        "triangle --family q-factorial:m=1 --max-n 4 --q 7/3",
+        0,
+        "8c8a3b355c39c0b22a6f646f3f55e543db94e0ec07e0732b5b176fff18d89ec6",
+        _EMPTY,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", _PINNED, ids=[p[0] for p in _PINNED])
+def test_output_is_pinned(capsys, argv, code, out_sha, err_sha):
+    got_code, out, err = run(capsys, *shlex.split(argv))
+    digest = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
+    assert (got_code, *digest) == (code, out_sha, err_sha)

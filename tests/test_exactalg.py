@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qortho import _intkernel
@@ -177,6 +177,27 @@ def test_quotient_normalization_is_idempotent(num, den):
 def test_evaluation_is_a_ring_homomorphism(a, b, point):
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
     assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+
+
+def _fraction_horner(p, point):
+    acc = Fraction(0)
+    for c in reversed(p.coefficients):
+        acc = acc * point + c
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    polys,
+    st.one_of(
+        st.integers(min_value=-50, max_value=50).map(Fraction),
+        st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=60),
+    ),
+)
+@example(QPolynomial(), Fraction(3, 2))
+@example(qp(Fraction(1, 3), 0, -2), Fraction(0))
+def test_evaluation_matches_a_fraction_horner(p, point):
+    assert p.evaluate(point) == _fraction_horner(p, point)
 
 
 @settings(max_examples=100, deadline=None)

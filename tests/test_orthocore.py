@@ -6,6 +6,7 @@ permanent-style determinant over plain fractions backs up the Hankel
 values at q = 1.
 """
 
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -243,6 +244,65 @@ class TestDivideContent:
     def test_a_constant_or_nothing_has_unit_content(self):
         assert _intkernel.divide_content([[0, 2], [4]]) == ([1], [[0, 2], [4]])
         assert _intkernel.divide_content([[], []]) == ([1], [[], []])
+
+
+class TestLcm:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_int_polys(20).filter(bool), min_size=1, max_size=5), _int_polys(6).filter(bool))
+    def test_every_input_divides_it(self, polys, c):
+        planted = [_intkernel.mul(p, c) for p in polys]
+        lcm = orthocore._lcm(planted)
+        assert lcm[-1] > 0
+        for p in planted:
+            _intkernel.divexact(lcm, p)  # raises unless p divides the lcm
+
+    @settings(max_examples=150, deadline=None)
+    @given(_int_polys(20).filter(bool), _int_polys(20).filter(bool), _int_polys(6).filter(bool))
+    def test_lcm_times_gcd_is_the_product(self, a, b, c):
+        a, b = _intkernel.mul(a, c), _intkernel.mul(b, c)
+        (ka, pa), (kb, pb) = _intkernel.primitive(a), _intkernel.primitive(b)
+        gcd = _intkernel.mul_scalar(_intkernel._gcd_prs(pa, pb), math.gcd(ka, kb))
+        product = _intkernel.mul(a, b)
+        assert _intkernel.mul(orthocore._lcm([a, b]), gcd) in (
+            product,
+            _intkernel.mul_scalar(product, -1),
+        )
+
+
+# c = 2/(2q + 3); the moments [n]! c^n have denominators (q + 3/2)^n, which
+# are not integer polynomials, so every row is cleared through the integer lcm
+_C = QRational.of(QPolynomial([2]), QPolynomial([3, 2]))
+
+
+def _scaled_factorial(c):
+    return MomentSequence(lambda n: QRational.of(q_factorial(n)) * c**n, name="scaled")
+
+
+class TestNonIntegerDenominators:
+    def test_the_denominators_have_fractional_coefficients(self):
+        assert _scaled_factorial(_C).moment(2).denominator.coefficients == (
+            Fraction(9, 4),
+            Fraction(3),
+            Fraction(1),
+        )
+
+    def test_minors_scale_by_a_power_of_c(self):
+        # the recurrence path of the unscaled sequence is the reference
+        base, scaled = _scaled_factorial(QRational.one()), _scaled_factorial(_C)
+        expected = [_C ** (n * (n - 1)) * hankel_product(base, n) for n in range(6)]
+        assert hankel_minors(scaled, 5) == expected
+        assert orthopoly_det_sweep(scaled, 5)[1] == expected
+        assert [hankel_direct(scaled, n) for n in range(6)] == expected
+
+    def test_polynomials_are_rescaled(self):
+        # p_n(x) = c^n p_n(x/c): coefficient k picks up c^(n - k)
+        base, scaled = _scaled_factorial(QRational.one()), _scaled_factorial(_C)
+        expected = [
+            XPolynomial([v * _C ** (n - k) for k, v in enumerate(orthopoly_recur(base, n).coefficients)])
+            for n in range(6)
+        ]
+        assert orthopoly_det_sweep(scaled, 5)[0] == expected
+        assert [orthopoly_det(scaled, n) for n in range(6)] == expected
 
 
 class TestOrthopolyDet:

@@ -129,29 +129,42 @@ class TestMomentSequence:
         assert aer.moment(1).is_zero
         assert aer.moment(4) == qr(3)
 
+    def test_specialized_sequence_is_built_once_per_point(self):
+        seq = MomentSequence(lambda n: QRational.of(QPolynomial.monomial(n)), name="powers")
+        assert seq.specialized(2) is seq.specialized(Fraction(4, 2))
+        assert seq.specialized(2) is not seq.specialized(3)
+
     def test_threads_share_one_aerated_sequence(self):
-        for _ in range(20):
-            seq = MomentSequence(lambda n: qr(n + 1), name="counting")
-            start = threading.Barrier(8)
-            seen = []
+        _assert_threads_share_one_result(MomentSequence.aerated)
 
-            def run():
-                start.wait(timeout=60)
-                seen.append(seq.aerated())
+    def test_threads_share_one_specialized_sequence(self):
+        _assert_threads_share_one_result(lambda seq: seq.specialized(Fraction(5, 4)))
 
-            threads = [threading.Thread(target=run) for _ in range(8)]
-            old_interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for th in threads:
-                    th.start()
-                for th in threads:
-                    th.join(timeout=60)
-            finally:
-                sys.setswitchinterval(old_interval)
-            assert not any(th.is_alive() for th in threads)
-            assert len(seen) == 8
-            assert all(a is seen[0] for a in seen)
+
+def _assert_threads_share_one_result(derive):
+    """Eight threads that derive a sequence from one fresh sequence at once all get one object."""
+    for _ in range(20):
+        seq = MomentSequence(lambda n: qr(n + 1), name="counting")
+        start = threading.Barrier(8)
+        seen = []
+
+        def run():
+            start.wait(timeout=60)
+            seen.append(derive(seq))
+
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(seen) == 8
+        assert all(a is seen[0] for a in seen)
 
 
 class TestEvenPartCompress:
