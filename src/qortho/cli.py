@@ -323,13 +323,12 @@ def cmd_verify(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
-def _add_common(sp, with_family=True):
-    if with_family:
-        sp.add_argument(
-            "--family",
-            required=True,
-            help="family spec, e.g. q-factorial:m=2 or multifactorial:r=3,m=1",
-        )
+def _add_common(sp):
+    sp.add_argument(
+        "--family",
+        required=True,
+        help="family spec, e.g. q-factorial:m=2 or multifactorial:r=3,m=1",
+    )
     sp.add_argument("--q", type=_rational_arg, default=None, help="specialize q at a rational")
     sp.add_argument(
         "--format", choices=("text", "json", "latex"), default="text", help="output format"

@@ -6,6 +6,9 @@ polynomials in q are :class:`QPolynomial`, and elements of the rational
 function field Q(q) are :class:`QRational` kept in a canonical reduced
 form (gcd of numerator and denominator is 1, denominator monic).  Two
 equal field elements therefore always compare equal structurally.
+Reduction is one cancellation on the integer coefficient lists, through
+``_intkernel.gcd``, after which the denominator is made monic by
+rescaling both sides.
 
 >>> q = QPolynomial.variable()
 >>> str((q * q - 1).divexact(q - 1))
@@ -15,7 +18,6 @@ equal field elements therefore always compare equal structurally.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd as _igcd
 from typing import Iterable, Union
 
@@ -308,14 +310,20 @@ class QPolynomial:
         return cls([Fraction(s) for s in data])
 
 
-def _poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    """Monic gcd over Q (content is irrelevant in the field)."""
-    na, _ = a.int_parts()
-    nb, _ = b.int_parts()
-    g = _k.gcd(na, nb)
-    if not g:
-        return QPolynomial.zero()
-    return QPolynomial._raw(g, g[-1])
+def _cancel(a: QPolynomial, b: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
+    """(a / g, b / g) for the primitive integer gcd g of a and b.
+
+    Both are returned unchanged when g is constant.  g divides each
+    integer coefficient list exactly, by Gauss's lemma, so the shared
+    denominators stay as they are.
+    """
+    g = _k.gcd(a._num, b._num)
+    if len(g) < 2:
+        return a, b
+    return (
+        QPolynomial._raw(_k.divexact(a._num, g), a._den),
+        QPolynomial._raw(_k.divexact(b._num, g), b._den),
+    )
 
 
 class QRational:
@@ -340,15 +348,12 @@ class QRational:
         if den.is_one:
             self._num, self._den = num, den
             return
-        g = _poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.divexact(g)
-            den = den.divexact(g)
-        lead = den.leading_coefficient
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num * inv
-            den = den * inv
+        num, den = _cancel(num, den)
+        # Divide both sides by den's leading coefficient lead / e.
+        lead, e = den._num[-1], den._den
+        if lead != e:
+            num = QPolynomial._raw(_k.mul_scalar(num._num, e), num._den * lead)
+            den = QPolynomial._raw(den._num, lead)
         self._num = num
         self._den = den
 
@@ -357,18 +362,10 @@ class QRational:
     @classmethod
     def of(cls, num, den=None) -> "QRational":
         """Build from ints, Fractions, QPolynomials, or QRationals."""
-
-        def lift(v) -> "QRational":
-            if isinstance(v, QRational):
-                return v
-            if isinstance(v, QPolynomial):
-                return cls(v)
-            if isinstance(v, (int, Fraction)):
-                return cls(QPolynomial.constant(v))
-            raise TypeError(f"cannot build QRational from {type(v).__name__}")
-
-        n = lift(num)
-        return n if den is None else n / lift(den)
+        n = cls._coerce(num)
+        if n is None:
+            raise TypeError(f"cannot build QRational from {type(num).__name__}")
+        return n if den is None else n / cls.of(den)
 
     @classmethod
     def zero(cls) -> "QRational":
@@ -421,11 +418,7 @@ class QRational:
         b, d = self._den, o._den
         if b.is_one and d.is_one:
             return QRational(self._num + o._num)
-        g = _poly_gcd(b, d)
-        if g.degree < 1:
-            return QRational(self._num * d + o._num * b, b * d)
-        b1 = b.divexact(g)
-        d1 = d.divexact(g)
+        b1, d1 = _cancel(b, d)
         return QRational(self._num * d1 + o._num * b1, b1 * d)
 
     __radd__ = __add__
@@ -458,15 +451,9 @@ class QRational:
         c, d = o._num, o._den
         # Cross-cancel before multiplying; keeps intermediate degrees down.
         if not d.is_one:
-            g = _poly_gcd(a, d)
-            if g.degree > 0:
-                a = a.divexact(g)
-                d = d.divexact(g)
+            a, d = _cancel(a, d)
         if not b.is_one:
-            g = _poly_gcd(c, b)
-            if g.degree > 0:
-                c = c.divexact(g)
-                b = b.divexact(g)
+            c, b = _cancel(c, b)
         return QRational(a * c, b * d)
 
     __rmul__ = __mul__

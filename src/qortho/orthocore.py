@@ -483,19 +483,19 @@ def _minors(moments: MomentSequence, m: _Packed, pivots: list[int], n: int) -> l
 
 
 def hankel_product(moments: MomentSequence, n: int) -> QRational:
-    """det(a(i+j))_{0 <= i,j < n} as the product of recurrence t-powers.
+    """det(a(i+j))_{0 <= i,j < n} as the product of recurrence norms.
 
-    d_n = prod_{j=0}^{n-2} t_j^{n-1-j}; this needs the sequence to be
-    quasi-definite through depth n, unlike the direct determinant.
+    d_n = h_0 h_1 ... h_{n-1} with h_k = L(p_k^2) and h_0 = a(0) = 1;
+    this needs the sequence to be quasi-definite through depth n, unlike
+    the direct determinant.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
     if n <= 1:
         return QRational.one()
-    table = stieltjes(moments, n)
     out = QRational.one()
-    for j in range(n - 1):
-        out = out * table.t[j] ** (n - 1 - j)
+    for h in stieltjes(moments, n).norms[1:]:
+        out = out * h
     return out
 
 

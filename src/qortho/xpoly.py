@@ -13,7 +13,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .exactalg import QPolynomial, QRational
+from .exactalg import QRational
 
 __all__ = [
     "XPolynomial",
@@ -23,21 +23,13 @@ __all__ = [
 ]
 
 
-def _lift(value) -> QRational:
-    if isinstance(value, QRational):
-        return value
-    if isinstance(value, (int, Fraction, QPolynomial)):
-        return QRational.of(value)
-    raise TypeError(f"cannot use {type(value).__name__} as an x-coefficient")
-
-
 class XPolynomial:
     """Polynomial in x over Q(q); immutable, trailing zeros stripped."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable = ()):
-        cs = [_lift(c) for c in coefficients]
+        cs = [QRational.of(c) for c in coefficients]
         while cs and cs[-1].is_zero:
             cs.pop()
         self._coeffs: tuple[QRational, ...] = tuple(cs)
@@ -112,7 +104,7 @@ class XPolynomial:
                         out[i + j] = out[i + j] + a * b
             return XPolynomial(out)
         try:
-            s = _lift(other)
+            s = QRational.of(other)
         except TypeError:
             return NotImplemented
         return self.scale(s)
@@ -120,7 +112,7 @@ class XPolynomial:
     __rmul__ = __mul__
 
     def scale(self, factor) -> "XPolynomial":
-        f = _lift(factor)
+        f = QRational.of(factor)
         if f.is_zero:
             return XPolynomial.zero()
         return XPolynomial([c * f for c in self._coeffs])
@@ -199,7 +191,8 @@ class MomentSequence:
 
     Values are cached; the zeroth moment must be 1 (checked eagerly).
     The cache is guarded by a lock, so instances may be shared between
-    threads; other package modules also park derived caches here.
+    threads.  ``scratch`` holds the recurrence state that
+    ``orthocore.stieltjes`` deepens in place.
     """
 
     def __init__(self, rule: Callable[[int], QRational], name: str = ""):
@@ -207,7 +200,7 @@ class MomentSequence:
         self.name = name
         self._cache: list[QRational] = []
         self._lock = threading.Lock()
-        self.scratch: dict = {}  # derived caches (recurrence tables, pivots)
+        self.scratch: dict = {}  # stieltjes's polynomials, s, t and norms
         # Held while a scratch entry is built in several steps.  It is not
         # _lock, because moment() takes _lock inside such a build.
         self.scratch_lock = threading.RLock()

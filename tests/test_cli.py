@@ -353,6 +353,18 @@ _PINNED = [
         "8c8a3b355c39c0b22a6f646f3f55e543db94e0ec07e0732b5b176fff18d89ec6",
         _EMPTY,
     ),
+    (
+        "recurrence --family q-central-binomial --max-n 6 --format json",
+        0,
+        "8fc619cdff57915116a0f7ddfc75176c3a78d09ed7392102497ef2df04b3c975",
+        _EMPTY,
+    ),
+    (
+        "triangle --family andrews-q-catalan --max-n 4 --format json",
+        0,
+        "ab5d0539096fc4f587195f35520d435f041c335bb6d4456b63583e8fb33cd2a8",
+        _EMPTY,
+    ),
 ]
 
 

@@ -172,6 +172,45 @@ def test_quotient_normalization_is_idempotent(num, den):
     assert r.numerator * den == num * r.denominator
 
 
+@settings(max_examples=120, deadline=None)
+@given(nonzero_polys, nonzero_polys, nonzero_polys.filter(lambda p: p.degree > 0))
+def test_quotient_cancels_a_planted_factor(a, b, h):
+    r = QRational.of(a * h, b * h)
+    assert r == QRational.of(a, b)
+    parts = [_intkernel.primitive(p.int_parts()[0])[1] for p in (r.numerator, r.denominator)]
+    assert _intkernel._gcd_prs(*parts) == [1]
+    assert r.denominator.leading_coefficient == 1
+
+
+# Small factors shared between draws, so sums and products meet common
+# factors in their denominators and both cross-cancels of a product fire.
+_FACTORS = [qp(0, 1), qp(1, 1), qp(-1, 1), qp(2, 0, 1), qp(1, 1, 1)]
+
+
+def _with_factors(base):
+    return st.tuples(base, st.lists(st.sampled_from(_FACTORS), max_size=2)).map(
+        lambda t: math.prod(t[1], start=t[0])
+    )
+
+
+rationals = st.tuples(_with_factors(polys), _with_factors(nonzero_polys)).map(
+    lambda nd: QRational.of(*nd)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationals, rationals, rationals)
+def test_rational_field_axioms(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == QRational.zero()
+    if not b.is_zero:
+        assert (a / b) * b == a
+
+
 @settings(max_examples=100, deadline=None)
 @given(polys, polys, st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4))
 def test_evaluation_is_a_ring_homomorphism(a, b, point):
