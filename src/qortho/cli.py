@@ -291,13 +291,8 @@ def cmd_hankel(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_depth(args.max_n, "--max-n")
-    if args.all:
-        fids = registry_family_ids()
-    else:
-        fids = [FamilyId.parse(args.family)]
-    reports = []
-    for fid in fids:
-        reports.append(verify_family(fid, max_n=args.max_n, q=args.q))
+    fids = registry_family_ids() if args.all else [FamilyId.parse(args.family)]
+    reports = [verify_family(fid, max_n=args.max_n, q=args.q) for fid in fids]
     ok = all(r.ok for r in reports)
     text = []
     for r in reports:
@@ -402,16 +397,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PoleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except QuasiDefinitenessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (UsageError, PoleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactalg import PoleError, QPolynomial, QRational
-from .momentfamilies import _SPECS, FamilyId, family
+from .momentfamilies import _SPECS, FamilyId, _as_fid, family
 from .orthocore import (
     aerated_orthopoly,
     aerated_recurrence,
@@ -260,8 +260,7 @@ def closed_polynomial(fid: "FamilyId | str", n: int) -> XPolynomial | None:
     globals at call time, so tests can substitute a deliberately wrong
     formula and watch verification catch it.
     """
-    if isinstance(fid, str):
-        fid = FamilyId.parse(fid)
+    fid = _as_fid(fid)
     formula = _SPECS[fid.tag].closed_poly
     return None if formula is None else formula(fid, n)
 
@@ -342,8 +341,7 @@ def classical_lucas_style(n: int) -> XPolynomial:
 
 def classical_polynomial(fid: "FamilyId | str", n: int) -> XPolynomial | None:
     """The q = 1 counterpart of a family's closed form, or None."""
-    if isinstance(fid, str):
-        fid = FamilyId.parse(fid)
+    fid = _as_fid(fid)
     formula = _SPECS[fid.tag].classical_poly
     return None if formula is None else formula(fid, n)
 

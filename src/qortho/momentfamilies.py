@@ -96,7 +96,7 @@ class FamilyId:
             for item in params.split(","):
                 key, eq, value = item.partition("=")
                 key = key.strip()
-                if not eq or key not in ("m", "r"):
+                if not eq or key not in ("m", "r") or key in kwargs:
                     raise ValueError(f"bad family parameter {item!r} in {spec!r}")
                 try:
                     kwargs[key] = int(value.strip())

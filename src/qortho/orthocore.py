@@ -2,8 +2,9 @@
 
 Three independent constructions live here:
 
-* ``stieltjes`` walks the classical bootstrap: norms L(p_k^2) give the
-  three-term coefficients s_k and t_k, which give the next polynomial.
+* ``stieltjes`` walks the classical bootstrap: L(p_k^2) and L(x p_k^2) give
+  s_k and t_k, which give the next polynomial; as p_k is orthogonal to x^j,
+  j < k, both follow exactly from L(x^k p_k) and L(x^(k+1) p_k).
 * ``orthopoly_det`` builds p_n as a bordered Hankel determinant, run
   through fraction-free (Bareiss) elimination on exact integer images.
 * Closed formulas for specific families are in :mod:`qortho.closedforms`.
@@ -81,7 +82,7 @@ class QuasiDefinitenessError(ArithmeticError):
 class RecurrenceTable:
     """Three-term recurrence data: p_{k+1} = (x - s_k) p_k - t_{k-1} p_{k-1}.
 
-    For depth N: s has N entries, t has N - 1, and norms[k] = L(p_k^2).
+    For depth N: s has N entries, t has N - 1, norms[k] = L(p_k^2) = L(x^k p_k).
     """
 
     s: tuple[QRational, ...]
@@ -130,27 +131,39 @@ class ExpansionTriangle:
 # -- Stieltjes bootstrap -------------------------------------------------------
 
 
+class _Recurrence:
+    """``stieltjes``'s p_0..p_K, s, t and norms, kept in ``MomentSequence.recurrence``."""
+
+    def __init__(self):
+        self.p, self.s, self.t, self.norms = [XPolynomial.one()], [], [], []
+
+
 def stieltjes(moments: MomentSequence, depth: int) -> RecurrenceTable:
     """Recurrence table to the given depth, built from norms.
 
-    Work is cached on the moment sequence, so deepening is incremental.
-    Raises QuasiDefinitenessError as soon as some L(p_k^2) vanishes.
+    p_k is orthogonal to x^j for j < k and x p_k = x^(k+1) + c x^k + lower
+    terms, c its x^(k-1) coefficient, so norm_k = L(p_k^2) = L(x^k p_k) and
+    s_k = L(x p_k^2) / norm_k = L(x^(k+1) p_k) / norm_k + c exactly, with
+    no polynomial product.  The state stays on the sequence, so deepening
+    is incremental.  Raises QuasiDefinitenessError when some norm vanishes.
+
+    >>> from qortho.momentfamilies import family
+    >>> table = stieltjes(family("q-factorial:m=0").specialized_moments(1), 3)
+    >>> [str(v) for v in table.s], [str(v) for v in table.t]
+    (['1', '3', '5'], ['1', '4'])
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     with moments.scratch_lock:
-        state = moments.scratch.setdefault(
-            "stieltjes", {"p": [XPolynomial.one()], "s": [], "t": [], "norms": []}
-        )
-        p, s, t, norms = state["p"], state["s"], state["t"], state["norms"]
-        while len(s) < depth:
-            k = len(s)
+        state = moments.recurrence = moments.recurrence or _Recurrence()
+        p, s, t, norms = state.p, state.s, state.t, state.norms
+        for k in range(len(s), depth):
             pk = p[k]
-            square = pk * pk
-            norm_k = apply_functional(moments, square)
+            xk_pk = pk.shift_x(k)
+            norm_k = apply_functional(moments, xk_pk)
             if norm_k.is_zero:
                 raise QuasiDefinitenessError(k + 1, moments.name)
-            s_k = apply_functional(moments, square.shift_x(1)) / norm_k
+            s_k = apply_functional(moments, xk_pk.shift_x(1)) / norm_k + pk.coefficient(k - 1)
             norms.append(norm_k)
             s.append(s_k)
             succ = pk.shift_x(1) - pk.scale(s_k)
@@ -168,8 +181,9 @@ def orthopoly_recur(moments: MomentSequence, n: int) -> XPolynomial:
     """The monic orthogonal polynomial p_n via the three-term recurrence."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    stieltjes(moments, n)
-    return moments.scratch["stieltjes"]["p"][n]
+    with moments.scratch_lock:
+        stieltjes(moments, n)
+        return moments.recurrence.p[n]
 
 
 # -- exact integer elimination -------------------------------------------------

@@ -191,8 +191,7 @@ class MomentSequence:
 
     Values are cached; the zeroth moment must be 1 (checked eagerly).
     The cache is guarded by a lock, so instances may be shared between
-    threads.  ``scratch`` holds the recurrence state that
-    ``orthocore.stieltjes`` deepens in place.
+    threads.
     """
 
     def __init__(self, rule: Callable[[int], QRational], name: str = ""):
@@ -200,9 +199,9 @@ class MomentSequence:
         self.name = name
         self._cache: list[QRational] = []
         self._lock = threading.Lock()
-        self.scratch: dict = {}  # stieltjes's polynomials, s, t and norms
-        # Held while a scratch entry is built in several steps.  It is not
-        # _lock, because moment() takes _lock inside such a build.
+        self.recurrence = None  # orthocore's record, opaque here
+        # Held while that record or a derived sequence is built in several
+        # steps.  It is not _lock, because moment() takes _lock inside one.
         self.scratch_lock = threading.RLock()
         self._aerated: MomentSequence | None = None
         self._specialized: dict[Fraction, MomentSequence] = {}

@@ -249,6 +249,11 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: Hankel determinant of 'geometric-q@q=1' of order 2 vanishes\n"
 
+    def test_repeated_family_parameter_exits_two(self, capsys):
+        code, out, err = run(capsys, "moments", "--family", "q-factorial:m=2,m=3")
+        assert (code, out) == (2, "")
+        assert err == "error: bad family parameter 'm=3' in 'q-factorial:m=2,m=3'\n"
+
     def test_pole_exits_two(self, capsys):
         code, _, err = run(
             capsys, "moments", "--family", "q-central-binomial", "--max-n", "1", "--q", "-1"
@@ -363,6 +368,18 @@ _PINNED = [
         "triangle --family andrews-q-catalan --max-n 4 --format json",
         0,
         "ab5d0539096fc4f587195f35520d435f041c335bb6d4456b63583e8fb33cd2a8",
+        _EMPTY,
+    ),
+    (
+        "recurrence --family q-double-factorial --max-n 8 --format json",
+        0,
+        "5de4e774eca60a5f919954575e8c2aec382254ac92cdf01d86bb9f313e4399d6",
+        _EMPTY,
+    ),
+    (
+        "recurrence --family andrews-q-catalan --max-n 9 --format json",
+        0,
+        "209f3d5c6926f892c9b7784ea62ea7f453eed9f60e3189247feedb25095ce2ae",
         _EMPTY,
     ),
 ]

@@ -78,6 +78,12 @@ class TestFamilyId:
         with pytest.raises(ValueError):
             FamilyId.parse("q-factorial:k=1")
 
+    def test_repeated_parameter_rejected(self):
+        for spec, item in (("q-factorial:m=2,m=3", "m=3"), ("multifactorial:r=2,r=3", "r=3")):
+            with pytest.raises(ValueError) as err:
+                FamilyId.parse(spec)
+            assert str(err.value) == f"bad family parameter {item!r} in {spec!r}"
+
     def test_registry_is_interned(self):
         assert family("q-factorial:m=1") is family(FamilyId("q-factorial", m=1))
 

@@ -70,6 +70,29 @@ def point_mass_at_zero():
     return MomentSequence(lambda n: QRational.of(1 if n == 0 else 0), name="delta")
 
 
+def _stieltjes_by_squares(moments, depth):
+    """The bootstrap through p_k^2 that ``stieltjes`` replaced, kept as its oracle.
+
+    Returns (s, t, norms, [p_0, ..., p_depth]) with norm_k = L(p_k^2)
+    and s_k = L(x p_k^2) / norm_k, read off the square itself.
+    """
+    p, s, t, norms = [XPolynomial.one()], [], [], []
+    for k in range(depth):
+        square = p[k] * p[k]
+        norm_k = apply_functional(moments, square)
+        if norm_k.is_zero:
+            raise QuasiDefinitenessError(k + 1, moments.name)
+        s_k = apply_functional(moments, square.shift_x(1)) / norm_k
+        norms.append(norm_k)
+        s.append(s_k)
+        succ = p[k].shift_x(1) - p[k].scale(s_k)
+        if k > 0:
+            t.append(norm_k / norms[k - 1])
+            succ = succ - p[k - 1].scale(t[-1])
+        p.append(succ)
+    return tuple(s), tuple(t), tuple(norms), p
+
+
 def registry_sequences():
     """Every registry family, symbolically and at q = 5/4."""
     for fid in registry_family_ids():
@@ -402,6 +425,54 @@ class TestStieltjes:
             assert not any(th.is_alive() for th in threads)
             assert errors == []
             assert results == [expected, expected]
+
+
+def _oracle_cases():
+    """Every family symbolically at depth 6 and at q = 5/4 at depth 8, and
+    every aerated sequence at depth 7."""
+    for fid in registry_family_ids():
+        fam = family(str(fid))
+        yield pytest.param(fam.moments, 6, id=str(fid))
+        yield pytest.param(fam.specialized_moments(Fraction(5, 4)), 8, id=f"{fid}@5/4")
+        if fam.aerated_capable:
+            yield pytest.param(fam.aerated_moments, 7, id=f"{fid}-aerated")
+
+
+class TestStieltjesAgainstSquares:
+    @pytest.mark.parametrize("seq, depth", _oracle_cases())
+    def test_same_table_and_polynomials(self, seq, depth):
+        fresh = MomentSequence(seq.moment, name=seq.name)
+        s, t, norms, polys = _stieltjes_by_squares(seq, depth)
+        assert stieltjes(fresh, depth) == RecurrenceTable(s, t, norms)
+        assert [orthopoly_recur(fresh, n) for n in range(depth + 1)] == polys
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            family("geometric-q").specialized_moments(1),
+            constant_moments([1, 1, 1, 2, 5, 14], "plateau"),
+            point_mass_at_zero(),
+        ],
+        ids=["geometric-q@1", "plateau", "point-mass"],
+    )
+    def test_same_failing_level(self, seq):
+        with pytest.raises(QuasiDefinitenessError) as expected:
+            _stieltjes_by_squares(seq, 3)
+        with pytest.raises(QuasiDefinitenessError) as got:
+            stieltjes(MomentSequence(seq.moment, name=seq.name), 3)
+        assert (got.value.level, str(got.value)) == (expected.value.level, str(expected.value))
+
+    def test_forms_no_product_of_polynomials(self, monkeypatch):
+        mul = XPolynomial.__mul__
+
+        def scalar_only(self, other):
+            if isinstance(other, XPolynomial):
+                raise AssertionError("stieltjes multiplied two polynomials")
+            return mul(self, other)
+
+        monkeypatch.setattr(XPolynomial, "__mul__", scalar_only)
+        fresh = MomentSequence(family("q-factorial:m=1").moments.moment)
+        assert stieltjes(fresh, 8).depth == 8
 
 
 class TestOrthopolyRecur:
