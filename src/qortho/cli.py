@@ -3,7 +3,8 @@
 Subcommands: moments, orthopoly, recurrence, triangle, hankel, verify.
 Families are addressed as ``tag`` or ``tag:key=value,...``; every value
 is exact, either symbolic in q or specialized at a rational point given
-with --q.
+with --q.  Specialized values are computed as Fractions and lifted to
+QRational only to be rendered, so both kinds print the same way.
 
 Exit codes: 0 on success, 1 when exact cross-checks disagree or the
 moment sequence fails quasi-definiteness, 2 for usage errors, malformed
@@ -87,7 +88,9 @@ def latex_qpoly(p) -> str:
     return out
 
 
-def latex_qrat(r: QRational) -> str:
+def latex_qrat(r) -> str:
+    """A QRational, or a Fraction as the constant QRational it equals."""
+    r = QRational.of(r)
     if r.is_polynomial:
         return latex_qpoly(r.numerator)
     return f"\\frac{{{latex_qpoly(r.numerator)}}}{{{latex_qpoly(r.denominator)}}}"
@@ -100,13 +103,13 @@ def latex_xpoly(p: XPolynomial) -> str:
     terms = []
     for e in range(len(cs) - 1, -1, -1):
         c = cs[e]
-        if c.is_zero:
+        if not c:
             continue
         var = "" if e == 0 else ("x" if e == 1 else f"x^{{{e}}}")
         body = latex_qrat(c)
         if not var:
             terms.append(body)
-        elif c.is_one:
+        elif c == 1:
             terms.append(var)
         elif body.lstrip("-").isdigit() or body.startswith("\\frac"):
             terms.append(f"{body}{var}")
@@ -119,6 +122,11 @@ def latex_xpoly(p: XPolynomial) -> str:
 
 
 # -- shared plumbing ---------------------------------------------------------------
+
+
+def _json(v) -> dict:
+    """A QRational, or a Fraction as the constant QRational it equals."""
+    return QRational.of(v).to_json()
 
 
 def _check_depth(value: int, what: str) -> None:
@@ -173,7 +181,7 @@ def cmd_moments(args) -> int:
     _check_depth(args.max_n, "--max-n")
     fam, seq = _resolve(args)
     values = [seq.moment(k) for k in range(args.max_n + 1)]
-    results = [{"n": k, "value": v.to_json()} for k, v in enumerate(values)]
+    results = [{"n": k, "value": _json(v)} for k, v in enumerate(values)]
     text = [f"a({k}) = {v}" for k, v in enumerate(values)]
     latex = [f"a_{{{k}}} = {latex_qrat(v)}" for k, v in enumerate(values)]
     _emit(args, "moments", str(fam.fid), _params(args, max_n=args.max_n), results, text, latex)
@@ -228,11 +236,11 @@ def cmd_recurrence(args) -> int:
     text = []
     latex = []
     for k in range(table.depth):
-        row = {"k": k, "s": table.s[k].to_json(), "norm": table.norms[k].to_json()}
+        row = {"k": k, "s": _json(table.s[k]), "norm": _json(table.norms[k])}
         line = f"s[{k}] = {table.s[k]}"
         lline = f"s_{{{k}}} = {latex_qrat(table.s[k])}"
         if k < len(table.t):
-            row["t"] = table.t[k].to_json()
+            row["t"] = _json(table.t[k])
             line += f"    t[{k}] = {table.t[k]}"
             lline += f" \\qquad t_{{{k}}} = {latex_qrat(table.t[k])}"
         rows.append(row)
@@ -246,13 +254,13 @@ def cmd_recurrence(args) -> int:
             t_source = "closed"
             tvals = [fam.closed_T(j) for j in range(depth)]
             if args.q is not None:
-                tvals = [QRational.of(v.eval_at(args.q)) for v in tvals]
+                tvals = [v.eval_at(args.q) for v in tvals]
         else:
             t_source = "stieltjes"
             tvals = list(aerated_recurrence(seq.aerated(), depth))
         results["aerated"] = {
             "source": t_source,
-            "values": [{"j": j, "T": v.to_json()} for j, v in enumerate(tvals)],
+            "values": [{"j": j, "T": _json(v)} for j, v in enumerate(tvals)],
         }
         for j, v in enumerate(tvals):
             text.append(f"T[{j}] = {v}    [{t_source}]")
@@ -264,16 +272,10 @@ def cmd_recurrence(args) -> int:
 def cmd_triangle(args) -> int:
     _check_depth(args.max_n, "--max-n")
     fam, seq = _resolve(args)
-    tri = expansion_triangle(seq, args.max_n)
-    results = [
-        {"n": n, "entries": [e.to_json() for e in tri.row(n)]} for n in range(len(tri))
-    ]
-    text = [
-        f"row {n}: " + ", ".join(str(e) for e in tri.row(n)) for n in range(len(tri))
-    ]
-    latex = [
-        f"n={n}: " + ", ".join(latex_qrat(e) for e in tri.row(n)) for n in range(len(tri))
-    ]
+    rows = list(expansion_triangle(seq, args.max_n))
+    results = [{"n": n, "entries": [_json(e) for e in row]} for n, row in enumerate(rows)]
+    text = [f"row {n}: " + ", ".join(str(e) for e in row) for n, row in enumerate(rows)]
+    latex = [f"n={n}: " + ", ".join(latex_qrat(e) for e in row) for n, row in enumerate(rows)]
     _emit(args, "triangle", str(fam.fid), _params(args, max_n=args.max_n), results, text, latex)
     return 0
 
@@ -282,7 +284,7 @@ def cmd_hankel(args) -> int:
     _check_depth(args.max_n, "--max-n")
     fam, seq = _resolve(args)
     values = [hankel_direct(seq, n) for n in range(args.max_n + 1)]
-    results = [{"n": n, "value": v.to_json()} for n, v in enumerate(values)]
+    results = [{"n": n, "value": _json(v)} for n, v in enumerate(values)]
     text = [f"d({n}) = {v}" for n, v in enumerate(values)]
     latex = [f"d_{{{n}}} = {latex_qrat(v)}" for n, v in enumerate(values)]
     _emit(args, "hankel", str(fam.fid), _params(args, max_n=args.max_n), results, text, latex)

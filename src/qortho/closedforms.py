@@ -360,6 +360,7 @@ class VerificationEntry:
     n: int
     check: str
     status: str  # "match" | "mismatch" | "skipped"
+    # the two sides as text, kept for a mismatch only
     left: str = ""
     right: str = ""
     note: str = ""
@@ -423,26 +424,23 @@ class _Verifier:
         self.aerated = self.moments.aerated() if self.fam.aerated_capable else None
 
     # closed-form values are produced symbolically and then pinned to
-    # the working point, so a specialization error is a finding, not a crash
-    def _rat(self, v: QRational) -> QRational:
-        return v if self.q is None else QRational.of(v.eval_at(self.q))
+    # the working point, as Fractions, so a specialization error is a
+    # finding, not a crash
+    def _rat(self, v: QRational) -> QRational | Fraction:
+        return v if self.q is None else v.eval_at(self.q)
 
     def _poly(self, p: XPolynomial) -> XPolynomial:
         return p if self.q is None else specialize_poly(p, self.q)
 
     def _record(self, n: int, check: str, left, right, note: str = ""):
-        status = "match" if left == right else "mismatch"
-        self.report.entries.append(
-            VerificationEntry(
-                self.report.family,
-                n,
-                check,
-                status,
-                left=str(left),
-                right=str(right),
-                note=note,
+        # only a mismatch prints its two sides, so only a mismatch keeps them
+        if left == right:
+            entry = VerificationEntry(self.report.family, n, check, "match", note=note)
+        else:
+            entry = VerificationEntry(
+                self.report.family, n, check, "mismatch", str(left), str(right), note
             )
-        )
+        self.report.entries.append(entry)
 
     def _skip(self, check: str, note: str, n: int = -1):
         self.report.entries.append(
@@ -506,10 +504,10 @@ class _Verifier:
             bad = [
                 k
                 for k in range(n)
-                if not apply_functional(self.moments, p.shift_x(k)).is_zero
+                if apply_functional(self.moments, p.shift_x(k))
             ]
             # with L(x^k p_n) = 0 for k < n, the norm L(p_n^2) is L(x^n p_n)
-            if bad or apply_functional(self.moments, p.shift_x(n)).is_zero:
+            if bad or not apply_functional(self.moments, p.shift_x(n)):
                 note = f"nonzero against x^k for k in {bad}" if bad else "vanishing norm"
                 self._mismatch(n, "orthogonality", note)
             else:

@@ -10,6 +10,10 @@ Reduction is one cancellation on the integer coefficient lists, through
 ``_intkernel.gcd``, after which the denominator is made monic by
 rescaling both sides.
 
+Values at a specialized q are plain ``Fraction``s, not degree-0
+QRationals.  A constant QRational equals its Fraction and hashes like
+it, so values of the two fields compare exactly.
+
 >>> q = QPolynomial.variable()
 >>> str((q * q - 1).divexact(q - 1))
 '1 + q'
@@ -526,7 +530,7 @@ class QRational:
         return hash((self._num, self._den))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._num._num)
 
     def __repr__(self):
         return f"QRational({self!s})"

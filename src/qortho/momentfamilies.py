@@ -24,15 +24,22 @@ Families are addressed by a tag plus small integer parameters, written
 The geometric-q family is perfectly regular over Q(q) but degenerates
 at q = 1 (its Hankel determinants pick up factors of q - 1), so
 specializing it there raises a quasi-definiteness error downstream.
+
+At a specialized q the moments are Fractions.  Every family but the two
+functionals gives a(n) / a(n-1) as a q-power times a ratio of brackets,
+and its moments at q0 are those factors multiplied out at q0, with no
+polynomial in q built on the way.  The functionals evaluate their
+symbolic moments.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
-from .exactalg import QPolynomial, QRational
+from .exactalg import PoleError, QPolynomial, QRational
 from .qcombinatorics import (
     q_bracket,
     q_double_factorial,
@@ -169,12 +176,16 @@ class _Spec:
     ``sweep`` lists the parameter sets that ``registry_family_ids``
     yields.  ``aerated`` marks the families whose aerated recurrence is
     exposed, and ``functional`` those whose moments come from a polynomial
-    basis (left out by ``include_functionals=False``).  The optional
-    formulas take (fid, index) and give T_j, (s_i, t_i), the closed p_n and
-    its q = 1 counterpart.
+    basis (left out by ``include_functionals=False``).  ``step(fid, n)``,
+    for n >= 1, gives a(n) / a(n-1) as (e, num, den): q^e times the
+    brackets [k], k in num, over the brackets [k], k in den.  Every
+    family but the functionals has one, and its moments at a specialized
+    q come from it.  The optional formulas take (fid, index) and give
+    T_j, (s_i, t_i), the closed p_n and its q = 1 counterpart.
     """
 
     rule: Callable[[FamilyId], Callable[[int], QRational]]
+    step: Callable[[FamilyId, int], tuple[int, tuple[int, ...], tuple[int, ...]]] | None = None
     params: dict[str, int] = field(default_factory=dict)
     sweep: tuple[dict[str, int], ...] = ({},)
     aerated: bool = False
@@ -190,12 +201,14 @@ class _Spec:
 _SPECS: dict[str, _Spec] = {
     "geometric-q": _Spec(
         rule=lambda fid: lambda n: _qr(q_power_binom2(n)),
+        step=lambda fid, n: (n - 1, (), ()),
         closed_poly=lambda fid, n: _cf().cf_geometric_poly(n),
         classical_poly=lambda fid, n: _cf().classical_geometric_style(n),
     ),
     "q-factorial": _Spec(
         params={"m": 0},
         rule=lambda fid: lambda n: _qr(q_factorial(n + fid.m).divexact(q_factorial(fid.m))),
+        step=lambda fid, n: (0, (n + fid.m,), ()),
         sweep=tuple({"m": m} for m in range(4)),
         aerated=True,
         closed_T=lambda fid, j: _multifactorial_T(1, fid.m, j),
@@ -208,6 +221,7 @@ _SPECS: dict[str, _Spec] = {
         rule=lambda fid: lambda n: _qr(
             q_multifactorial(fid.r * n + fid.m, fid.r).divexact(q_multifactorial(fid.m, fid.r))
         ),
+        step=lambda fid, n: (0, (fid.r * n + fid.m,), ()),
         sweep=tuple({"r": r, "m": m} for r in (1, 2, 3) for m in (0, 1, 2)),
         aerated=True,
         closed_T=lambda fid, j: _multifactorial_T(fid.r, fid.m, j),
@@ -217,6 +231,7 @@ _SPECS: dict[str, _Spec] = {
     ),
     "q-double-factorial": _Spec(
         rule=lambda fid: lambda n: _qr(q_double_factorial(n, "odd")),
+        step=lambda fid, n: (0, (2 * n - 1,), ()),
         aerated=True,
         closed_poly=lambda fid, n: _cf().cf_qhermite(n),
         classical_poly=lambda fid, n: _cf().classical_hermite_style(n),
@@ -225,6 +240,7 @@ _SPECS: dict[str, _Spec] = {
         rule=lambda fid: lambda n: _qr(
             q_bracket(2) * q_double_factorial(n, "odd"), q_double_factorial(n + 1, "even")
         ),
+        step=lambda fid, n: (0, (2 * n - 1,), (2 * n + 2,)),
         aerated=True,
         closed_T=lambda fid, j: _catalan_T(j),
         closed_poly=lambda fid, n: even_part_compress(_cf().cf_chebU(2 * n)),
@@ -232,6 +248,7 @@ _SPECS: dict[str, _Spec] = {
     ),
     "q-central-binomial": _Spec(
         rule=lambda fid: lambda n: _qr(q_double_factorial(n, "odd"), q_double_factorial(n, "even")),
+        step=lambda fid, n: (0, (2 * n - 1,), (2 * n,)),
         aerated=True,
         closed_T=lambda fid, j: _central_binomial_T(j),
         closed_poly=lambda fid, n: even_part_compress(_cf().cf_chebT(2 * n)),
@@ -253,6 +270,54 @@ _SPECS: dict[str, _Spec] = {
 
 def _moment_rule(fid: FamilyId) -> Callable[[int], QRational]:
     return _SPECS[fid.tag].rule(fid)
+
+
+def _bracket_at(k: int, q0: Fraction) -> tuple[Fraction, int]:
+    """[k], k >= 1, at q0 as (u, v), where [k] = (q - q0)^v g(q) and g(q0) = u != 0.
+
+    At a rational q0, [k] vanishes only for q0 = -1 and even k.  There
+    [k] = (1 + q)[k/2]_{q^2}, and [k/2]_{q^2} is k/2 at q = -1.
+    """
+    if q0 == 1:
+        return Fraction(k), 0
+    if q0 == -1 and k % 2 == 0:
+        return Fraction(k // 2), 1
+    return (1 - q0**k) / (1 - q0), 0
+
+
+def _moments_at(fid: FamilyId, q0: Fraction) -> Callable[[int], Fraction]:
+    """The rule n -> a(n) at q = q0, multiplied out of the family's steps.
+
+    Each a(n) is kept as u (q - q0)^v with u != 0, so it is u for v = 0
+    and zero for v > 0.  The reduced form of a(n) has a denominator that
+    vanishes at q0 exactly when v < 0, so the rule raises PoleError at
+    the (q0, n) where ``eval_at`` of the symbolic a(n) does, and with the
+    same message.
+    """
+    step = _SPECS[fid.tag].step
+    states = [(Fraction(1), 0)]
+
+    def rule(n: int) -> Fraction:
+        while len(states) <= n:
+            e, num, den = step(fid, len(states))
+            u, v = states[-1]
+            if q0 == 0:
+                v += e
+            else:
+                u *= q0**e
+            for k in num:
+                uk, vk = _bracket_at(k, q0)
+                u, v = u * uk, v + vk
+            for k in den:
+                uk, vk = _bracket_at(k, q0)
+                u, v = u / uk, v - vk
+            states.append((u, v))
+        u, v = states[n]
+        if v < 0:
+            raise PoleError(f"pole at evaluation point q={q0}")
+        return u if v == 0 else Fraction(0)
+
+    return rule
 
 
 def closed_T(fid: "FamilyId | str", j: int) -> QRational:
@@ -282,7 +347,8 @@ class MomentFamily:
 
     def __init__(self, fid: FamilyId):
         self.fid = fid
-        self.moments = MomentSequence(_moment_rule(fid), name=str(fid))
+        at = None if _SPECS[fid.tag].step is None else lambda p: _moments_at(fid, p)
+        self.moments = MomentSequence(_moment_rule(fid), name=str(fid), at=at)
 
     @property
     def tag(self) -> str:
@@ -305,6 +371,11 @@ class MomentFamily:
         return self.moments.aerated()
 
     def specialized_moments(self, point) -> MomentSequence:
+        """The moments at q = point, as Fractions.
+
+        They come from the family's steps, or for a functional from its
+        symbolic moments evaluated at the point.
+        """
         return self.moments.specialized(point)
 
     def closed_T(self, j: int) -> QRational:
@@ -369,13 +440,13 @@ def functional_from_basis(basis: Callable[[int], XPolynomial], n: int) -> QRatio
     residual[n] = QRational.one()
     for k in range(n, 0, -1):
         ck = residual[k]
-        if ck.is_zero:
+        if not ck:
             continue
         b = basis(k)
         if b.degree != k or not b.is_monic:
             raise ValueError(f"basis element {k} is not monic of degree {k}")
         for j, bc in enumerate(b.coefficients):
-            if not bc.is_zero:
+            if bc:
                 residual[j] = residual[j] - ck * bc
         residual[k] = QRational.zero()
     b0 = basis(0)

@@ -1,4 +1,9 @@
-"""Orthogonal polynomials from moment sequences over Q(q).
+"""Orthogonal polynomials from moment sequences over Q(q) or Q.
+
+Every construction computes in the field of its moment sequence: Q(q),
+with QRational values, or Q at a specialized q, with Fraction values.
+Each takes its zero and one from the sequence (a(0) is the field's
+one), so at a specialized q they never build a QRational.
 
 Three independent constructions live here:
 
@@ -34,18 +39,20 @@ quasi-definiteness on the way.  Each step divides exactly by the
 previous pivot through one ``_intkernel.ExactDivider`` (a 2-adic
 inverse with every quotient multiplied back, or ``divmod`` from CPython
 3.12 on), so a division that leaves a remainder raises instead of
-returning a wrong value.
+returning a wrong value.  At a specialized q every entry is an integer
+constant, and the values read off are Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import _intkernel as _k
 from .exactalg import QPolynomial, QRational
-from .xpoly import MomentSequence, XPolynomial, apply_functional, even_part_compress
+from .xpoly import MomentSequence, Scalar, XPolynomial, apply_functional, even_part_compress
 
 __all__ = [
     "QuasiDefinitenessError",
@@ -83,42 +90,48 @@ class RecurrenceTable:
     """Three-term recurrence data: p_{k+1} = (x - s_k) p_k - t_{k-1} p_{k-1}.
 
     For depth N: s has N entries, t has N - 1, norms[k] = L(p_k^2) = L(x^k p_k).
+    The values are QRationals over Q(q) and Fractions at a specialized q.
     """
 
-    s: tuple[QRational, ...]
-    t: tuple[QRational, ...]
-    norms: tuple[QRational, ...]
+    s: tuple[Scalar, ...]
+    t: tuple[Scalar, ...]
+    norms: tuple[Scalar, ...]
 
     @property
     def depth(self) -> int:
         return len(self.s)
 
     @classmethod
-    def from_st(cls, s: Sequence[QRational], t: Sequence[QRational]) -> "RecurrenceTable":
-        """Table from coefficients alone; norms follow since L(1) = 1."""
-        norms = [QRational.one()]
-        for tv in t:
+    def from_st(cls, s: Sequence[Scalar], t: Sequence[Scalar]) -> "RecurrenceTable":
+        """Table from coefficients alone; norms follow since L(1) = 1.
+
+        norms[0] is s_0 ** 0, the one of the coefficients' field.
+        """
+        norms = [v**0 for v in s[:1]]
+        for tv in t[: max(len(s) - 1, 0)]:
             norms.append(norms[-1] * tv)
-        return cls(tuple(s), tuple(t), tuple(norms[: len(s)]))
+        return cls(tuple(s), tuple(t), tuple(norms))
 
 
 class ExpansionTriangle:
     """Coefficients a(n, k) of x^n = sum_k a(n, k) p_k(x)."""
 
-    def __init__(self, rows: Sequence[Sequence[QRational]], name: str = ""):
+    def __init__(self, rows: Sequence[Sequence[Scalar]], name: str = ""):
         self.name = name
         self._rows = tuple(tuple(r) for r in rows)
+        # rows[0][0] = a(0) is the field's one
+        self._zero = self._rows[0][0] * 0 if self._rows else 0
 
     @property
     def max_row(self) -> int:
         return len(self._rows) - 1
 
-    def row(self, n: int) -> tuple[QRational, ...]:
+    def row(self, n: int) -> tuple[Scalar, ...]:
         return self._rows[n]
 
-    def entry(self, n: int, k: int) -> QRational:
+    def entry(self, n: int, k: int) -> Scalar:
         if k < 0 or k > n:
-            return QRational.zero()
+            return self._zero
         return self._rows[n][k]
 
     def __iter__(self):
@@ -134,8 +147,8 @@ class ExpansionTriangle:
 class _Recurrence:
     """``stieltjes``'s p_0..p_K, s, t and norms, kept in ``MomentSequence.recurrence``."""
 
-    def __init__(self):
-        self.p, self.s, self.t, self.norms = [XPolynomial.one()], [], [], []
+    def __init__(self, one):
+        self.p, self.s, self.t, self.norms = [XPolynomial([one])], [], [], []
 
 
 def stieltjes(moments: MomentSequence, depth: int) -> RecurrenceTable:
@@ -155,13 +168,13 @@ def stieltjes(moments: MomentSequence, depth: int) -> RecurrenceTable:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     with moments.scratch_lock:
-        state = moments.recurrence = moments.recurrence or _Recurrence()
+        state = moments.recurrence = moments.recurrence or _Recurrence(moments.one)
         p, s, t, norms = state.p, state.s, state.t, state.norms
         for k in range(len(s), depth):
             pk = p[k]
             xk_pk = pk.shift_x(k)
             norm_k = apply_functional(moments, xk_pk)
-            if norm_k.is_zero:
+            if not norm_k:
                 raise QuasiDefinitenessError(k + 1, moments.name)
             s_k = apply_functional(moments, xk_pk.shift_x(1)) / norm_k + pk.coefficient(k - 1)
             norms.append(norm_k)
@@ -237,6 +250,27 @@ def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
     return _k._width_for(bound)
 
 
+def _int_parts(value) -> tuple[list[int], list[int]]:
+    """(numerator, denominator) of a field value as integer polynomials."""
+    if isinstance(value, Fraction):
+        return ([value.numerator] if value else []), [value.denominator]
+    # (n / a) / (d / b) = n b / (d a)
+    n, a = value.numerator.int_parts()
+    d, b = value.denominator.int_parts()
+    return (_k.mul_scalar(n, b) if b != 1 else n), (_k.mul_scalar(d, a) if a != 1 else d)
+
+
+def _from_ints(cs: list[int], one: Scalar) -> Scalar:
+    """An integer polynomial as an element of the field of ``one``.
+
+    At a specialized q it is an integer constant.
+    """
+    if isinstance(one, Fraction):
+        (c,) = cs or [0]
+        return Fraction(c)
+    return QRational.of(QPolynomial(cs))
+
+
 @dataclass
 class _Packed:
     """A Hankel block a(i+j) cleared by ``_packed_rows`` and packed at q = 2^w.
@@ -246,14 +280,16 @@ class _Packed:
     content, so a leading minor of order k+1 is the packed one times
     factors[0..k] over scales[0..k].  ``border[j]`` is L / c_j, the x^j
     entry of the border row, when the block has one column more than
-    rows; it is empty otherwise.
+    rows; it is empty otherwise.  ``one`` is the moments' a(0), and the
+    scales and every value read off are in its field.
     """
 
     rows: list[list[int]]
     w: int
-    scales: list[QRational]
+    scales: list[Scalar]
     factors: list[list[int]]
     border: list[list[int]]
+    one: Scalar
 
 
 def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
@@ -271,25 +307,18 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     starts.
     """
     rows: list[list[list[int]]] = []
-    scales: list[QRational] = []
+    scales: list[Scalar] = []
     row_contents: list[list[int]] = []
     for i in range(nrows):
-        nums, dens = [], []
-        for j in range(ncols):
-            # a(i+j) = (n / a) / (d / b) = n b / (d a)
-            value = moments.moment(i + j)
-            n, a = value.numerator.int_parts()
-            d, b = value.denominator.int_parts()
-            nums.append(_k.mul_scalar(n, b) if b != 1 else n)
-            dens.append(_k.mul_scalar(d, a) if a != 1 else d)
+        nums, dens = zip(*(_int_parts(moments.moment(i + j)) for j in range(ncols)))
         lcm = _lcm(dens)
-        if len(lcm) == 1:  # constant denominators, as at a rational q
+        if len(lcm) == 1:  # constant denominators: polynomial moments, or a rational q
             ints = [_k.mul_scalar(n, lcm[0] // d[0]) for n, d in zip(nums, dens)]
         else:
             ints = [_k.mul(n, _k.divexact(lcm, d)) for n, d in zip(nums, dens)]
         content, ints = _divide_out_content(ints)
         rows.append(ints)
-        scales.append(QRational.of(QPolynomial(lcm)))
+        scales.append(_from_ints(lcm, moments.one))
         row_contents.append(content)
     col_contents = []
     for j in range(ncols):
@@ -306,7 +335,7 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     w = _minor_width(ncols, maxima)
     factors = [_k.mul(r, c) for r, c in zip(row_contents, col_contents)]
     packed = [[_k.pack(e, w) for e in row] for row in rows]
-    return _Packed(packed, w, scales, factors, border)
+    return _Packed(packed, w, scales, factors, border, moments.one)
 
 
 def _bareiss(
@@ -360,19 +389,19 @@ def _bareiss(
     return pivots, sign
 
 
-def _unscale(cleared: int, m: _Packed, k: int) -> QRational:
+def _unscale(cleared: int, m: _Packed, k: int) -> Scalar:
     """A minor of the first k rows and columns, from its cleared value.
 
     Unpacks it, multiplies by factors[0..k-1] and divides by the row
     scales one at a time.
     """
     if cleared == 0:
-        return QRational.zero()
+        return m.one * 0
     cs = _k.unpack(cleared, m.w)
     for f in m.factors[:k]:
         if f != [1]:
             cs = _k.mul(cs, f)
-    det = QRational.of(QPolynomial(cs))
+    det = _from_ints(cs, m.one)
     for s in m.scales[:k]:
         det = det / s
     return det
@@ -389,8 +418,8 @@ def _border_poly(col: list[int], m: _Packed, pivot: int, k: int) -> XPolynomial:
     """
     den = _k.mul(_k.unpack(pivot, m.w), m.border[k])
     _, (den, *nums) = _k.divide_content([den] + [_k.unpack(c, m.w) for c in col[: k + 1]])
-    den = QPolynomial(den)
-    return XPolynomial([QRational.of(QPolynomial(num), den) for num in nums])
+    d = _from_ints(den, m.one)
+    return XPolynomial([_from_ints(num, m.one) / d for num in nums])
 
 
 def _bordered_sweep(
@@ -421,7 +450,7 @@ def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
-        return XPolynomial.one()
+        return XPolynomial([moments.one])
     m, xcols, pivots = _bordered_sweep(moments, n)
     if pivots[-1] == 0:
         raise QuasiDefinitenessError(len(pivots), moments.name)
@@ -430,7 +459,7 @@ def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
 
 def orthopoly_det_sweep(
     moments: MomentSequence, n: int
-) -> tuple[list[XPolynomial], list[QRational]]:
+) -> tuple[list[XPolynomial], list[Scalar]]:
     """p_0, ..., p_K and d_0, ..., d_n from one bordered elimination.
 
     The sweep of ``orthopoly_det(moments, n)`` passes through every
@@ -442,9 +471,10 @@ def orthopoly_det_sweep(
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
+    one = moments.one
     if n == 0:
-        return [XPolynomial.one()], [QRational.one()]
-    polys = [XPolynomial.one()]
+        return [XPolynomial([one])], [one]
+    polys = [XPolynomial([one])]
     m, xcols, pivots = _bordered_sweep(moments, n)
     for k, pivot in enumerate(pivots):
         if pivot != 0:
@@ -452,7 +482,7 @@ def orthopoly_det_sweep(
     return polys, _minors(moments, m, pivots, n)
 
 
-def hankel_direct(moments: MomentSequence, n: int) -> QRational:
+def hankel_direct(moments: MomentSequence, n: int) -> Scalar:
     """det(a(i+j))_{0 <= i,j < n} by fraction-free elimination.
 
     Row swaps keep the elimination going past zero pivots, so singular
@@ -461,13 +491,13 @@ def hankel_direct(moments: MomentSequence, n: int) -> QRational:
     if n < 0:
         raise ValueError("order must be >= 0")
     if n == 0:
-        return QRational.one()
+        return moments.one
     m = _packed_rows(moments, n, n)
     pivots, sign = _bareiss(m.rows, pivoting=True)
     return _unscale(sign * pivots[-1], m, n)
 
 
-def hankel_minors(moments: MomentSequence, n: int) -> list[QRational]:
+def hankel_minors(moments: MomentSequence, n: int) -> list[Scalar]:
     """The Hankel determinants d_0, ..., d_n from one elimination.
 
     The pivots of an order-n sweep without row exchanges are the
@@ -478,25 +508,25 @@ def hankel_minors(moments: MomentSequence, n: int) -> list[QRational]:
     if n < 0:
         raise ValueError("order must be >= 0")
     if n == 0:
-        return [QRational.one()]
+        return [moments.one]
     m = _packed_rows(moments, n, n)
     pivots, _ = _bareiss(m.rows)
     m.rows = []  # a sweep that stopped early leaves rows the fallback does not need
     return _minors(moments, m, pivots, n)
 
 
-def _minors(moments: MomentSequence, m: _Packed, pivots: list[int], n: int) -> list[QRational]:
+def _minors(moments: MomentSequence, m: _Packed, pivots: list[int], n: int) -> list[Scalar]:
     """d_0, ..., d_n from the pivots of a sweep without row exchanges.
 
     Each pivot is unscaled to its leading minor; every order past a zero
     pivot, where the sweep stopped, comes from ``hankel_direct``.
     """
-    dets = [QRational.one()] + [_unscale(p, m, k + 1) for k, p in enumerate(pivots)]
+    dets = [moments.one] + [_unscale(p, m, k + 1) for k, p in enumerate(pivots)]
     dets.extend(hankel_direct(moments, k) for k in range(len(dets), n + 1))
     return dets
 
 
-def hankel_product(moments: MomentSequence, n: int) -> QRational:
+def hankel_product(moments: MomentSequence, n: int) -> Scalar:
     """det(a(i+j))_{0 <= i,j < n} as the product of recurrence norms.
 
     d_n = h_0 h_1 ... h_{n-1} with h_k = L(p_k^2) and h_0 = a(0) = 1;
@@ -505,9 +535,9 @@ def hankel_product(moments: MomentSequence, n: int) -> QRational:
     """
     if n < 0:
         raise ValueError("order must be >= 0")
+    out = moments.one
     if n <= 1:
-        return QRational.one()
-    out = QRational.one()
+        return out
     for h in stieltjes(moments, n).norms[1:]:
         out = out * h
     return out
@@ -525,12 +555,12 @@ def expansion_triangle(moments: MomentSequence, rows: int) -> ExpansionTriangle:
     if rows < 0:
         raise ValueError("rows must be >= 0")
     table = stieltjes(moments, rows)
-    zero = QRational.zero()
-    out: list[list[QRational]] = [[QRational.one()]]
+    zero = moments.zero
+    out: list[list[Scalar]] = [[moments.one]]
     for n in range(1, rows + 1):
         prev = out[-1]
 
-        def at(j: int) -> QRational:
+        def at(j: int) -> Scalar:
             return prev[j] if 0 <= j < n else zero
 
         row = []
@@ -555,20 +585,21 @@ def deaerate(T, depth: int) -> RecurrenceTable:
     P_k = x P_{k-1} - T_{k-2} P_{k-2}, the base sequence satisfies the
     three-term recurrence with s_n = T_{2n-1} + T_{2n} (taking T_{-1}
     = 0) and t_n = T_{2n} T_{2n+1}.  ``T`` may be a sequence or a
-    callable index -> value; depth N consumes T_0 .. T_{2N-2}.
+    callable index -> value; depth N consumes T_0 .. T_{2N-2}.  The
+    table is in the field of the T values: QRational, or Fraction at a
+    specialized q.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    get: Callable[[int], QRational] = T.__getitem__ if hasattr(T, "__getitem__") else T
-    lift = QRational.of
-    s = [lift(get(0))]
+    get: Callable[[int], Scalar] = T.__getitem__ if hasattr(T, "__getitem__") else T
+    s = [get(0)]
     for i in range(1, depth):
-        s.append(lift(get(2 * i - 1)) + lift(get(2 * i)))
-    t = [lift(get(2 * i)) * lift(get(2 * i + 1)) for i in range(depth - 1)]
+        s.append(get(2 * i - 1) + get(2 * i))
+    t = [get(2 * i) * get(2 * i + 1) for i in range(depth - 1)]
     return RecurrenceTable.from_st(s, t)
 
 
-def aerated_recurrence(symmetric_moments: MomentSequence, depth: int) -> tuple[QRational, ...]:
+def aerated_recurrence(symmetric_moments: MomentSequence, depth: int) -> tuple[Scalar, ...]:
     """Coefficients T_0 .. T_{depth-1} with P_k = x P_{k-1} - T_{k-2} P_{k-2}.
 
     The input must be symmetric (odd moments zero), which makes every
@@ -577,7 +608,7 @@ def aerated_recurrence(symmetric_moments: MomentSequence, depth: int) -> tuple[Q
     if depth < 0:
         raise ValueError("depth must be >= 0")
     table = stieltjes(symmetric_moments, depth + 1)
-    if any(not v.is_zero for v in table.s):
+    if any(table.s):
         raise ValueError(
             f"moment sequence {symmetric_moments.name!r} is not symmetric"
         )
@@ -594,6 +625,6 @@ def aerated_orthopoly(symmetric_moments: MomentSequence, n: int) -> XPolynomial:
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
-        return XPolynomial.one()
+        return XPolynomial([symmetric_moments.one])
     aerated_recurrence(symmetric_moments, 2 * n - 1)  # rejects an asymmetric sequence
     return even_part_compress(orthopoly_recur(symmetric_moments, 2 * n))

@@ -1,21 +1,26 @@
-"""Polynomials in x whose coefficients live in Q(q), and moment functionals.
+"""Polynomials in x over a coefficient field, and moment functionals.
 
-An :class:`XPolynomial` stores an ascending tuple of QRational
-coefficients, each independently reduced; there is no shared denominator
-at this level.  A :class:`MomentSequence` wraps an index -> QRational
-rule with a growing cache and represents a linear functional L through
-its values L(x^n).
+The field is Q(q), with QRational coefficients, or Q when q is
+specialized at a rational point, with plain Fraction coefficients.  An
+:class:`XPolynomial` stores an ascending tuple of coefficients of one
+field, each independently reduced; there is no shared denominator at
+this level.  A :class:`MomentSequence` wraps an index -> value rule with
+a growing cache and represents a linear functional L through its values
+L(x^n).  Its a(0) is the field's one, and the constructions take their
+zero and one from the sequence, so at a specialized q they compute in
+Fraction from end to end.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Union
 
-from .exactalg import QRational
+from .exactalg import QPolynomial, QRational
 
 __all__ = [
+    "Scalar",
     "XPolynomial",
     "MomentSequence",
     "apply_functional",
@@ -23,16 +28,53 @@ __all__ = [
 ]
 
 
+# A value of either coefficient field
+Scalar = Union[QRational, Fraction]
+
+_QZERO = QRational.zero()
+_FZERO = Fraction(0)
+_SCALARS = (int, Fraction, QPolynomial, QRational)
+
+
+def _zero_like(c: Scalar) -> Scalar:
+    """The zero of c's field."""
+    return _QZERO if isinstance(c, QRational) else _FZERO
+
+
+def _is_one(c) -> bool:
+    # QRational == 1 would build a QRational for the 1 first
+    return c.is_one if isinstance(c, QRational) else c == 1
+
+
+def _rational(c) -> Fraction:
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
+
+
 class XPolynomial:
-    """Polynomial in x over Q(q); immutable, trailing zeros stripped."""
+    """Polynomial in x over Q(q) or Q; immutable, trailing zeros stripped.
+
+    A polynomial with any QRational or QPolynomial coefficient is over
+    Q(q), and its other coefficients are lifted to QRational.  One whose
+    coefficients are all ints and Fractions is over Q, and keeps them as
+    Fractions.  Equal polynomials over the two fields compare and hash
+    equal.
+    """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable = ()):
-        cs = [QRational.of(c) for c in coefficients]
-        while cs and cs[-1].is_zero:
+        cs = list(coefficients)
+        kinds = set(map(type, cs))
+        if QRational in kinds or QPolynomial in kinds:
+            if kinds != {QRational}:
+                cs = [c if isinstance(c, QRational) else QRational.of(c) for c in cs]
+        elif kinds - {Fraction}:
+            cs = [c if isinstance(c, Fraction) else _rational(c) for c in cs]
+        while cs and not cs[-1]:
             cs.pop()
-        self._coeffs: tuple[QRational, ...] = tuple(cs)
+        self._coeffs: tuple[Scalar, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> "XPolynomial":
@@ -59,16 +101,20 @@ class XPolynomial:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1].is_one
+        return bool(self._coeffs) and _is_one(self._coeffs[-1])
 
     @property
-    def coefficients(self) -> tuple[QRational, ...]:
+    def coefficients(self) -> tuple[Scalar, ...]:
         return self._coeffs
 
-    def coefficient(self, k: int) -> QRational:
+    def coefficient(self, k: int) -> Scalar:
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
-        return QRational.zero()
+        return self._zero()
+
+    def _zero(self) -> Scalar:
+        """The zero of the coefficient field (Q's for the zero polynomial)."""
+        return _zero_like(self._coeffs[-1]) if self._coeffs else _FZERO
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -95,27 +141,24 @@ class XPolynomial:
         if isinstance(other, XPolynomial):
             if self.is_zero or other.is_zero:
                 return XPolynomial.zero()
-            out = [QRational.zero()] * (len(self._coeffs) + len(other._coeffs) - 1)
+            out = [self._zero()] * (len(self._coeffs) + len(other._coeffs) - 1)
             for i, a in enumerate(self._coeffs):
-                if a.is_zero:
+                if not a:
                     continue
                 for j, b in enumerate(other._coeffs):
-                    if not b.is_zero:
+                    if b:
                         out[i + j] = out[i + j] + a * b
             return XPolynomial(out)
-        try:
-            s = QRational.of(other)
-        except TypeError:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
-        return self.scale(s)
+        return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "XPolynomial":
-        f = QRational.of(factor)
-        if f.is_zero:
+        if not factor:
             return XPolynomial.zero()
-        return XPolynomial([c * f for c in self._coeffs])
+        return XPolynomial([c * factor for c in self._coeffs])
 
     def shift_x(self, k: int = 1) -> "XPolynomial":
         """Multiply by x^k."""
@@ -123,11 +166,14 @@ class XPolynomial:
             raise ValueError("shift_x wants k >= 0")
         if self.is_zero:
             return self
-        return XPolynomial([QRational.zero()] * k + list(self._coeffs))
+        return XPolynomial([self._zero()] * k + list(self._coeffs))
 
     def evaluate_q(self, point) -> tuple[Fraction, ...]:
-        """Specialize every coefficient at a rational q; may raise PoleError."""
-        return tuple(c.eval_at(point) for c in self._coeffs)
+        """Specialize every coefficient at a rational q; may raise PoleError.
+
+        Fraction coefficients are constant in q and stay as they are.
+        """
+        return tuple(_value_at(c, point) for c in self._coeffs)
 
     # -- comparisons, display ----------------------------------------------------
 
@@ -148,13 +194,13 @@ class XPolynomial:
         parts = []
         for k in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[k]
-            if c.is_zero:
+            if not c:
                 continue
-            parts.append(_term_str(c, k, first=not parts))
+            parts.append(_term_str(QRational.of(c), k, first=not parts))
         return " ".join(parts)
 
     def to_json(self) -> list[dict]:
-        return [c.to_json() for c in self._coeffs]
+        return [QRational.of(c).to_json() for c in self._coeffs]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "XPolynomial":
@@ -186,18 +232,48 @@ def _term_str(c: QRational, k: int, first: bool) -> str:
     return f"+ {term}" if not negative else f"- {term}"
 
 
+def _in_field(value, field: type) -> Scalar:
+    """value as an element of ``field``, QRational or Fraction."""
+    if isinstance(value, field):
+        return value
+    if field is QRational:
+        return QRational.of(value)
+    if isinstance(value, int):
+        return Fraction(value)
+    r = QRational.of(value)
+    if r.numerator.degree > 0 or r.denominator.degree > 0:
+        raise TypeError(f"moment {r} depends on q, but the sequence is over Q")
+    return r.eval_at(0)
+
+
+def _value_at(value: Scalar, point: Fraction) -> Fraction:
+    """value at q = point; a Fraction is constant in q."""
+    return value.eval_at(point) if isinstance(value, QRational) else value
+
+
 class MomentSequence:
     """A linear functional L presented by its moments a(n) = L(x^n).
 
     Values are cached; the zeroth moment must be 1 (checked eagerly).
+    a(0) fixes the field: a Fraction gives a sequence over Q, as at a
+    specialized q, and any other value one over Q(q).  Every later value
+    is lifted to that field; over Q, a value that depends on q raises
+    TypeError.  ``one`` is a(0) and ``zero`` the zero of its field.
+    ``at(p)``, when given, is the rule n -> a(n) at q = p that
+    ``specialized`` uses in place of evaluating each symbolic moment.
     The cache is guarded by a lock, so instances may be shared between
     threads.
     """
 
-    def __init__(self, rule: Callable[[int], QRational], name: str = ""):
+    def __init__(
+        self,
+        rule: Callable[[int], Scalar],
+        name: str = "",
+        at: Callable[[Fraction], Callable[[int], Fraction]] | None = None,
+    ):
         self._rule = rule
         self.name = name
-        self._cache: list[QRational] = []
+        self._at = at
         self._lock = threading.Lock()
         self.recurrence = None  # orthocore's record, opaque here
         # Held while that record or a derived sequence is built in several
@@ -205,37 +281,39 @@ class MomentSequence:
         self.scratch_lock = threading.RLock()
         self._aerated: MomentSequence | None = None
         self._specialized: dict[Fraction, MomentSequence] = {}
-        first = self.moment(0)
-        if not first.is_one:
+        first = rule(0)
+        self._field = Fraction if isinstance(first, Fraction) else QRational
+        first = _in_field(first, self._field)
+        if not _is_one(first):
             raise ValueError(f"moment(0) must be 1, got {first}")
+        self._cache: list[Scalar] = [first]
+        self.one, self.zero = first, _zero_like(first)
 
-    def moment(self, n: int) -> QRational:
+    def moment(self, n: int) -> Scalar:
         if n < 0:
             raise ValueError("moment index must be >= 0")
         if n < len(self._cache):
             return self._cache[n]
         with self._lock:
             while len(self._cache) <= n:
-                k = len(self._cache)
-                value = self._rule(k)
-                if not isinstance(value, QRational):
-                    value = QRational.of(value)
-                self._cache.append(value)
+                self._cache.append(_in_field(self._rule(len(self._cache)), self._field))
         return self._cache[n]
 
     __call__ = moment
 
     def specialized(self, point) -> "MomentSequence":
-        """The same functional with q fixed at a rational point.
+        """The same functional with q fixed at a rational point, over Q.
 
-        Built once per point; every call at that point returns the same
-        sequence, so its own caches are shared.
+        Its rule is ``at(p)`` when the sequence has one; otherwise each
+        value is the symbolic moment evaluated at the point.  Built once
+        per point; every call at that point returns the same sequence, so
+        its own caches are shared.
         """
         p = Fraction(point)
         with self.scratch_lock:
             if p not in self._specialized:
                 self._specialized[p] = MomentSequence(
-                    lambda n: QRational.of(self.moment(n).eval_at(p)),
+                    self._at(p) if self._at else lambda n: _value_at(self.moment(n), p),
                     name=f"{self.name}@q={p}" if self.name else f"@q={p}",
                 )
             return self._specialized[p]
@@ -249,7 +327,7 @@ class MomentSequence:
         with self.scratch_lock:
             if self._aerated is None:
                 self._aerated = MomentSequence(
-                    lambda n: self.moment(n // 2) if n % 2 == 0 else QRational.zero(),
+                    lambda n: self.moment(n // 2) if n % 2 == 0 else self.zero,
                     name=f"{self.name}-aerated" if self.name else "aerated",
                 )
             return self._aerated
@@ -258,11 +336,11 @@ class MomentSequence:
         return f"MomentSequence({self.name or self._rule!r})"
 
 
-def apply_functional(moments: MomentSequence, p: XPolynomial) -> QRational:
-    """L(p) = sum coeff_k * a(k)."""
-    total = QRational.zero()
+def apply_functional(moments: MomentSequence, p: XPolynomial) -> Scalar:
+    """L(p) = sum coeff_k * a(k), in the field of the moments."""
+    total = moments.zero
     for k, c in enumerate(p.coefficients):
-        if not c.is_zero:
+        if c:
             total = total + c * moments.moment(k)
     return total
 
@@ -273,6 +351,6 @@ def even_part_compress(p: XPolynomial) -> XPolynomial:
     Raises ValueError when any odd-power coefficient is nonzero.
     """
     for k, c in enumerate(p.coefficients):
-        if k % 2 == 1 and not c.is_zero:
+        if k % 2 == 1 and c:
             raise ValueError("polynomial is not even")
     return XPolynomial(list(p.coefficients[::2]))

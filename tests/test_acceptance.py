@@ -146,20 +146,20 @@ def test_criterion_03_hankel_determinants_via_two_paths(capsys):
         # Spot values pinned by a brute-force determinant written right here.
         factorial_at_one = family("q-factorial:m=0").specialized_moments(1)
         rows = [
-            [factorial_at_one.moment(i + j).eval_at(1) for j in range(3)]
+            [factorial_at_one.moment(i + j) for j in range(3)]
             for i in range(3)
         ]
         assert leibniz_det(rows) == Fraction(4)
-        assert hankel_direct(factorial_at_one, 3).eval_at(1) == Fraction(4)
+        assert hankel_direct(factorial_at_one, 3) == Fraction(4)
 
         fibonacci_at_one = family("fibonacci-functional").specialized_moments(1)
         for n in range(7):
             rows = [
-                [fibonacci_at_one.moment(i + j).eval_at(1) for j in range(n)]
+                [fibonacci_at_one.moment(i + j) for j in range(n)]
                 for i in range(n)
             ]
             assert leibniz_det(rows) == Fraction(1)
-            assert hankel_direct(fibonacci_at_one, n).eval_at(1) == Fraction(1)
+            assert hankel_direct(fibonacci_at_one, n) == Fraction(1)
 
 
 def test_criterion_04_geometric_family_norm_product(capsys):
@@ -253,7 +253,7 @@ def test_criterion_07_expansion_triangle_closed_forms(capsys):
         for n in range(7):
             for k in range(n + 1):
                 want = Fraction(odd_df(n), odd_df(k)) * comb(n, k)
-                assert tri_at_one.entry(n, k).eval_at(1) == want, (n, k)
+                assert tri_at_one.entry(n, k) == want, (n, k)
 
         # Geometric family: a(n, k) = q^(C(n,2) - C(k,2)) * [n over k].
         tri = expansion_triangle(family("geometric-q").moments, 6)

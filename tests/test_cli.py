@@ -382,6 +382,72 @@ _PINNED = [
         "209f3d5c6926f892c9b7784ea62ea7f453eed9f60e3189247feedb25095ce2ae",
         _EMPTY,
     ),
+    (
+        "moments --family andrews-q-catalan --max-n 6 --q 5/4 --format json",
+        0,
+        "d8dfbb1c6c4ffcdd9f9b2b3e9813eb86aa3bc0802558af7591a358655ffb64a7",
+        _EMPTY,
+    ),
+    (
+        "moments --family andrews-q-catalan --max-n 6 --q 5/4 --format latex",
+        0,
+        "fab209877b0a82dbb30c21852d8548caa370dc22ff4c3423530244f127a52ecc",
+        _EMPTY,
+    ),
+    (
+        "orthopoly --family q-central-binomial --n 4 --all-methods --q 3/2 --format latex",
+        0,
+        "26dcc19a5b0dd4d35f67ce92f1e411aed4e2f2912a745eba756edca161083e9e",
+        _EMPTY,
+    ),
+    (
+        "orthopoly --family multifactorial:r=2,m=1 --n 5 --method det --q=-2/3 --format json",
+        0,
+        "baa8d71f6ce83afa8ffadcc8a898c6a1db994eeeb6f56b7b229d9dae6c80fb15",
+        _EMPTY,
+    ),
+    (
+        "recurrence --family q-central-binomial --max-n 5 --q 2/3 --format json",
+        0,
+        "92ed7a755cc15b729d920faf9c25e4c2ce5ccc358dd4a82555404c4ba7127b5d",
+        _EMPTY,
+    ),
+    (
+        "recurrence --family q-double-factorial --max-n 5 --q 5/4 --format json",
+        0,
+        "b782fc5022808f5a83a659c62015b3b64b1b0ef432b5bd050c4f7df37b6ca1fe",
+        _EMPTY,
+    ),
+    (
+        "triangle --family andrews-q-catalan --max-n 4 --q 5/4 --format latex",
+        0,
+        "573629467b8718532db54afe8dfef36f573fdf98dea75b261ad2f2f1e9437809",
+        _EMPTY,
+    ),
+    (
+        "hankel --family q-double-factorial --max-n 6 --q 9/8 --format json",
+        0,
+        "4aca9104aa00c52939919e7f4ce2ed53e67df44a3de54f69e19755c03709fed6",
+        _EMPTY,
+    ),
+    (
+        "verify --all --max-n 6 --q=-2/3 --format json",
+        0,
+        "18655bd8e1685e057f3fbdbd80f65b99a96433fb9deb0d6ab751e2b3a8dc1e04",
+        _EMPTY,
+    ),
+    (
+        "moments --family q-central-binomial --max-n 1 --q=-1",
+        2,
+        _EMPTY,
+        "f5629ca147398b7f8b0e0bc4b55783022483c867bb9c33d613aefbf3f79f11f2",
+    ),
+    (
+        "verify --all --max-n 5 --q 0",
+        1,
+        _EMPTY,
+        "a24aa85c5369dfcc3fd68b340c5eed9fae2f58197e72660f9da762d345dbb938",
+    ),
 ]
 
 

@@ -345,6 +345,35 @@ class TestVerificationEngine:
         assert [(e.n, e.check) for e in a.entries] == [(e.n, e.check) for e in b.entries]
 
 
+class TestSpecializedVerifier:
+    def test_values_at_a_point_are_fractions(self):
+        verifier = closedforms._Verifier("q-factorial:m=1", 3, q=Fraction(5, 4))
+        s2, t2 = verifier.fam.closed_st(2)
+        for v in (s2, t2):
+            assert type(verifier._rat(v)) is Fraction
+            assert verifier._rat(v) == v.eval_at(Fraction(5, 4))
+        closed = closed_polynomial("q-factorial:m=1", 3)
+        assert {type(c) for c in verifier._poly(closed).coefficients} == {Fraction}
+        assert verifier._poly(closed) == specialize_poly(closed, Fraction(5, 4))
+
+    def test_only_a_mismatch_renders_its_sides(self):
+        class Unprintable:
+            def __eq__(self, other):
+                return True
+
+            __hash__ = None
+
+            def __str__(self):
+                raise AssertionError("a matching value was rendered")
+
+        verifier = closedforms._Verifier("geometric-q", 1)
+        verifier._record(0, "demo", Unprintable(), Unprintable())
+        verifier._record(1, "demo", Fraction(1, 2), QRational.of(Fraction(1, 3)))
+        match, mismatch = verifier.report.entries
+        assert (match.status, match.left, match.right) == ("match", "", "")
+        assert (mismatch.status, mismatch.left, mismatch.right) == ("mismatch", "1/2", "1/3")
+
+
 class TestOrthogonalityCheck:
     def test_a_polynomial_off_the_sequence_is_flagged(self, monkeypatch):
         real = closedforms.orthopoly_recur

@@ -6,14 +6,20 @@ factorial moments, product forms of the Catalan-style moments, and the
 consistency of the aerated coefficients T with the plain (s, t) pair.
 """
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qortho import momentfamilies
 from qortho.closedforms import classical_polynomial, closed_polynomial
-from qortho.exactalg import QPolynomial, QRational
+from qortho.exactalg import PoleError, QPolynomial, QRational
 from qortho.momentfamilies import (
     FamilyId,
+    MomentFamily,
     aerated_moment,
     closed_T,
     closed_st,
@@ -320,3 +326,110 @@ class TestDepthCaps:
         from qortho.momentfamilies import DEFAULT_DEPTH_CAP, HARD_DEPTH_CAP
 
         assert 0 < DEFAULT_DEPTH_CAP < HARD_DEPTH_CAP
+
+
+# Points where the q-products misbehave (q = -1 zeroes every even
+# bracket, q = 0 the powers of q, q = 1 is the classical limit) and a few
+# ordinary ones.
+_POINTS = [Fraction(v) for v in (-1, 0, 1, 2, "-2/3", "1/2", "5/4", "9/8")]
+_DIRECT = registry_family_ids(include_functionals=False)
+
+
+def _symbolic_at(fid, n, q0):
+    """The oracle: ("value", a(n) at q0) from the symbolic moment, or ("pole", message)."""
+    try:
+        return "value", family_moment(fid, n).eval_at(q0)
+    except PoleError as exc:
+        return "pole", str(exc)
+
+
+def _direct_at(rule, n):
+    try:
+        value = rule(n)
+    except PoleError as exc:
+        return "pole", str(exc)
+    assert type(value) is Fraction
+    return "value", value
+
+
+class TestMomentsAtAPoint:
+    def test_every_family_but_the_functionals_has_a_direct_rule(self):
+        assert len(_DIRECT) == 17
+        assert [str(f) for f in registry_family_ids() if f not in _DIRECT] == [
+            "fibonacci-functional",
+            "lucas-functional",
+        ]
+
+    @pytest.mark.parametrize("fid", _DIRECT, ids=str)
+    def test_direct_rule_matches_the_symbolic_moments(self, fid):
+        for q0 in _POINTS:
+            rule = momentfamilies._moments_at(fid, q0)
+            for n in range(25):
+                assert _direct_at(rule, n) == _symbolic_at(fid, n, q0), (q0, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(_DIRECT),
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=14),
+    )
+    def test_direct_rule_matches_at_small_height_points(self, fid, a, b, n):
+        q0 = Fraction(a, b)
+        assert _direct_at(momentfamilies._moments_at(fid, q0), n) == _symbolic_at(fid, n, q0)
+
+    def test_specialized_moments_evaluate_no_symbolic_moment(self, monkeypatch):
+        q0 = Fraction(7, 11)
+        expected = [family_moment("andrews-q-catalan", n).eval_at(q0) for n in range(9)]
+
+        def refuse(self, point):
+            raise AssertionError("a symbolic moment was evaluated")
+
+        monkeypatch.setattr(QRational, "eval_at", refuse)
+        seq = MomentFamily(FamilyId("andrews-q-catalan")).specialized_moments(q0)
+        got = [seq.moment(n) for n in range(9)]
+        assert got == expected
+        assert all(type(v) is Fraction for v in got)
+        assert seq.name == "andrews-q-catalan@q=7/11"
+
+    def test_functionals_evaluate_their_symbolic_moments(self):
+        fam = family("lucas-functional")
+        seq = fam.specialized_moments(Fraction(-2, 3))
+        assert seq is fam.moments.specialized(Fraction(-2, 3))
+        assert [seq.moment(n) for n in range(6)] == [
+            fam.moments.moment(n).eval_at(Fraction(-2, 3)) for n in range(6)
+        ]
+
+    def test_a_pole_raises_with_the_message_of_eval_at(self):
+        seq = family("q-central-binomial").specialized_moments(-1)
+        with pytest.raises(PoleError, match=r"^pole at evaluation point q=-1$"):
+            seq.moment(1)
+
+    def test_built_once_per_point(self):
+        fam = family("q-factorial:m=1")
+        assert fam.specialized_moments(2) is fam.specialized_moments(Fraction(4, 2))
+        assert fam.specialized_moments(2) is not fam.specialized_moments(3)
+
+    def test_threads_share_one_specialized_sequence(self):
+        for _ in range(20):
+            fam = MomentFamily(FamilyId("q-double-factorial"))
+            start = threading.Barrier(8)
+            seen = []
+
+            def run():
+                start.wait(timeout=60)
+                seen.append(fam.specialized_moments(Fraction(5, 4)))
+
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            old_interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+            finally:
+                sys.setswitchinterval(old_interval)
+            assert not any(th.is_alive() for th in threads)
+            assert len(seen) == 8
+            assert all(seq is seen[0] for seq in seen)

@@ -51,7 +51,7 @@ class TestArithmetic:
         assert XPolynomial.zero().degree == -1
 
     def test_coefficient_beyond_degree_is_zero(self):
-        assert (X - ONE).coefficient(7).is_zero
+        assert (X - ONE).coefficient(7) == 0
 
     def test_evaluate_q_specializes_every_coefficient(self):
         p = XPolynomial([qr(1, 1), qr(0, 0, 1)])
@@ -165,6 +165,75 @@ def _assert_threads_share_one_result(derive):
         assert not any(th.is_alive() for th in threads)
         assert len(seen) == 8
         assert all(a is seen[0] for a in seen)
+
+
+class TestTwoFields:
+    def test_a_fraction_equals_and_hashes_like_its_qrational(self):
+        for v in (Fraction(0), Fraction(1), Fraction(-3, 4), Fraction(10**30, 7)):
+            lifted = QRational.of(v)
+            assert v == lifted and lifted == v
+            assert hash(v) == hash(lifted)
+
+    def test_polynomials_over_either_field_compare_and_hash_alike(self):
+        from qortho.momentfamilies import family
+        from qortho.orthocore import orthopoly_recur
+
+        seq = family("andrews-q-catalan").specialized_moments(Fraction(5, 4))
+        for n in range(6):
+            p = orthopoly_recur(seq, n)
+            lifted = XPolynomial([QRational.of(c) for c in p.coefficients])
+            assert {type(c) for c in p.coefficients} == {Fraction}
+            assert {type(c) for c in lifted.coefficients} == {QRational}
+            assert p == lifted and lifted == p
+            assert hash(p) == hash(lifted)
+            # the --all-methods agreement set
+            assert len({tuple(p.coefficients), tuple(lifted.coefficients)}) == 1
+            assert str(p) == str(lifted)
+            assert p.to_json() == lifted.to_json()
+
+    def test_ints_and_fractions_give_a_polynomial_over_q(self):
+        p = XPolynomial([1, Fraction(1, 2), 0])
+        assert p.coefficients == (Fraction(1), Fraction(1, 2))
+        assert {type(c) for c in p.coefficients} == {Fraction}
+        assert {type(c) for c in (p.shift_x(2) * p).coefficients} == {Fraction}
+        assert type(p.coefficient(5)) is Fraction
+
+    def test_one_coefficient_in_q_of_q_lifts_the_rest(self):
+        p = XPolynomial([1, Fraction(1, 2)])
+        mixed = XPolynomial([2, qr(0, 1)])
+        assert {type(c) for c in mixed.coefficients} == {QRational}
+        assert {type(c) for c in XPolynomial([QPolynomial([1, 1])]).coefficients} == {QRational}
+        for r in (p + mixed, p * mixed, p.scale(qr(0, 1))):
+            assert {type(c) for c in r.coefficients} == {QRational}
+
+    def test_a_fraction_sequence_specializes_to_itself(self):
+        seq = MomentSequence(lambda n: Fraction(1, n + 1), name="harmonic")
+        at = seq.specialized(Fraction(5, 4))
+        assert [at.moment(n) for n in range(5)] == [Fraction(1, n + 1) for n in range(5)]
+        assert {type(at.moment(n)) for n in range(5)} == {Fraction}
+        assert at.name == "harmonic@q=5/4"
+
+    def test_a_specialized_family_specializes_again(self):
+        from qortho.momentfamilies import family, family_moment
+
+        seq = family("q-factorial:m=1").specialized_moments(Fraction(5, 4)).specialized(2)
+        assert seq.moment(4) == family_moment("q-factorial:m=1", 4).eval_at(Fraction(5, 4))
+
+    def test_a_zeroth_moment_fixes_the_field(self):
+        over_q = MomentSequence(lambda n: Fraction(1) if n == 0 else qr(n))
+        assert over_q.moment(3) == Fraction(3)
+        assert type(over_q.moment(3)) is Fraction
+        with pytest.raises(TypeError, match="depends on q"):
+            MomentSequence(lambda n: Fraction(1) if n == 0 else qr(0, 1)).moment(1)
+        over_qq = MomentSequence(lambda n: qr(1) if n == 0 else Fraction(n, 2))
+        assert type(over_qq.moment(3)) is QRational
+        assert type(MomentSequence(lambda n: 1).one) is QRational
+
+    def test_a_non_number_is_no_coefficient(self):
+        with pytest.raises(TypeError):
+            XPolynomial(["1/2"])
+        with pytest.raises(TypeError):
+            X * "x"
 
 
 class TestEvenPartCompress:
