@@ -4,7 +4,8 @@ Every function here is an independent closed form: a direct summation
 formula for the monic orthogonal polynomial of some moment family, a
 product identity, or a classical (q = 1) counterpart.  None of them go
 through the determinant or recurrence machinery, which is exactly what
-makes them useful as cross-checks.
+makes them useful as cross-checks.  Each sum formula states only its
+term, and ``_sum_poly`` lays the terms out as one ``XPolynomial``.
 
 ``verify_family`` runs all applicable comparisons for one family and
 returns a structured report; nothing is asserted, so callers decide
@@ -15,9 +16,12 @@ nonzero exit).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from typing import Callable
 
 from .exactalg import PoleError, QPolynomial, QRational
 from .momentfamilies import _SPECS, FamilyId, _as_fid, family
@@ -61,8 +65,6 @@ __all__ = [
     "classical_hermite_style",
     "classical_chebU_style",
     "classical_chebT_style",
-    "classical_fibonacci_style",
-    "classical_lucas_style",
     "specialize_poly",
     "VerificationEntry",
     "VerificationReport",
@@ -80,6 +82,15 @@ def _mono(e: int) -> QPolynomial:
 
 def _sign(k: int) -> int:
     return -1 if k & 1 else 1
+
+
+def _sum_poly(n: int, term: Callable[[int], object], gap: int = 1) -> XPolynomial:
+    """sum_k term(k) x^(n - gap k) over 0 <= k <= n / gap.
+
+    The terms may be QPolynomials, QRationals, ints or Fractions, and
+    ``XPolynomial`` lifts them, with the zeros between them, into one field.
+    """
+    return XPolynomial(term((n - d) // gap) if (n - d) % gap == 0 else 0 for d in range(n + 1))
 
 
 # -- product identities --------------------------------------------------------
@@ -106,10 +117,7 @@ def cf_qbinomial_product(n: int) -> XPolynomial:
 
 def cf_geometric_poly(n: int) -> XPolynomial:
     """p_n for moments a(k) = q^C(k,2): sum_j (-1)^j q^{(n-1)j} [n over j] x^{n-j}."""
-    coeffs = [QRational.zero()] * (n + 1)
-    for j in range(n + 1):
-        coeffs[n - j] = QRational.of(q_binomial(n, j) * _mono((n - 1) * j) * _sign(j))
-    return XPolynomial(coeffs)
+    return _sum_poly(n, lambda j: q_binomial(n, j) * _mono((n - 1) * j) * _sign(j))
 
 
 def cf_geometric_norm(n: int, m: int) -> QRational:
@@ -128,19 +136,11 @@ def cf_geometric_norm(n: int, m: int) -> QRational:
 
 
 def cf_qlaguerre(n: int, m: int) -> XPolynomial:
-    """p_n for moments [k+m]!/[m]!.
+    """p_n for moments [k+m]!/[m]!, the step-1 multifactorial ones.
 
     sum_k (-1)^k q^C(k,2) [n over k] ([n+m]!/[n-k+m]!) x^{n-k}.
     """
-    coeffs = [QRational.zero()] * (n + 1)
-    for k in range(n + 1):
-        prod = QPolynomial.one()
-        for j in range(n - k + m + 1, n + m + 1):
-            prod = prod * q_bracket(j)
-        coeffs[n - k] = QRational.of(
-            q_binomial(n, k) * _mono(_binom2(k)) * prod * _sign(k)
-        )
-    return XPolynomial(coeffs)
+    return cf_multifactorial_poly(n, 1, m)
 
 
 def cf_multifactorial_poly(n: int, r: int, m: int) -> XPolynomial:
@@ -148,28 +148,22 @@ def cf_multifactorial_poly(n: int, r: int, m: int) -> XPolynomial:
 
     sum_k (-1)^k q^{r C(k,2)} [n over k]_{q^r} (prod_{i=n-k+1}^{n} [ri+m]) x^{n-k}.
     """
-    coeffs = [QRational.zero()] * (n + 1)
-    for k in range(n + 1):
-        prod = QPolynomial.one()
-        for i in range(n - k + 1, n + 1):
-            prod = prod * q_bracket(r * i + m)
-        coeffs[n - k] = QRational.of(
-            q_binomial(n, k, base=r) * _mono(r * _binom2(k)) * prod * _sign(k)
-        )
-    return XPolynomial(coeffs)
+    brackets = (q_bracket(r * i + m) for i in range(n, 0, -1))
+    prods = list(accumulate(brackets, operator.mul, initial=QPolynomial.one()))
+    return _sum_poly(
+        n, lambda k: q_binomial(n, k, base=r) * _mono(r * _binom2(k)) * prods[k] * _sign(k)
+    )
 
 
 def cf_qhermite(n: int) -> XPolynomial:
     """p_n for moments [2k-1]!!: sum_k (-1)^k q^{k(k-1)} [2n over 2k] [2k-1]!! x^{n-k}."""
-    coeffs = [QRational.zero()] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = QRational.of(
-            q_binomial(2 * n, 2 * k)
-            * _mono(k * (k - 1))
-            * q_double_factorial(k, "odd")
-            * _sign(k)
-        )
-    return XPolynomial(coeffs)
+    return _sum_poly(
+        n,
+        lambda k: q_binomial(2 * n, 2 * k)
+        * _mono(k * (k - 1))
+        * q_double_factorial(k, "odd")
+        * _sign(k),
+    )
 
 
 # -- Chebyshev-type families -----------------------------------------------------
@@ -181,12 +175,14 @@ def cf_chebU(n: int) -> XPolynomial:
     sum_j (-1)^j q^{j(j-1)} [n-j over j]_{q^2}
           x^{n-2j} / prod_{i=0}^{2j-1} (1 + q^{n-2j+1+i}).
     """
-    coeffs = [QRational.zero()] * (n + 1)
-    for j in range(n // 2 + 1):
-        num = q_binomial(n - j, j, base=2) * _mono(j * (j - 1))
-        den = q_pochhammer_signed(-1, n - 2 * j + 1, 2 * j)
-        coeffs[n - 2 * j] = QRational.of(num * _sign(j), den)
-    return XPolynomial(coeffs)
+    return _sum_poly(
+        n,
+        lambda j: QRational.of(
+            q_binomial(n - j, j, base=2) * _mono(j * (j - 1)) * _sign(j),
+            q_pochhammer_signed(-1, n - 2 * j + 1, 2 * j),
+        ),
+        gap=2,
+    )
 
 
 def cf_chebU_rescaled(n: int) -> XPolynomial:
@@ -202,16 +198,14 @@ def cf_chebT(n: int) -> XPolynomial:
     """
     if n == 0:
         return XPolynomial.one()
-    coeffs = [QRational.zero()] * (n + 1)
-    for k in range(n // 2 + 1):
-        num = q_bracket(n) * q_binomial(n - k, k) * _mono(k * (k - 1))
-        den = (
-            q_bracket(n - k)
-            * q_pochhammer_signed(-1, 1, k)
-            * q_pochhammer_signed(-1, n - k, k)
-        )
-        coeffs[n - 2 * k] = QRational.of(num * _sign(k), den)
-    return XPolynomial(coeffs)
+    return _sum_poly(
+        n,
+        lambda k: QRational.of(
+            q_bracket(n) * q_binomial(n - k, k) * _mono(k * (k - 1)) * _sign(k),
+            q_bracket(n - k) * q_pochhammer_signed(-1, 1, k) * q_pochhammer_signed(-1, n - k, k),
+        ),
+        gap=2,
+    )
 
 
 def cf_chebT_rescaled(n: int) -> XPolynomial:
@@ -226,12 +220,7 @@ def cf_chebT_rescaled(n: int) -> XPolynomial:
 
 def cf_qfibonacci(n: int) -> XPolynomial:
     """Monic q-Fibonacci polynomial: sum_k (-1)^k q^C(k,2) [n-k over k] x^{n-2k}."""
-    coeffs = [QRational.zero()] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = QRational.of(
-            q_binomial(n - k, k) * _mono(_binom2(k)) * _sign(k)
-        )
-    return XPolynomial(coeffs)
+    return _sum_poly(n, lambda k: q_binomial(n - k, k) * _mono(_binom2(k)) * _sign(k), gap=2)
 
 
 def cf_qlucas(n: int) -> XPolynomial:
@@ -241,13 +230,14 @@ def cf_qlucas(n: int) -> XPolynomial:
     """
     if n == 0:
         return XPolynomial.one()
-    coeffs = [QRational.zero()] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = QRational.of(
+    return _sum_poly(
+        n,
+        lambda k: QRational.of(
             q_bracket(n) * q_binomial(n - k, k) * _mono(_binom2(k)) * _sign(k),
             q_bracket(n - k),
-        )
-    return XPolynomial(coeffs)
+        ),
+        gap=2,
+    )
 
 
 # -- per-family lookup ------------------------------------------------------------
@@ -270,73 +260,39 @@ def closed_polynomial(fid: "FamilyId | str", n: int) -> XPolynomial | None:
 
 def classical_geometric_style(n: int) -> XPolynomial:
     """sum_j (-1)^j C(n,j) x^{n-j} = (x - 1)^n."""
-    coeffs = [Fraction(0)] * (n + 1)
-    for j in range(n + 1):
-        coeffs[n - j] = Fraction(_sign(j) * math.comb(n, j))
-    return XPolynomial(coeffs)
+    return _sum_poly(n, lambda j: _sign(j) * math.comb(n, j))
 
 
 def classical_laguerre_style(n: int, m: int) -> XPolynomial:
     """sum_j (-1)^j C(n,j) ((n+m)!/(n-j+m)!) x^{n-j}, plain integers."""
-    coeffs = [Fraction(0)] * (n + 1)
-    for j in range(n + 1):
-        prod = math.prod(range(n - j + m + 1, n + m + 1))
-        coeffs[n - j] = Fraction(_sign(j) * math.comb(n, j) * prod)
-    return XPolynomial(coeffs)
+    return classical_multifactorial_style(n, 1, m)
 
 
 def classical_multifactorial_style(n: int, r: int, m: int) -> XPolynomial:
     """sum_k (-1)^k C(n,k) (prod_{i=n-k+1}^{n} (ri+m)) x^{n-k}."""
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        prod = math.prod(r * i + m for i in range(n - k + 1, n + 1))
-        coeffs[n - k] = Fraction(_sign(k) * math.comb(n, k) * prod)
-    return XPolynomial(coeffs)
+    prods = list(accumulate((r * i + m for i in range(n, 0, -1)), operator.mul, initial=1))
+    return _sum_poly(n, lambda k: _sign(k) * math.comb(n, k) * prods[k])
 
 
 def classical_hermite_style(n: int) -> XPolynomial:
     """sum_k (-1)^k C(2n,2k) (2k-1)!! x^{n-k}."""
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        dblfac = math.prod(range(1, 2 * k, 2))
-        coeffs[n - k] = Fraction(_sign(k) * math.comb(2 * n, 2 * k) * dblfac)
-    return XPolynomial(coeffs)
+    return _sum_poly(
+        n, lambda k: _sign(k) * math.comb(2 * n, 2 * k) * math.prod(range(1, 2 * k, 2))
+    )
 
 
 def classical_chebU_style(n: int) -> XPolynomial:
     """sum_k (-1)^k C(n-k,k) 4^{-k} x^{n-2k}, monic Chebyshev of the second kind."""
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = Fraction(_sign(k) * math.comb(n - k, k), 4**k)
-    return XPolynomial(coeffs)
+    return _sum_poly(n, lambda k: Fraction(_sign(k) * math.comb(n - k, k), 4**k), gap=2)
 
 
 def classical_chebT_style(n: int) -> XPolynomial:
     """sum_k (-1)^k (n/(n-k)) C(n-k,k) 4^{-k} x^{n-2k}, monic first kind."""
     if n == 0:
         return XPolynomial.one()
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = Fraction(_sign(k) * n * math.comb(n - k, k), (n - k) * 4**k)
-    return XPolynomial(coeffs)
-
-
-def classical_fibonacci_style(n: int) -> XPolynomial:
-    """sum_k (-1)^k C(n-k,k) x^{n-2k}."""
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = Fraction(_sign(k) * math.comb(n - k, k))
-    return XPolynomial(coeffs)
-
-
-def classical_lucas_style(n: int) -> XPolynomial:
-    """sum_k (-1)^k (n/(n-k)) C(n-k,k) x^{n-2k} (degree 0 case is 1)."""
-    if n == 0:
-        return XPolynomial.one()
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = Fraction(_sign(k) * n * math.comb(n - k, k), n - k)
-    return XPolynomial(coeffs)
+    return _sum_poly(
+        n, lambda k: Fraction(_sign(k) * n * math.comb(n - k, k), (n - k) * 4**k), gap=2
+    )
 
 
 def classical_polynomial(fid: "FamilyId | str", n: int) -> XPolynomial | None:

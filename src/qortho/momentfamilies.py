@@ -120,10 +120,6 @@ class FamilyId:
         return self.tag if not parts else f"{self.tag}:{','.join(parts)}"
 
 
-def _qr(num, den=None) -> QRational:
-    return QRational.of(num) if den is None else QRational.of(num, den)
-
-
 def _cf():
     """The closedforms module, imported late because it imports this one.
 
@@ -143,8 +139,8 @@ def _one_plus_q(e: int) -> QPolynomial:
 def _multifactorial_T(r: int, m: int, j: int) -> QRational:
     i, odd = divmod(j, 2)
     if odd:
-        return _qr(QPolynomial.monomial(r * (i + 1) + m) * q_bracket(r * (i + 1)))
-    return _qr(QPolynomial.monomial(r * i) * q_bracket(r * (i + 1) + m))
+        return QRational.of(QPolynomial.monomial(r * (i + 1) + m) * q_bracket(r * (i + 1)))
+    return QRational.of(QPolynomial.monomial(r * i) * q_bracket(r * (i + 1) + m))
 
 
 def _multifactorial_st(r: int, m: int, i: int) -> tuple[QRational, QRational]:
@@ -154,17 +150,17 @@ def _multifactorial_st(r: int, m: int, i: int) -> tuple[QRational, QRational]:
     t = QPolynomial.monomial(r * (2 * i + 1) + m) * q_bracket(r * (i + 1)) * q_bracket(
         r * (i + 1) + m
     )
-    return _qr(s), _qr(t)
+    return QRational.of(s), QRational.of(t)
 
 
 def _catalan_T(j: int) -> QRational:
-    return _qr(QPolynomial.monomial(j), _one_plus_q(j + 1) * _one_plus_q(j + 2))
+    return QRational.of(QPolynomial.monomial(j), _one_plus_q(j + 1) * _one_plus_q(j + 2))
 
 
 def _central_binomial_T(j: int) -> QRational:
     if j == 0:
-        return _qr(QPolynomial.one(), _one_plus_q(1))
-    return _qr(QPolynomial.monomial(j), _one_plus_q(j) * _one_plus_q(j + 1))
+        return QRational.of(QPolynomial.one(), _one_plus_q(1))
+    return QRational.of(QPolynomial.monomial(j), _one_plus_q(j) * _one_plus_q(j + 1))
 
 
 @dataclass(frozen=True)
@@ -200,14 +196,16 @@ class _Spec:
 # multifactorial:r=1,m=M, so the two share their recurrence formulas.
 _SPECS: dict[str, _Spec] = {
     "geometric-q": _Spec(
-        rule=lambda fid: lambda n: _qr(q_power_binom2(n)),
+        rule=lambda fid: lambda n: QRational.of(q_power_binom2(n)),
         step=lambda fid, n: (n - 1, (), ()),
         closed_poly=lambda fid, n: _cf().cf_geometric_poly(n),
         classical_poly=lambda fid, n: _cf().classical_geometric_style(n),
     ),
     "q-factorial": _Spec(
         params={"m": 0},
-        rule=lambda fid: lambda n: _qr(q_factorial(n + fid.m).divexact(q_factorial(fid.m))),
+        rule=lambda fid: lambda n: QRational.of(
+            q_factorial(n + fid.m).divexact(q_factorial(fid.m))
+        ),
         step=lambda fid, n: (0, (n + fid.m,), ()),
         sweep=tuple({"m": m} for m in range(4)),
         aerated=True,
@@ -218,7 +216,7 @@ _SPECS: dict[str, _Spec] = {
     ),
     "multifactorial": _Spec(
         params={"m": 0, "r": 1},
-        rule=lambda fid: lambda n: _qr(
+        rule=lambda fid: lambda n: QRational.of(
             q_multifactorial(fid.r * n + fid.m, fid.r).divexact(q_multifactorial(fid.m, fid.r))
         ),
         step=lambda fid, n: (0, (fid.r * n + fid.m,), ()),
@@ -230,14 +228,14 @@ _SPECS: dict[str, _Spec] = {
         classical_poly=lambda fid, n: _cf().classical_multifactorial_style(n, fid.r, fid.m),
     ),
     "q-double-factorial": _Spec(
-        rule=lambda fid: lambda n: _qr(q_double_factorial(n, "odd")),
+        rule=lambda fid: lambda n: QRational.of(q_double_factorial(n, "odd")),
         step=lambda fid, n: (0, (2 * n - 1,), ()),
         aerated=True,
         closed_poly=lambda fid, n: _cf().cf_qhermite(n),
         classical_poly=lambda fid, n: _cf().classical_hermite_style(n),
     ),
     "andrews-q-catalan": _Spec(
-        rule=lambda fid: lambda n: _qr(
+        rule=lambda fid: lambda n: QRational.of(
             q_bracket(2) * q_double_factorial(n, "odd"), q_double_factorial(n + 1, "even")
         ),
         step=lambda fid, n: (0, (2 * n - 1,), (2 * n + 2,)),
@@ -247,7 +245,9 @@ _SPECS: dict[str, _Spec] = {
         classical_poly=lambda fid, n: even_part_compress(_cf().classical_chebU_style(2 * n)),
     ),
     "q-central-binomial": _Spec(
-        rule=lambda fid: lambda n: _qr(q_double_factorial(n, "odd"), q_double_factorial(n, "even")),
+        rule=lambda fid: lambda n: QRational.of(
+            q_double_factorial(n, "odd"), q_double_factorial(n, "even")
+        ),
         step=lambda fid, n: (0, (2 * n - 1,), (2 * n,)),
         aerated=True,
         closed_T=lambda fid, j: _central_binomial_T(j),

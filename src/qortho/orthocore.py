@@ -31,16 +31,19 @@ a-priori bound on all minors, and one Bareiss sweep runs on plain
 Python integers.  Because the bound makes every minor's coefficient
 vector recoverable from its image, the final values unpack to exact
 polynomials.  Without row exchanges the sweep's pivot chain is the
-chain of cleared leading minors, and after step k of the bordered sweep
-of ``orthopoly_det`` border column k+1 holds the cleared d_{k+1} p_{k+1}.
-So ``hankel_minors`` reads every d_k off one sweep,
-``orthopoly_det_sweep`` every p_k and d_k, and ``orthopoly_det`` checks
-quasi-definiteness on the way.  Each step divides exactly by the
-previous pivot through one ``_intkernel.ExactDivider`` (a 2-adic
-inverse with every quotient multiplied back, or ``divmod`` from CPython
-3.12 on), so a division that leaves a remainder raises instead of
-returning a wrong value.  At a specialized q every entry is an integer
-constant, and the values read off are Fractions.
+chain of cleared leading minors.  The bordered sweep of
+``orthopoly_det`` writes the symbolic last row as n + 1 border rows,
+row e holding its x^e coefficients, which the sweep eliminates like
+the block rows but never pivots on; after step k their column k+1
+holds the cleared d_{k+1} p_{k+1}.  So ``hankel_minors`` reads every
+d_k off one sweep, ``orthopoly_det_sweep`` every p_k and d_k, and
+``orthopoly_det`` checks quasi-definiteness on the way.  Each step
+divides exactly by the previous pivot through one
+``_intkernel.ExactDivider`` (a 2-adic inverse with every quotient
+multiplied back, or ``divmod`` from CPython 3.12 on), so a division
+that leaves a remainder raises instead of returning a wrong value.  At
+a specialized q every entry is an integer constant, and the values
+read off are Fractions.
 """
 
 from __future__ import annotations
@@ -278,9 +281,10 @@ class _Packed:
     ``scales[i]`` is L_i, the integer lcm of row i's denominators, and
     ``factors[i]`` is r_i * c_i, its row content times its column
     content, so a leading minor of order k+1 is the packed one times
-    factors[0..k] over scales[0..k].  ``border[j]`` is L / c_j, the x^j
-    entry of the border row, when the block has one column more than
-    rows; it is empty otherwise.  ``one`` is the moments' a(0), and the
+    factors[0..k] over scales[0..k].  When the block has one column more
+    than rows, ``border`` holds the packed border rows: row e is the x^e
+    part of the symbolic last row, L / c_e in column e and 0 elsewhere.
+    It is empty otherwise.  ``one`` is the moments' a(0), and the
     scales and every value read off are in its field.
     """
 
@@ -327,19 +331,22 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
             row[j] = cs
         col_contents.append(content)
     maxima = [max((_k.l1(cs) for cs in row), default=0) or 1 for row in rows]
-    border = []
+    diagonal = []  # L / c_j, the border rows' one nonzero entries
     if nrows < ncols:
         lcm = _lcm(col_contents)
-        border = [_k.divexact(lcm, c) for c in col_contents]
-        maxima.append(max(map(_k.l1, border)))
+        diagonal = [_k.divexact(lcm, c) for c in col_contents]
+        maxima.append(max(map(_k.l1, diagonal)))
     w = _minor_width(ncols, maxima)
     factors = [_k.mul(r, c) for r, c in zip(row_contents, col_contents)]
     packed = [[_k.pack(e, w) for e in row] for row in rows]
+    border = [
+        [_k.pack(b, w) if j == e else 0 for j in range(ncols)] for e, b in enumerate(diagonal)
+    ]
     return _Packed(packed, w, scales, factors, border, moments.one)
 
 
 def _bareiss(
-    rows: list[list[int]], xcols: list[list[int]] | None = None, pivoting: bool = False
+    rows: list[list[int]], border: Sequence[list[int]] = (), pivoting: bool = False
 ) -> tuple[list[int], int]:
     """Fraction-free elimination of ``rows`` in place, one step per row.
 
@@ -348,12 +355,14 @@ def _bareiss(
     after the first zero pivot.  With ``pivoting`` a zero pivot is
     replaced by a lower row (``sign`` records the exchanges), and the
     sweep stops after a zero pivot only when its whole column is zero.
-    ``xcols``, the column-major coefficients of a symbolic border row,
-    is eliminated alongside: step k writes border column k+1 for the
-    last time, and it then holds the bordered minor of rows 0..k and
-    columns 0..k+1.  Each step divides by the previous pivot through
-    one ``ExactDivider``, which checks every quotient.  Row k is never
-    read after step k, so its entries past the pivot are dropped then.
+    The ``border`` rows, which never pivot, are eliminated by the same
+    update as the rows below the pivot: step k writes their column k+1
+    for the last time, and in each border row it then holds the minor
+    of rows 0..k and that row over columns 0..k+1.  Each step divides
+    by the previous pivot through one ``ExactDivider``, which checks
+    every quotient.  Row k is never read after step k, so its entries
+    past the pivot are dropped then, and so is column k of the rows
+    below it; the border rows keep theirs.
     """
     n, ncols = len(rows), len(rows[0])
     pivots: list[int] = []
@@ -371,19 +380,12 @@ def _bareiss(
         if pivot == 0:
             break
         row_k = rows[k]
-        for i in range(k + 1, n):
-            row_i = rows[i]
+        for i, row_i in enumerate([*rows[k + 1 :], *border], k + 1):
             factor = row_i[k]
             for j in range(k + 1, ncols):
                 row_i[j] = div(pivot * row_i[j] - factor * row_k[j])
-            row_i[k] = 0
-        if xcols is not None:
-            xk = xcols[k]
-            for j in range(k + 1, ncols):
-                col = xcols[j]
-                rkj = row_k[j]
-                for e in range(len(col)):
-                    col[e] = div(pivot * col[e] - xk[e] * rkj)
+            if i < n:  # a border row keeps column k, which holds its minor
+                row_i[k] = 0
         del row_k[k + 1 :]
         div = _k.ExactDivider(pivot)
     return pivots, sign
@@ -407,34 +409,26 @@ def _unscale(cleared: int, m: _Packed, k: int) -> Scalar:
     return det
 
 
-def _border_poly(col: list[int], m: _Packed, pivot: int, k: int) -> XPolynomial:
-    """p_k from border column k, which holds the cleared d_k p_k.
+def _border_poly(m: _Packed, k: int) -> XPolynomial:
+    """p_k from column k of the border rows, which holds the cleared d_k p_k.
 
-    The row scales and contents cancel against the pivot's, and the
-    border entry L / c_k stands in for column k, so
-    p_k = column / (pivot * L / c_k).  The factor that the denominator
-    shares with every coefficient is taken out once, before each
-    coefficient is reduced on its own.
+    p_k is monic, so its coefficients are that column over its entry in
+    border row k, the cleared d_k times L / c_k: the row scales and
+    contents cancel.  The factor that this entry shares with every
+    coefficient is taken out once, before each coefficient is reduced
+    on its own.
     """
-    den = _k.mul(_k.unpack(pivot, m.w), m.border[k])
-    _, (den, *nums) = _k.divide_content([den] + [_k.unpack(c, m.w) for c in col[: k + 1]])
-    d = _from_ints(den, m.one)
-    return XPolynomial([_from_ints(num, m.one) / d for num in nums])
+    _, cols = _k.divide_content([_k.unpack(row[k], m.w) for row in m.border[: k + 1]])
+    d = _from_ints(cols[-1], m.one)
+    return XPolynomial([_from_ints(c, m.one) / d for c in cols])
 
 
-def _bordered_sweep(
-    moments: MomentSequence, n: int
-) -> tuple[_Packed, list[list[int]], list[int]]:
-    """One bordered elimination of order n: (block, border columns, pivots)."""
+def _bordered_sweep(moments: MomentSequence, n: int) -> tuple[_Packed, list[int]]:
+    """One bordered elimination of order n: (block with its border rows, pivots)."""
     m = _packed_rows(moments, n, n + 1)
-    # Column-major border: xcols[j][e] is the x^e coefficient of the
-    # bottom-row entry in column j (initially exactly L / c_j x^j).
-    xcols = [[0] * (n + 1) for _ in range(n + 1)]
-    for j, b in enumerate(m.border):
-        xcols[j][j] = _k.pack(b, m.w)
-    pivots, _ = _bareiss(m.rows, xcols)
+    pivots, _ = _bareiss(m.rows, m.border)
     m.rows = []
-    return m, xcols, pivots
+    return m, pivots
 
 
 def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
@@ -444,17 +438,18 @@ def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
     the powers 1, x, ..., x^n in the last row; dividing the determinant
     by the order-n Hankel determinant makes the result monic.  The
     whole matrix is eliminated in one Bareiss sweep, with the symbolic
-    x-row carried per power of x, so the n leading Hankel minors fall
-    out as pivots and quasi-definiteness is checked on the way.
+    x-row carried as one border row per power of x, so the n leading
+    Hankel minors fall out as pivots and quasi-definiteness is checked
+    on the way.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return XPolynomial([moments.one])
-    m, xcols, pivots = _bordered_sweep(moments, n)
+    m, pivots = _bordered_sweep(moments, n)
     if pivots[-1] == 0:
         raise QuasiDefinitenessError(len(pivots), moments.name)
-    return _border_poly(xcols[n], m, pivots[-1], n)
+    return _border_poly(m, n)
 
 
 def orthopoly_det_sweep(
@@ -463,10 +458,10 @@ def orthopoly_det_sweep(
     """p_0, ..., p_K and d_0, ..., d_n from one bordered elimination.
 
     The sweep of ``orthopoly_det(moments, n)`` passes through every
-    lower degree: after step k, border column k+1 holds the cleared
-    d_{k+1} p_{k+1}, and the pivots are the cleared d_1, ..., d_n.  The
-    polynomials stop at the last degree K whose d_K is nonzero; if
-    some d_{k+1} vanishes, each higher order comes from
+    lower degree: after step k, column k+1 of the border rows holds the
+    cleared d_{k+1} p_{k+1}, and the pivots are the cleared d_1, ...,
+    d_n.  The polynomials stop at the last degree K whose d_K is
+    nonzero; if some d_{k+1} vanishes, each higher order comes from
     ``hankel_direct`` with its row exchanges, as in ``hankel_minors``.
     """
     if n < 0:
@@ -475,10 +470,10 @@ def orthopoly_det_sweep(
     if n == 0:
         return [XPolynomial([one])], [one]
     polys = [XPolynomial([one])]
-    m, xcols, pivots = _bordered_sweep(moments, n)
+    m, pivots = _bordered_sweep(moments, n)
     for k, pivot in enumerate(pivots):
         if pivot != 0:
-            polys.append(_border_poly(xcols[k + 1], m, pivot, k + 1))
+            polys.append(_border_poly(m, k + 1))
     return polys, _minors(moments, m, pivots, n)
 
 

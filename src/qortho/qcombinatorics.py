@@ -45,7 +45,7 @@ def q_bracket(n: int, base: int = 1) -> QPolynomial:
     coeffs = [0] * ((n - 1) * base + 1) if n else []
     for i in range(n):
         coeffs[i * base] = 1
-    return QPolynomial(coeffs)
+    return QPolynomial._raw(coeffs, 1)
 
 
 @lru_cache(maxsize=None)

@@ -207,6 +207,66 @@ class TestOrthopolyDetSweep:
         assert block.w <= 160
 
 
+def gauss_det(rows):
+    """det over Q by Gaussian elimination with row exchanges, the Bareiss oracle."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for row in a[k + 1 :]:
+            f = row[k] / a[k][k]
+            row[k:] = [v - f * u for v, u in zip(row[k:], a[k][k:])]
+    return det
+
+
+@st.composite
+def bordered_blocks(draw):
+    """An integer n x (n+1) block, n <= 5, and n + 1 nonzero border scales.
+
+    Half of the blocks get a vanishing leading minor of some order k + 1:
+    row k starts as a multiple of an earlier row's start, or with zeros.
+    """
+    n = draw(st.integers(1, 5))
+    rows = [[draw(st.integers(-50, 50)) for _ in range(n + 1)] for _ in range(n)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        j, c = draw(st.integers(0, k)), draw(st.integers(-1, 1))
+        rows[k][: k + 1] = [c * v if j < k else 0 for v in rows[j][: k + 1]]
+    scales = [draw(st.integers(-50, 50).filter(bool)) for _ in range(n + 1)]
+    return rows, scales
+
+
+class TestBareissBorderRows:
+    @settings(max_examples=200, deadline=None)
+    @given(bordered_blocks())
+    def test_border_rows_hold_the_bordered_minors(self, case):
+        rows, scales = case
+        n = len(rows)
+        units = [[s if j == e else 0 for j in range(n + 1)] for e, s in enumerate(scales)]
+        border = [row[:] for row in units]
+        pivots, sign = orthocore._bareiss([row[:] for row in rows], border)
+        minors = [gauss_det([row[: k + 1] for row in rows[: k + 1]]) for k in range(n)]
+        # the pivots are the leading minors, through the first zero one
+        stop = next((k for k, d in enumerate(minors) if d == 0), n - 1)
+        assert (pivots, sign) == (minors[: stop + 1], 1)
+        for k, pivot in enumerate(pivots):
+            if pivot == 0:
+                break
+            # after step k, border row e's column k+1 is the minor of block
+            # rows 0..k and unit row e over columns 0..k+1
+            expected = [
+                gauss_det([row[: k + 2] for row in rows[: k + 1]] + [unit[: k + 2]])
+                for unit in units
+            ]
+            assert [row[k + 1] for row in border] == expected
+
+
 def _int_polys(max_digits):
     """Integer polynomials, the zero one included, with coefficients up to 10**max_digits."""
     return st.lists(
