@@ -84,6 +84,12 @@ def _sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
+def _signed_shift(k: int, e: int, p: QPolynomial) -> QPolynomial:
+    """(-1)^k q^e p, by one shift of p's integer coefficients."""
+    nums, den = p.int_parts()
+    return QPolynomial._raw([0] * e + nums, -den if k & 1 else den)
+
+
 def _sum_poly(n: int, term: Callable[[int], object], gap: int = 1) -> XPolynomial:
     """sum_k term(k) x^(n - gap k) over 0 <= k <= n / gap.
 
@@ -98,10 +104,7 @@ def _sum_poly(n: int, term: Callable[[int], object], gap: int = 1) -> XPolynomia
 
 def cf_qbinomial_sum(n: int) -> XPolynomial:
     """sum_j (-1)^j q^C(j,2) [n over j] x^j (the finite q-binomial sum)."""
-    coeffs = [
-        QRational.of(q_binomial(n, j) * _mono(_binom2(j)) * _sign(j)) for j in range(n + 1)
-    ]
-    return XPolynomial(coeffs)
+    return XPolynomial(_signed_shift(j, _binom2(j), q_binomial(n, j)) for j in range(n + 1))
 
 
 def cf_qbinomial_product(n: int) -> XPolynomial:
@@ -117,7 +120,7 @@ def cf_qbinomial_product(n: int) -> XPolynomial:
 
 def cf_geometric_poly(n: int) -> XPolynomial:
     """p_n for moments a(k) = q^C(k,2): sum_j (-1)^j q^{(n-1)j} [n over j] x^{n-j}."""
-    return _sum_poly(n, lambda j: q_binomial(n, j) * _mono((n - 1) * j) * _sign(j))
+    return _sum_poly(n, lambda j: _signed_shift(j, (n - 1) * j, q_binomial(n, j)))
 
 
 def cf_geometric_norm(n: int, m: int) -> QRational:
@@ -151,7 +154,7 @@ def cf_multifactorial_poly(n: int, r: int, m: int) -> XPolynomial:
     brackets = (q_bracket(r * i + m) for i in range(n, 0, -1))
     prods = list(accumulate(brackets, operator.mul, initial=QPolynomial.one()))
     return _sum_poly(
-        n, lambda k: q_binomial(n, k, base=r) * _mono(r * _binom2(k)) * prods[k] * _sign(k)
+        n, lambda k: _signed_shift(k, r * _binom2(k), q_binomial(n, k, base=r) * prods[k])
     )
 
 
@@ -159,10 +162,9 @@ def cf_qhermite(n: int) -> XPolynomial:
     """p_n for moments [2k-1]!!: sum_k (-1)^k q^{k(k-1)} [2n over 2k] [2k-1]!! x^{n-k}."""
     return _sum_poly(
         n,
-        lambda k: q_binomial(2 * n, 2 * k)
-        * _mono(k * (k - 1))
-        * q_double_factorial(k, "odd")
-        * _sign(k),
+        lambda k: _signed_shift(
+            k, k * (k - 1), q_binomial(2 * n, 2 * k) * q_double_factorial(k, "odd")
+        ),
     )
 
 
@@ -178,7 +180,7 @@ def cf_chebU(n: int) -> XPolynomial:
     return _sum_poly(
         n,
         lambda j: QRational.of(
-            q_binomial(n - j, j, base=2) * _mono(j * (j - 1)) * _sign(j),
+            _signed_shift(j, j * (j - 1), q_binomial(n - j, j, base=2)),
             q_pochhammer_signed(-1, n - 2 * j + 1, 2 * j),
         ),
         gap=2,
@@ -201,7 +203,7 @@ def cf_chebT(n: int) -> XPolynomial:
     return _sum_poly(
         n,
         lambda k: QRational.of(
-            q_bracket(n) * q_binomial(n - k, k) * _mono(k * (k - 1)) * _sign(k),
+            _signed_shift(k, k * (k - 1), q_bracket(n) * q_binomial(n - k, k)),
             q_bracket(n - k) * q_pochhammer_signed(-1, 1, k) * q_pochhammer_signed(-1, n - k, k),
         ),
         gap=2,
@@ -220,7 +222,7 @@ def cf_chebT_rescaled(n: int) -> XPolynomial:
 
 def cf_qfibonacci(n: int) -> XPolynomial:
     """Monic q-Fibonacci polynomial: sum_k (-1)^k q^C(k,2) [n-k over k] x^{n-2k}."""
-    return _sum_poly(n, lambda k: q_binomial(n - k, k) * _mono(_binom2(k)) * _sign(k), gap=2)
+    return _sum_poly(n, lambda k: _signed_shift(k, _binom2(k), q_binomial(n - k, k)), gap=2)
 
 
 def cf_qlucas(n: int) -> XPolynomial:
@@ -233,7 +235,7 @@ def cf_qlucas(n: int) -> XPolynomial:
     return _sum_poly(
         n,
         lambda k: QRational.of(
-            q_bracket(n) * q_binomial(n - k, k) * _mono(_binom2(k)) * _sign(k),
+            _signed_shift(k, _binom2(k), q_bracket(n) * q_binomial(n - k, k)),
             q_bracket(n - k),
         ),
         gap=2,

@@ -5,8 +5,8 @@ whatever closed-form extras it supports: three-term recurrence
 coefficients s_n/t_n, aerated recurrence coefficients T_n, and (via the
 closedforms module) explicit orthogonal polynomials and their q = 1
 limits.  Each family is one entry of the table ``_SPECS``: its
-parameters, moment rule, registry sweep and optional formulas.  Adding
-a family means adding one entry plus its formulas.
+parameters, moments, registry sweep and optional formulas.  Adding a
+family means adding one entry plus its formulas.
 
 Families are addressed by a tag plus small integer parameters, written
 ``tag`` or ``tag:key=value,key=value`` on the command line:
@@ -25,28 +25,23 @@ The geometric-q family is perfectly regular over Q(q) but degenerates
 at q = 1 (its Hankel determinants pick up factors of q - 1), so
 specializing it there raises a quasi-definiteness error downstream.
 
-At a specialized q the moments are Fractions.  Every family but the two
-functionals gives a(n) / a(n-1) as a q-power times a ratio of brackets,
-and its moments at q0 are those factors multiplied out at q0, with no
-polynomial in q built on the way.  The functionals evaluate their
-symbolic moments.
+Every family but the two functionals states its moments once, as a step:
+a(n) / a(n-1) as a q-power times a ratio of brackets, multiplied out by
+one routine over Q(q) and, with no polynomial in q built, at a
+specialized q.  A functional states its basis instead, one basis element
+per moment, and evaluates its symbolic moments at a specialized q.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .exactalg import PoleError, QPolynomial, QRational
-from .qcombinatorics import (
-    q_bracket,
-    q_double_factorial,
-    q_factorial,
-    q_multifactorial,
-    q_power_binom2,
-)
+from .qcombinatorics import q_bracket
 from .xpoly import MomentSequence, XPolynomial, even_part_compress
 
 __all__ = [
@@ -87,7 +82,7 @@ class FamilyId:
             if name in spec.params:
                 low = spec.params[name]
                 value = low if value is None else value
-                if not isinstance(value, int) or value < low:
+                if isinstance(value, bool) or not isinstance(value, int) or value < low:
                     raise ValueError(f"family {self.tag} needs integer {name} >= {low}")
                 object.__setattr__(self, name, value)
             elif value is not None:
@@ -123,9 +118,9 @@ class FamilyId:
 def _cf():
     """The closedforms module, imported late because it imports this one.
 
-    Table entries fetch their closedforms formula through it at call time,
-    so a formula substituted on that module (as the negative control in
-    the acceptance tests does) is the one that runs.
+    Table entries fetch their closedforms formula or basis through it at
+    call time, so a formula substituted on that module (as the negative
+    control in the acceptance tests does) is the one that runs.
     """
     from . import closedforms
 
@@ -167,25 +162,24 @@ def _central_binomial_T(j: int) -> QRational:
 class _Spec:
     """Everything known about one family tag.
 
-    ``params`` maps each integer parameter to its minimum, which is also
-    its default.  ``rule(fid)`` is the moment rule n -> a(n), and
-    ``sweep`` lists the parameter sets that ``registry_family_ids``
-    yields.  ``aerated`` marks the families whose aerated recurrence is
-    exposed, and ``functional`` those whose moments come from a polynomial
-    basis (left out by ``include_functionals=False``).  ``step(fid, n)``,
-    for n >= 1, gives a(n) / a(n-1) as (e, num, den): q^e times the
-    brackets [k], k in num, over the brackets [k], k in den.  Every
-    family but the functionals has one, and its moments at a specialized
-    q come from it.  The optional formulas take (fid, index) and give
-    T_j, (s_i, t_i), the closed p_n and its q = 1 counterpart.
+    The moments are stated once, by exactly one of two columns.
+    ``step(fid, n)``, for n >= 1, gives a(n) / a(n-1) as (e, num, den): q^e
+    times the brackets [k], k in num, over the brackets [k], k in den.  ``basis(k)``
+    is the monic degree-k element of the basis whose functional sends
+    basis(0) to 1 and every higher element to 0; these families are left out
+    by ``include_functionals=False``.  ``params`` maps each integer
+    parameter to its minimum, which is also its default, and ``sweep`` lists
+    the parameter sets that ``registry_family_ids`` yields.  ``aerated``
+    marks the families whose aerated recurrence is exposed.  The optional
+    formulas take (fid, index) and give T_j, (s_i, t_i), the closed p_n and
+    its q = 1 counterpart.
     """
 
-    rule: Callable[[FamilyId], Callable[[int], QRational]]
     step: Callable[[FamilyId, int], tuple[int, tuple[int, ...], tuple[int, ...]]] | None = None
+    basis: Callable[[int], XPolynomial] | None = None
     params: dict[str, int] = field(default_factory=dict)
     sweep: tuple[dict[str, int], ...] = ({},)
     aerated: bool = False
-    functional: bool = False
     closed_T: Callable[[FamilyId, int], QRational] | None = None
     closed_st: Callable[[FamilyId, int], tuple[QRational, QRational]] | None = None
     closed_poly: Callable[[FamilyId, int], XPolynomial] | None = None
@@ -196,16 +190,12 @@ class _Spec:
 # multifactorial:r=1,m=M, so the two share their recurrence formulas.
 _SPECS: dict[str, _Spec] = {
     "geometric-q": _Spec(
-        rule=lambda fid: lambda n: QRational.of(q_power_binom2(n)),
         step=lambda fid, n: (n - 1, (), ()),
         closed_poly=lambda fid, n: _cf().cf_geometric_poly(n),
         classical_poly=lambda fid, n: _cf().classical_geometric_style(n),
     ),
     "q-factorial": _Spec(
         params={"m": 0},
-        rule=lambda fid: lambda n: QRational.of(
-            q_factorial(n + fid.m).divexact(q_factorial(fid.m))
-        ),
         step=lambda fid, n: (0, (n + fid.m,), ()),
         sweep=tuple({"m": m} for m in range(4)),
         aerated=True,
@@ -216,9 +206,6 @@ _SPECS: dict[str, _Spec] = {
     ),
     "multifactorial": _Spec(
         params={"m": 0, "r": 1},
-        rule=lambda fid: lambda n: QRational.of(
-            q_multifactorial(fid.r * n + fid.m, fid.r).divexact(q_multifactorial(fid.m, fid.r))
-        ),
         step=lambda fid, n: (0, (fid.r * n + fid.m,), ()),
         sweep=tuple({"r": r, "m": m} for r in (1, 2, 3) for m in (0, 1, 2)),
         aerated=True,
@@ -228,16 +215,12 @@ _SPECS: dict[str, _Spec] = {
         classical_poly=lambda fid, n: _cf().classical_multifactorial_style(n, fid.r, fid.m),
     ),
     "q-double-factorial": _Spec(
-        rule=lambda fid: lambda n: QRational.of(q_double_factorial(n, "odd")),
         step=lambda fid, n: (0, (2 * n - 1,), ()),
         aerated=True,
         closed_poly=lambda fid, n: _cf().cf_qhermite(n),
         classical_poly=lambda fid, n: _cf().classical_hermite_style(n),
     ),
     "andrews-q-catalan": _Spec(
-        rule=lambda fid: lambda n: QRational.of(
-            q_bracket(2) * q_double_factorial(n, "odd"), q_double_factorial(n + 1, "even")
-        ),
         step=lambda fid, n: (0, (2 * n - 1,), (2 * n + 2,)),
         aerated=True,
         closed_T=lambda fid, j: _catalan_T(j),
@@ -245,9 +228,6 @@ _SPECS: dict[str, _Spec] = {
         classical_poly=lambda fid, n: even_part_compress(_cf().classical_chebU_style(2 * n)),
     ),
     "q-central-binomial": _Spec(
-        rule=lambda fid: lambda n: QRational.of(
-            q_double_factorial(n, "odd"), q_double_factorial(n, "even")
-        ),
         step=lambda fid, n: (0, (2 * n - 1,), (2 * n,)),
         aerated=True,
         closed_T=lambda fid, j: _central_binomial_T(j),
@@ -257,67 +237,91 @@ _SPECS: dict[str, _Spec] = {
     # The q-Fibonacci and q-Lucas bases define their functionals' moments
     # but are not themselves orthogonal for q != 1 (they satisfy no
     # three-term recurrence in x), so no closed form is registered.
-    "fibonacci-functional": _Spec(
-        rule=lambda fid: lambda n: functional_from_basis(_cf().cf_qfibonacci, n),
-        functional=True,
-    ),
-    "lucas-functional": _Spec(
-        rule=lambda fid: lambda n: functional_from_basis(_cf().cf_qlucas, n),
-        functional=True,
-    ),
+    "fibonacci-functional": _Spec(basis=lambda k: _cf().cf_qfibonacci(k)),
+    "lucas-functional": _Spec(basis=lambda k: _cf().cf_qlucas(k)),
 }
 
 
-def _moment_rule(fid: FamilyId) -> Callable[[int], QRational]:
-    return _SPECS[fid.tag].rule(fid)
+def _stepped(fid: FamilyId, one, ratio, q0: Fraction | None = None) -> Callable[[int], object]:
+    """The rule n -> a(n), where a(0) = one and a(n) = a(n-1) ratio(*step(fid, n)).
 
-
-def _bracket_at(k: int, q0: Fraction) -> tuple[Fraction, int]:
-    """[k], k >= 1, at q0 as (u, v), where [k] = (q - q0)^v g(q) and g(q0) = u != 0.
-
-    At a rational q0, [k] vanishes only for q0 = -1 and even k.  There
-    [k] = (1 + q)[k/2]_{q^2}, and [k/2]_{q^2} is k/2 at q = -1.
-    """
-    if q0 == 1:
-        return Fraction(k), 0
-    if q0 == -1 and k % 2 == 0:
-        return Fraction(k // 2), 1
-    return (1 - q0**k) / (1 - q0), 0
-
-
-def _moments_at(fid: FamilyId, q0: Fraction) -> Callable[[int], Fraction]:
-    """The rule n -> a(n) at q = q0, multiplied out of the family's steps.
-
-    Each a(n) is kept as u (q - q0)^v with u != 0, so it is u for v = 0
-    and zero for v > 0.  The reduced form of a(n) has a denominator that
+    Each ratio and each a(n) is a pair (u, v) that stands for
+    u (q - q0)^v with u != 0, so a(n) is u for v = 0 and zero for v > 0;
+    over Q(q) v stays 0.  The reduced form of a(n) has a denominator that
     vanishes at q0 exactly when v < 0, so the rule raises PoleError at
     the (q0, n) where ``eval_at`` of the symbolic a(n) does, and with the
-    same message.
+    same message.  The states computed so far stay in the closure; callers
+    ask in index order, or under a lock.
     """
     step = _SPECS[fid.tag].step
-    states = [(Fraction(1), 0)]
+    states = [(one, 0)]
 
-    def rule(n: int) -> Fraction:
+    def rule(n: int):
         while len(states) <= n:
-            e, num, den = step(fid, len(states))
-            u, v = states[-1]
-            if q0 == 0:
-                v += e
-            else:
-                u *= q0**e
-            for k in num:
-                uk, vk = _bracket_at(k, q0)
-                u, v = u * uk, v + vk
-            for k in den:
-                uk, vk = _bracket_at(k, q0)
-                u, v = u / uk, v - vk
-            states.append((u, v))
+            (u, v), (du, dv) = states[-1], ratio(*step(fid, len(states)))
+            states.append((u * du, v + dv))
         u, v = states[n]
         if v < 0:
             raise PoleError(f"pole at evaluation point q={q0}")
         return u if v == 0 else Fraction(0)
 
     return rule
+
+
+def _ratio(e: int, num: tuple[int, ...], den: tuple[int, ...]) -> tuple[QRational, int]:
+    """q^e prod [num] / prod [den] over Q(q)."""
+    top = math.prod(map(q_bracket, num), start=QPolynomial.monomial(e))
+    return QRational.of(top, math.prod(map(q_bracket, den), start=QPolynomial.one())), 0
+
+
+def _basis_rule(basis: Callable[[int], XPolynomial]) -> Callable[[int], QRational]:
+    """The rule n -> L(x^n) for the functional with L(b_0) = 1 and L(b_k) = 0 for k >= 1.
+
+    With b_k = basis(k) = x^k + sum_{j<k} b_k[j] x^j, linearity gives
+    a(k) = L(b_k) - sum_{j<k} b_k[j] a(j), one basis element per moment.
+    The moments computed so far stay in the closure.
+    """
+    moments: list[QRational] = []
+
+    def rule(n: int) -> QRational:
+        while len(moments) <= n:
+            k = len(moments)
+            b = basis(k)
+            if b.degree != k or not b.is_monic:
+                raise ValueError(f"basis element {k} is not monic of degree {k}")
+            total = QRational.zero() if k else QRational.one()
+            for a, c in zip(moments, b.coefficients):
+                if a and c:
+                    total = total - a * c
+            moments.append(total)
+        return moments[n]
+
+    return rule
+
+
+def _moment_rule(fid: FamilyId) -> Callable[[int], QRational]:
+    basis = _SPECS[fid.tag].basis
+    return _stepped(fid, QRational.one(), _ratio) if basis is None else _basis_rule(basis)
+
+
+def _moments_at(fid: FamilyId, q0: Fraction) -> Callable[[int], Fraction]:
+    """The rule n -> a(n) at q = q0, as Fractions, multiplied out of the family's steps.
+
+    A bracket [k], k >= 1, is (q - q0)^v g(q) with g(q0) = u != 0.  At a
+    rational q0 it vanishes only for q0 = -1 and even k, where
+    [k] = (1 + q)[k/2]_{q^2}, so v = 1 and u = k/2.
+    """
+
+    def ratio(e, num, den):
+        u, v = (Fraction(1), e) if q0 == 0 else (q0**e, 0)
+        for k, sign in [(k, 1) for k in num] + [(k, -1) for k in den]:
+            if q0 == -1 and k % 2 == 0:
+                u, v = u * Fraction(k // 2) ** sign, v + sign
+            else:
+                u *= (Fraction(k) if q0 == 1 else (1 - q0**k) / (1 - q0)) ** sign
+        return u, v
+
+    return _stepped(fid, Fraction(1), ratio, q0)
 
 
 def closed_T(fid: "FamilyId | str", j: int) -> QRational:
@@ -436,23 +440,7 @@ def functional_from_basis(basis: Callable[[int], XPolynomial], n: int) -> QRatio
     """
     if n < 0:
         raise ValueError("moment index must be >= 0")
-    residual: list[QRational] = [QRational.zero()] * (n + 1)
-    residual[n] = QRational.one()
-    for k in range(n, 0, -1):
-        ck = residual[k]
-        if not ck:
-            continue
-        b = basis(k)
-        if b.degree != k or not b.is_monic:
-            raise ValueError(f"basis element {k} is not monic of degree {k}")
-        for j, bc in enumerate(b.coefficients):
-            if bc:
-                residual[j] = residual[j] - ck * bc
-        residual[k] = QRational.zero()
-    b0 = basis(0)
-    if b0.degree != 0 or not b0.is_monic:
-        raise ValueError("basis element 0 is not monic of degree 0")
-    return residual[0]
+    return _basis_rule(basis)(n)
 
 
 def registry_family_ids(include_functionals: bool = True) -> list[FamilyId]:
@@ -460,6 +448,6 @@ def registry_family_ids(include_functionals: bool = True) -> list[FamilyId]:
     return [
         FamilyId(tag, **params)
         for tag, spec in _SPECS.items()
-        if include_functionals or not spec.functional
+        if include_functionals or spec.basis is None
         for params in spec.sweep
     ]

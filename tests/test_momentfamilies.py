@@ -33,7 +33,10 @@ from qortho.qcombinatorics import (
     q_binomial,
     q_bracket,
     q_double_factorial,
+    q_factorial,
+    q_multifactorial,
     q_pochhammer_signed,
+    q_power_binom2,
 )
 
 
@@ -83,6 +86,13 @@ class TestFamilyId:
             FamilyId.parse("q-factorial:m=two")
         with pytest.raises(ValueError):
             FamilyId.parse("q-factorial:k=1")
+
+    def test_bool_parameters_rejected(self):
+        # bool is an int, and m=True would intern as m=1 under the name m=True
+        for tag, name in (("q-factorial", "m"), ("multifactorial", "r"), ("multifactorial", "m")):
+            with pytest.raises(ValueError, match=f"^family {tag} needs integer {name} >= "):
+                FamilyId(tag, **{name: True})
+        assert family("q-factorial:m=1").moments.name == "q-factorial:m=1"
 
     def test_repeated_parameter_rejected(self):
         for spec, item in (("q-factorial:m=2,m=3", "m=3"), ("multifactorial:r=2,r=3", "r=3")):
@@ -181,6 +191,102 @@ class TestMoments:
             assert family_moment("multifactorial:r=1,m=2", n) == family_moment(
                 "q-factorial:m=2", n
             )
+
+
+# Each stepped family's moments written out as a closed product, apart
+# from the step table the library multiplies out.
+_PRODUCT_FORMULAS = {
+    "geometric-q": lambda fid, n: QRational.of(q_power_binom2(n)),
+    "q-factorial": lambda fid, n: QRational.of(
+        q_factorial(n + fid.m).divexact(q_factorial(fid.m))
+    ),
+    "multifactorial": lambda fid, n: QRational.of(
+        q_multifactorial(fid.r * n + fid.m, fid.r).divexact(q_multifactorial(fid.m, fid.r))
+    ),
+    "q-double-factorial": lambda fid, n: QRational.of(q_double_factorial(n, "odd")),
+    "andrews-q-catalan": lambda fid, n: QRational.of(
+        q_bracket(2) * q_double_factorial(n, "odd"), q_double_factorial(n + 1, "even")
+    ),
+    "q-central-binomial": lambda fid, n: QRational.of(
+        q_double_factorial(n, "odd"), q_double_factorial(n, "even")
+    ),
+}
+
+
+def _expand_in_basis(basis, n):
+    """L(x^n) by expanding x^n in the basis from the top down: the degree-0 coefficient."""
+    residual = [QRational.zero()] * (n + 1)
+    residual[n] = QRational.one()
+    for k in range(n, 0, -1):
+        ck = residual[k]
+        if ck:
+            for j, bc in enumerate(basis(k).coefficients):
+                residual[j] = residual[j] - ck * bc
+    return residual[0]
+
+
+class TestMomentsAgainstIndependentFormulas:
+    def test_every_family_states_its_moments_once(self):
+        for tag, spec in momentfamilies._SPECS.items():
+            assert (spec.step is None) != (spec.basis is None), tag
+
+    @pytest.mark.parametrize("fid", registry_family_ids(include_functionals=False), ids=str)
+    def test_stepped_moments_match_their_product_formula(self, fid):
+        formula = _PRODUCT_FORMULAS[fid.tag]
+        for n in range(21):
+            assert family_moment(fid, n) == formula(fid, n), n
+
+    @pytest.mark.parametrize(
+        "tag, basis", [("fibonacci-functional", "cf_qfibonacci"), ("lucas-functional", "cf_qlucas")]
+    )
+    def test_functional_moments_match_the_expansion_of_x_to_the_n(self, tag, basis):
+        from qortho import closedforms
+
+        basis = getattr(closedforms, basis)
+        for n in range(15):
+            expected = _expand_in_basis(basis, n)
+            assert family_moment(tag, n) == expected, n
+            assert functional_from_basis(basis, n) == expected, n
+
+    def test_a_functional_builds_each_basis_element_once(self, monkeypatch):
+        from qortho import closedforms
+
+        calls = []
+        lucas = closedforms.cf_qlucas
+
+        def counted(k):
+            calls.append(k)
+            return lucas(k)
+
+        monkeypatch.setattr(closedforms, "cf_qlucas", counted)
+        fam = MomentFamily(FamilyId("lucas-functional"))
+        got = [fam.moments.moment(n) for n in range(13)]
+        assert sorted(calls) == list(range(13))
+        assert got == [_expand_in_basis(lucas, n) for n in range(13)]
+
+    def test_threads_share_one_fresh_family(self):
+        fid = FamilyId("andrews-q-catalan")
+        expected = [_PRODUCT_FORMULAS[fid.tag](fid, n) for n in range(21)]
+        fam = MomentFamily(fid)
+        start = threading.Barrier(8)
+        seen = []
+
+        def run():
+            start.wait(timeout=60)
+            seen.append([fam.moments.moment(n) for n in range(21)])
+
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert seen == [expected] * 8
 
 
 class TestFunctionalFromBasis:
