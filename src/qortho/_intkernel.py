@@ -19,11 +19,13 @@ accepted only when a norm bound proves each quotient times h equals its
 input, which makes h the gcd; after a few failed widths the primitive
 PRS takes over.  ``gcd`` is its two-input case.
 
-Exact integer division by one divisor, the inner step of fraction-free
+Exact integer division by one divisor, the inner step of exact
 elimination, goes through ``ExactDivider``: before CPython 3.12 it
 multiplies by the divisor's 2-adic inverse and checks each quotient by
-multiplying it back; from 3.12 on, whose big-int division is
-subquadratic, it uses ``divmod`` and checks the remainder.
+multiplying it back, unless the numerator is at least four times as
+long as the divisor, where ``divmod`` with a remainder check is faster;
+from 3.12 on, whose big-int division is subquadratic, it always uses
+``divmod``.
 """
 
 from __future__ import annotations
@@ -166,9 +168,10 @@ class ExactDivider:
     Every quotient is multiplied back, so a numerator d does not divide
     raises ArithmeticError instead of returning a wrong value.
 
-    From CPython 3.12 on, ``divmod`` of big ints is subquadratic and
-    faster than the 2-adic route, so calls go to ``_by_divmod`` there,
-    which raises the same ArithmeticError on a nonzero remainder.
+    ``_by_divmod`` raises the same ArithmeticError on a nonzero
+    remainder.  From CPython 3.12 on, ``divmod`` of big ints is
+    subquadratic and faster than the 2-adic route, so every call goes
+    there.  Before 3.12 each call picks its route by size (``_by_size``).
     """
 
     __slots__ = ("_d", "_shift", "_odd", "_odd_bits", "_inv", "_bits")
@@ -220,7 +223,16 @@ class ExactDivider:
             raise ArithmeticError("inexact division in fraction-free elimination")
         return q
 
-    __call__ = _by_divmod if sys.version_info >= (3, 12) else _by_inverse
+    def _by_size(self, n: int) -> int:
+        # The 2-adic route multiplies numbers as long as the quotient, and
+        # quadratic long division costs the quotient's length times the
+        # divisor's; measured on CPython 3.11, divmod is faster once the
+        # numerator is four times as long as the divisor.
+        if n.bit_length() >= 4 * (self._shift + self._odd_bits):
+            return self._by_divmod(n)
+        return self._by_inverse(n)
+
+    __call__ = _by_divmod if sys.version_info >= (3, 12) else _by_size
 
 
 def divexact(f: list[int], g: list[int]) -> list[int]:

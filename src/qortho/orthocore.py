@@ -11,7 +11,8 @@ Three independent constructions live here:
   s_k and t_k, which give the next polynomial; as p_k is orthogonal to x^j,
   j < k, both follow exactly from L(x^k p_k) and L(x^(k+1) p_k).
 * ``orthopoly_det`` builds p_n as a bordered Hankel determinant, run
-  through fraction-free (Bareiss) elimination on exact integer images.
+  through an LDL^T elimination of the Hankel matrix on exact integer
+  images, with fraction-free (Bareiss) elimination as its fallback.
 * Closed formulas for specific families are in :mod:`qortho.closedforms`.
 
 Hankel determinants come in two flavors for cross-checking: a direct
@@ -27,9 +28,9 @@ every a(i+j) of q-factorial), so these row and column contents hold
 most of the entries' size, and they are multiplied back, and the
 scales divided out, only in the values read off at the end.  Every
 entry is then evaluated at q = 2^w for a width w chosen from an
-a-priori bound on all minors, and one Bareiss sweep runs on plain
-Python integers.  Because the bound makes every minor's coefficient
-vector recoverable from its image, the final values unpack to exact
+a-priori bound on all minors, and one sweep runs on plain Python
+integers.  Because the bound makes every minor's coefficient vector
+recoverable from its image, the final values unpack to exact
 polynomials.  Without row exchanges the sweep's pivot chain is the
 chain of cleared leading minors.  The bordered sweep of
 ``orthopoly_det`` writes the symbolic last row as n + 1 border rows,
@@ -37,13 +38,24 @@ row e holding its x^e coefficients, which the sweep eliminates like
 the block rows but never pivots on; after step k their column k+1
 holds the cleared d_{k+1} p_{k+1}.  So ``hankel_minors`` reads every
 d_k off one sweep, ``orthopoly_det_sweep`` every p_k and d_k, and
-``orthopoly_det`` checks quasi-definiteness on the way.  Each step
-divides exactly by the previous pivot through one
-``_intkernel.ExactDivider`` (a 2-adic inverse with every quotient
-multiplied back, or ``divmod`` from CPython 3.12 on), so a division
-that leaves a remainder raises instead of returning a wrong value.  At
-a specialized q every entry is an integer constant, and the values
-read off are Fractions.
+``orthopoly_det`` checks quasi-definiteness on the way.
+
+The sweep is Gaussian elimination in normalised form, the LDL^T
+factorisation of H (``_normalised``): it keeps the Schur complement
+over its leading entry, so each step divides out the factor that
+Bareiss would carry into every later product.  On the polynomial-moment
+families every such quotient is an integer.  When one is not (the
+rational-moment families, the functionals, most blocks at a
+specialized q), or when ``hankel_direct`` meets a zero pivot and needs
+row exchanges, the same rows go through Bareiss elimination
+(``_bareiss``), which divides each step exactly by the previous pivot;
+``_eliminate`` picks between them, and the Bareiss pivots are the
+tests' oracle for the normalised ones.  Every division goes through
+one ``_intkernel.ExactDivider`` (a 2-adic inverse with every quotient
+multiplied back, or ``divmod`` with its remainder tested where that is
+faster), so a division that leaves a remainder is detected instead of
+returning a wrong value.  At a specialized q every entry is an integer
+constant, and the values read off are Fractions.
 """
 
 from __future__ import annotations
@@ -209,15 +221,21 @@ def _lcm(polys: Sequence[list[int]]) -> list[int]:
     """The lcm of nonzero integer polynomials, with positive leading coefficient.
 
     It is the lcm of their integer contents times the lcm of their
-    primitive parts; the latter grows by the quotient p / gcd(lcm, p)
-    that ``divide_content`` returns for each nonconstant part p.
+    primitive parts.  The parts are taken largest first, and one that
+    divides the lcm so far leaves it as it is; only another one costs a
+    gcd, and the lcm grows by the quotient p / gcd(lcm, p) that
+    ``divide_content`` returns.  On the rational-moment families each
+    denominator divides the next, so a row's lcm is its last one.
     """
     k, lcm = 1, [1]
-    for cs in polys:
+    for cs in sorted(polys, key=len, reverse=True):
         c, p = _k.primitive(cs)
         k = k * abs(c) // math.gcd(k, c)
         if len(p) > 1:
-            lcm = _k.mul(lcm, _k.divide_content([lcm, p])[1][1])
+            try:
+                _k.divexact(lcm, p)
+            except ValueError:
+                lcm = _k.mul(lcm, _k.divide_content([lcm, p])[1][1])
     return _k.mul_scalar(lcm, k)
 
 
@@ -350,19 +368,22 @@ def _bareiss(
 ) -> tuple[list[int], int]:
     """Fraction-free elimination of ``rows`` in place, one step per row.
 
-    Returns (pivots, sign).  Without row exchanges the pivot of step k is
-    the leading (k+1)-minor of the input, and the sweep stops right
-    after the first zero pivot.  With ``pivoting`` a zero pivot is
-    replaced by a lower row (``sign`` records the exchanges), and the
-    sweep stops after a zero pivot only when its whole column is zero.
-    The ``border`` rows, which never pivot, are eliminated by the same
-    update as the rows below the pivot: step k writes their column k+1
-    for the last time, and in each border row it then holds the minor
-    of rows 0..k and that row over columns 0..k+1.  Each step divides
-    by the previous pivot through one ``ExactDivider``, which checks
-    every quotient.  Row k is never read after step k, so its entries
-    past the pivot are dropped then, and so is column k of the rows
-    below it; the border rows keep theirs.
+    The fallback of ``_eliminate`` and the oracle of ``_normalised``: it
+    runs when a normalised quotient is inexact (the rational-moment
+    families, the functionals, most blocks at a specialized q) and when
+    ``hankel_direct`` needs row exchanges.  Returns (pivots, sign).
+    Without row exchanges the pivot of step k is the leading (k+1)-minor
+    of the input, and the sweep stops right after the first zero pivot.
+    With ``pivoting`` a zero pivot is replaced by a lower row (``sign``
+    records the exchanges), and the sweep stops after a zero pivot only
+    when its whole column is zero.  The ``border`` rows, which never
+    pivot, are eliminated by the same update as the rows below the
+    pivot: step k writes their column k+1 for the last time, and in each
+    border row it then holds the minor of rows 0..k and that row over
+    columns 0..k+1.  Each step divides by the previous pivot through one
+    ``ExactDivider``, which checks every quotient.  Row k is never read
+    after step k, so its entries past the pivot are dropped then, and so
+    is column k of the rows below it; the border rows keep theirs.
     """
     n, ncols = len(rows), len(rows[0])
     pivots: list[int] = []
@@ -388,6 +409,90 @@ def _bareiss(
                 row_i[k] = 0
         del row_k[k + 1 :]
         div = _k.ExactDivider(pivot)
+    return pivots, sign
+
+
+def _normalised(
+    rows: list[list[int]], border: Sequence[list[int]] = ()
+) -> tuple[list[int], list[list[int]]] | None:
+    """``_bareiss``'s pivots and border columns by an LDL^T elimination, or None.
+
+    Gaussian elimination of the integer matrix ``rows`` over Q, holding
+    X, the Schur complement over its leading entry h_k, so X_kk = 1 (the
+    LDL^T factorisation of a Hankel matrix, Gautschi 2004, section 2.1).
+    Step k forms Y_ij = X_ij - X_ik X_kj and g = Y_{k+1,k+1}, divides
+    Y by g through one ``ExactDivider`` and multiplies the chain out:
+    h_{k+1} = h_k g and the cleared leading minor d_{k+2} = d_{k+1}
+    h_{k+1}.  Bareiss carries the factor h_{k+1}, which every entry of
+    the Schur complement shares, through every later product; here it
+    is divided out once.  The border rows hold their Gaussian Schur
+    complement, B_ej -= B_ek X_kj with no divisor, and column k+1 of
+    each, times d_{k+1}, is the bordered minor that ``_bareiss`` leaves
+    there.  Neither ``rows`` nor ``border`` is changed.
+
+    Exactness needs no check beyond the divider's.  Every quotient is
+    multiplied back or its remainder tested, so every value held is the
+    exact value of the Gaussian elimination of the integer block over Q;
+    it returns None as soon as one quotient is not an integer.  At
+    q = 2^w that block is the image of the polynomial block, so g = 0
+    exactly when the image of d_{k+2} vanishes, and a nonzero
+    polynomial whose coefficients are below 2^(w-1) cannot vanish at
+    2^w.  Every value read off, a pivot or a border column times its
+    d_{k+1}, is the image of a minor of the block, which the packing
+    width already covers, so it unpacks to the same polynomial as in
+    ``_bareiss``.  X itself need not be the image of a polynomial.
+    """
+    n = len(rows)
+    h = d = rows[0][0]
+    pivots = [d]
+    border = [row[:] for row in border]
+    if d == 0:
+        return pivots, border
+    try:
+        div = _k.ExactDivider(d)
+        x = [[div(v) for v in row] for row in rows]
+        for k in range(n):
+            top = x.pop(0)[1:]  # row k of X past column k, where X_kk = 1
+            for b in border:
+                f = b[k]
+                if f:
+                    b[k + 1 :] = [v - f * t for v, t in zip(b[k + 1 :], top)]
+            if not x:
+                break
+            g = x[0][1] - x[0][0] * top[0]
+            h *= g
+            d *= h
+            pivots.append(d)
+            if g == 0:
+                break
+            div = _k.ExactDivider(g)
+            for i, row in enumerate(x):  # row by row, so one copy of X is held
+                f = row[0]
+                x[i] = [div(v - f * t) for v, t in zip(row[1:], top)]
+    except ArithmeticError:  # an inexact quotient
+        return None
+    for b in border:
+        for k, pivot in enumerate(pivots):
+            if pivot:
+                b[k + 1] *= pivot
+    return pivots, border
+
+
+def _eliminate(m: _Packed, pivoting: bool = False) -> tuple[list[int], int]:
+    """Eliminate the packed block and its border rows: (pivots, sign).
+
+    Runs ``_normalised``, and ``_bareiss`` on the untouched packed rows
+    when a normalised quotient is inexact or, with ``pivoting``, when a
+    pivot vanishes and rows must be exchanged.  Either way the border
+    rows end as ``_bareiss`` leaves them; the block rows are dropped.
+    """
+    result = _normalised(m.rows, m.border)
+    if result is None or (pivoting and result[0][-1] == 0):
+        pivots, sign = _bareiss(m.rows, m.border, pivoting)
+    else:
+        pivots, m.border = result
+        sign = 1
+    m.rows = []
     return pivots, sign
 
 
@@ -426,8 +531,7 @@ def _border_poly(m: _Packed, k: int) -> XPolynomial:
 def _bordered_sweep(moments: MomentSequence, n: int) -> tuple[_Packed, list[int]]:
     """One bordered elimination of order n: (block with its border rows, pivots)."""
     m = _packed_rows(moments, n, n + 1)
-    pivots, _ = _bareiss(m.rows, m.border)
-    m.rows = []
+    pivots, _ = _eliminate(m)
     return m, pivots
 
 
@@ -437,10 +541,10 @@ def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
     The determinantal form puts the moments a(i+j) in rows 0..n-1 and
     the powers 1, x, ..., x^n in the last row; dividing the determinant
     by the order-n Hankel determinant makes the result monic.  The
-    whole matrix is eliminated in one Bareiss sweep, with the symbolic
-    x-row carried as one border row per power of x, so the n leading
-    Hankel minors fall out as pivots and quasi-definiteness is checked
-    on the way.
+    whole matrix is eliminated in one sweep (``_eliminate``), with the
+    symbolic x-row carried as one border row per power of x, so the n
+    leading Hankel minors fall out as pivots and quasi-definiteness is
+    checked on the way.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -478,17 +582,18 @@ def orthopoly_det_sweep(
 
 
 def hankel_direct(moments: MomentSequence, n: int) -> Scalar:
-    """det(a(i+j))_{0 <= i,j < n} by fraction-free elimination.
+    """det(a(i+j))_{0 <= i,j < n} by elimination.
 
-    Row swaps keep the elimination going past zero pivots, so singular
-    matrices come back as an honest 0 rather than an error.
+    A zero pivot sends the block to Bareiss elimination, whose row swaps
+    keep it going past zero pivots, so singular matrices come back as an
+    honest 0 rather than an error.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
     if n == 0:
         return moments.one
     m = _packed_rows(moments, n, n)
-    pivots, sign = _bareiss(m.rows, pivoting=True)
+    pivots, sign = _eliminate(m, pivoting=True)
     return _unscale(sign * pivots[-1], m, n)
 
 
@@ -505,8 +610,7 @@ def hankel_minors(moments: MomentSequence, n: int) -> list[Scalar]:
     if n == 0:
         return [moments.one]
     m = _packed_rows(moments, n, n)
-    pivots, _ = _bareiss(m.rows)
-    m.rows = []  # a sweep that stopped early leaves rows the fallback does not need
+    pivots, _ = _eliminate(m)
     return _minors(moments, m, pivots, n)
 
 

@@ -327,13 +327,13 @@ class TestVerificationEngine:
 
     def test_one_elimination_serves_both_determinant_checks(self, monkeypatch):
         orders = []
-        real = orthocore._bareiss
+        real = orthocore._eliminate
 
-        def counted(rows, *args, **kwargs):
-            orders.append(len(rows))
-            return real(rows, *args, **kwargs)
+        def counted(m, *args, **kwargs):
+            orders.append(len(m.rows))
+            return real(m, *args, **kwargs)
 
-        monkeypatch.setattr(orthocore, "_bareiss", counted)
+        monkeypatch.setattr(orthocore, "_eliminate", counted)
         report = verify_family("q-factorial:m=1", max_n=5)
         assert report.ok
         assert report.counts["match"] > 0

@@ -402,8 +402,9 @@ divisors = st.one_of(
 def test_exact_divider_matches_the_divmod_oracle(q, d):
     n = q * d
     div = _intkernel.ExactDivider(d)
-    # both routes, whichever one this interpreter calls
-    assert div._by_inverse(n) == div._by_divmod(n) == exact_div_by_divmod(n, d) == q
+    # every route, whichever one this interpreter calls
+    assert div._by_inverse(n) == div._by_divmod(n) == div._by_size(n) == q
+    assert exact_div_by_divmod(n, d) == q
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,7 +420,7 @@ def test_exact_divider_serves_numerators_of_any_size_in_any_order(qs, d):
 def test_exact_divider_rejects_a_remainder(q, d, data):
     r = data.draw(st.integers(min_value=1, max_value=abs(d) - 1))
     div = _intkernel.ExactDivider(d)
-    for route in (div._by_inverse, div._by_divmod):
+    for route in (div._by_inverse, div._by_divmod, div._by_size):
         with pytest.raises(ArithmeticError, match="inexact division"):
             route(q * d + r)
 
@@ -427,12 +428,28 @@ def test_exact_divider_rejects_a_remainder(q, d, data):
 def test_exact_divider_edge_cases():
     for d in (1, -1, 2, -6, 3 << 70):
         div = _intkernel.ExactDivider(d)
-        assert div._by_inverse(0) == div._by_divmod(0) == 0
+        assert div._by_inverse(0) == div._by_divmod(0) == div._by_size(0) == 0
     div = _intkernel.ExactDivider(-1)
     assert div._by_inverse(-(10**50)) == div._by_divmod(-(10**50)) == 10**50
     div = _intkernel.ExactDivider(4)
-    for route in (div._by_inverse, div._by_divmod):
+    for route in (div._by_inverse, div._by_divmod, div._by_size):
         with pytest.raises(ArithmeticError):
             route(2)
     with pytest.raises(ZeroDivisionError):
         _intkernel.ExactDivider(0)
+
+
+def test_exact_divider_takes_divmod_from_four_times_the_divisors_length(monkeypatch):
+    routes = []
+    for name in ("_by_inverse", "_by_divmod"):
+        real = getattr(_intkernel.ExactDivider, name)
+        monkeypatch.setattr(
+            _intkernel.ExactDivider,
+            name,
+            lambda self, n, name=name, real=real: routes.append(name) or real(self, n),
+        )
+    d = (1 << 999) + 7  # 1000 bits
+    div = _intkernel.ExactDivider(d)
+    for q in (1 << 2000, 1 << 2999, 1 << 3000, 1 << 5000):  # q * d: 3000, 3999, 4000, 6000 bits
+        assert div._by_size(q * d) == q
+    assert routes == ["_by_inverse", "_by_inverse", "_by_divmod", "_by_divmod"]

@@ -242,13 +242,18 @@ def bordered_blocks(draw):
     return rows, scales
 
 
+def _units(scales, ncols):
+    """Border rows with one nonzero entry each: scales[e] in column e."""
+    return [[s if j == e else 0 for j in range(ncols)] for e, s in enumerate(scales)]
+
+
 class TestBareissBorderRows:
     @settings(max_examples=200, deadline=None)
     @given(bordered_blocks())
     def test_border_rows_hold_the_bordered_minors(self, case):
         rows, scales = case
         n = len(rows)
-        units = [[s if j == e else 0 for j in range(n + 1)] for e, s in enumerate(scales)]
+        units = _units(scales, n + 1)
         border = [row[:] for row in units]
         pivots, sign = orthocore._bareiss([row[:] for row in rows], border)
         minors = [gauss_det([row[: k + 1] for row in rows[: k + 1]]) for k in range(n)]
@@ -265,6 +270,124 @@ class TestBareissBorderRows:
                 for unit in units
             ]
             assert [row[k + 1] for row in border] == expected
+
+
+@st.composite
+def nested_blocks(draw):
+    """An integer n x (n+1) block L diag(h) U, n <= 5, and n + 1 nonzero border scales.
+
+    L is unit lower and U unit upper triangular, and each h_l divides the
+    next, as the Gaussian pivots of a polynomial-moment family do, so
+    every normalised quotient is an integer.  A zero h ends the chain.
+    """
+    n = draw(st.integers(1, 5))
+    small = st.integers(-4, 4)
+    lower = [[1 if j == i else draw(small) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if j == i else draw(small) if j > i else 0 for j in range(n + 1)] for i in range(n)]
+    h = [draw(st.integers(-3, 3).filter(bool))]
+    for _ in range(n - 1):
+        h.append(h[-1] * draw(st.integers(-3, 3)))
+    rows = [
+        [sum(lower[i][l] * h[l] * upper[l][j] for l in range(n)) for j in range(n + 1)]
+        for i in range(n)
+    ]
+    scales = [draw(st.integers(-50, 50).filter(bool)) for _ in range(n + 1)]
+    return rows, scales
+
+
+def _sweeps(rows, border=()):
+    """(``_normalised``'s result, ``_bareiss``'s pivots and border rows) on one block.
+
+    Also checks that ``_normalised`` leaves its input as it found it.
+    """
+    block, border_copy = [row[:] for row in rows], [row[:] for row in border]
+    result = orthocore._normalised(block, border_copy)
+    assert (block, border_copy) == (rows, list(border))
+    pivots, _ = orthocore._bareiss(block, border_copy)
+    return result, pivots, border_copy
+
+
+def _same_read_offs(result, pivots, border):
+    """The pivots agree, and so does border column k+1 wherever pivot k is nonzero."""
+    got_pivots, got_border = result
+    assert got_pivots == pivots
+    for k, pivot in enumerate(pivots):
+        if pivot:
+            assert [row[k + 1] for row in got_border] == [row[k + 1] for row in border]
+
+
+def _polynomial_moment_families():
+    """The stepped registry families whose moments are polynomials in q."""
+    return [
+        str(fid)
+        for fid in registry_family_ids(include_functionals=False)
+        if all(family(str(fid)).moments.moment(k).denominator.degree == 0 for k in range(17))
+    ]
+
+
+class TestNormalisedElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(bordered_blocks())
+    def test_declines_or_agrees_with_bareiss(self, case):
+        rows, scales = case
+        result, pivots, border = _sweeps(rows, _units(scales, len(rows) + 1))
+        if result is not None:
+            _same_read_offs(result, pivots, border)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nested_blocks())
+    def test_a_nested_pivot_chain_never_declines(self, case):
+        rows, scales = case
+        result, pivots, border = _sweeps(rows, _units(scales, len(rows) + 1))
+        assert result is not None
+        _same_read_offs(result, pivots, border)
+
+    def test_equals_the_bareiss_path_on_every_family(self):
+        # the order-8 blocks hold the minors of orders 1..8 and p_1..p_8
+        polynomial = set(_polynomial_moment_families())
+        assert len(polynomial) == 15
+        for name, seq in registry_sequences():
+            for ncols in (8, 9):
+                m = orthocore._packed_rows(seq, 8, ncols)
+                result, pivots, border = _sweeps(m.rows, m.border)
+                if name in polynomial:
+                    assert result is not None, name
+                if result is not None:
+                    _same_read_offs(result, pivots, border)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_declines_on_andrews_q_catalan(self, n):
+        # its Schur complements are not divisible by their leading entries;
+        # a divider that floors instead of checking would not decline here
+        m = orthocore._packed_rows(family("andrews-q-catalan").moments, n, n + 1)
+        assert orthocore._normalised(m.rows, m.border) is None
+        assert orthocore._normalised([row[:n] for row in m.rows]) is None
+
+    @pytest.mark.parametrize(
+        "seq, det3",
+        [
+            (constant_moments([1, 1, 1, 2, 5, 14], "plateau"), -1),
+            (family("geometric-q").specialized_moments(1), 0),
+            (point_mass_at_zero(), 0),
+        ],
+        ids=["plateau", "geometric-q@1", "delta"],
+    )
+    def test_a_zero_pivot_needing_row_exchanges_falls_back(self, monkeypatch, seq, det3):
+        calls = []
+        real = orthocore._bareiss
+
+        def counted(rows, border=(), pivoting=False):
+            calls.append(pivoting)
+            return real(rows, border, pivoting)
+
+        monkeypatch.setattr(orthocore, "_bareiss", counted)
+        m = orthocore._packed_rows(seq, 3, 3)
+        oracle = real([row[:] for row in m.rows])
+        # without row exchanges the normalised sweep stops at the zero pivot itself
+        assert orthocore._eliminate(m) == oracle and oracle[0][-1] == 0
+        assert calls == []
+        assert hankel_direct(seq, 3) == det3
+        assert calls == [True]
 
 
 def _int_polys(max_digits):
