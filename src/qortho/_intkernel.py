@@ -11,6 +11,8 @@ at q = 2**w for a width w that provably bounds every coefficient of the
 product, multiply once as integers, and read the coefficients back off
 as balanced base-2**w digits.  Packing and unpacking are linear in the
 bit length because they go through ``int.to_bytes``/``from_bytes``.
+``dots`` forms several sums of products the same way, at one width,
+packing each polynomial once.
 
 Polynomial gcds come from one heuristic GCDHEU, ``divide_content``: pack
 every input at the same 2**w, take one integer gcd, read it back as a
@@ -89,18 +91,19 @@ def _mul_schoolbook(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _pack_nonneg(cs: list[int], wbytes: int) -> int:
-    """Pack nonnegative coefficients as little-endian fixed-width digits."""
-    buf = b"".join(c.to_bytes(wbytes, "little") for c in cs)
-    return int.from_bytes(buf, "little")
-
-
 def pack(cs: list[int], w: int) -> int:
-    """Evaluate the integer polynomial at q = 2**w.  w must be a multiple of 8."""
+    """Evaluate the integer polynomial at q = 2**w.
+
+    w must be a multiple of 8, and every coefficient below 2**(w-1) in
+    absolute value.  Each coefficient is offset by 2**(w-1) to a
+    nonnegative digit, so one ``to_bytes`` per coefficient serves both
+    signs; the offsets are taken out again as one repeated-byte integer.
+    """
     wbytes = w // 8
-    pos = [c if c > 0 else 0 for c in cs]
-    negs = [-c if c < 0 else 0 for c in cs]
-    return _pack_nonneg(pos, wbytes) - _pack_nonneg(negs, wbytes)
+    half = 1 << (w - 1)
+    digits = b"".join([(c + half).to_bytes(wbytes, "little") for c in cs])
+    offsets = (bytes(wbytes - 1) + b"\x80") * len(cs)
+    return int.from_bytes(digits, "little") - int.from_bytes(offsets, "little")
 
 
 def unpack(x: int, w: int) -> list[int]:
@@ -154,6 +157,31 @@ def mul(a: list[int], b: list[int]) -> list[int]:
     bound = min(len(a), len(b)) * max(abs(c) for c in a) * max(abs(c) for c in b)
     w = _width_for(bound)
     return unpack(pack(a, w) * pack(b, w), w)
+
+
+def dots(xs: list[list[int]], yss: list[list[list[int]]]) -> list[list[int]]:
+    """[sum x_j y_j for ys in yss] for integer polynomials, by Kronecker substitution.
+
+    All the sums share one width, which covers every coefficient of each
+    of them, so each polynomial is packed once however many sums it
+    enters; the packed products are added as integers and each sum is
+    unpacked once.
+
+    >>> dots([[1, 1], [2], []], [[[1, -1], [0, 3], [5]], [[1], [], [1]]])
+    [[1, 6, -1], [1, 1]]
+    """
+    rows = [[(x, y) for x, y in zip(xs, ys) if x and y] for ys in yss]
+    distinct = {id(p): p for row in rows for pair in row for p in pair}
+    height = {i: max(map(abs, p)) for i, p in distinct.items()}
+    bound = max(
+        (sum(min(len(x), len(y)) * height[id(x)] * height[id(y)] for x, y in row) for row in rows),
+        default=0,
+    )
+    if not bound:
+        return [[] for _ in rows]
+    w = _width_for(bound)
+    packed = {i: pack(p, w) for i, p in distinct.items()}
+    return [unpack(sum(packed[id(x)] * packed[id(y)] for x, y in row), w) for row in rows]
 
 
 class ExactDivider:
@@ -336,6 +364,47 @@ def divide_content(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]:
         w *= 2
     h = reduce(_gcd_prs, [primitive(cs)[1] for cs in nonzero])
     return h, [divexact(cs, h) for cs in polys]
+
+
+def primitive_vector(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(content, [p / content for p in polys]) for integer polynomials.
+
+    The content is their integer gcd times their primitive gcd, the h of
+    ``divide_content``, or [1] if they are all zero.
+    """
+    g = 0
+    for cs in polys:
+        g = math.gcd(g, content(cs))
+        if g == 1:
+            break
+    if g == 0:
+        return [1], polys
+    if g > 1:
+        polys = [[c // g for c in cs] for cs in polys]
+    h, polys = divide_content(polys)
+    return mul_scalar(h, g), polys
+
+
+def lcm(polys: list[list[int]]) -> list[int]:
+    """The lcm of nonzero integer polynomials, with positive leading coefficient.
+
+    It is the lcm of their integer contents times the lcm of their
+    primitive parts.  The parts are taken largest first, and one that
+    divides the lcm so far leaves it as it is; only another one costs a
+    gcd, and the lcm grows by the quotient p / gcd(lcm, p) that
+    ``divide_content`` returns.  On the rational-moment families each
+    denominator divides the next, so a row's lcm is its last one.
+    """
+    k, out = 1, [1]
+    for cs in sorted(polys, key=len, reverse=True):
+        c, p = primitive(cs)
+        k = k * abs(c) // math.gcd(k, c)
+        if len(p) > 1:
+            try:
+                divexact(out, p)
+            except ValueError:
+                out = mul(out, divide_content([out, p])[1][1])
+    return mul_scalar(out, k)
 
 
 def gcd(a: list[int], b: list[int]) -> list[int]:

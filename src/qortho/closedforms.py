@@ -41,7 +41,7 @@ from .qcombinatorics import (
     q_double_factorial,
     q_pochhammer_signed,
 )
-from .xpoly import XPolynomial, apply_functional
+from .xpoly import XPolynomial, _cleared, _Window, apply_functional
 
 __all__ = [
     "cf_qbinomial_sum",
@@ -457,15 +457,17 @@ class _Verifier:
             )
 
     def check_orthogonality(self):
+        # p_n over the lcm of its denominators and the moments over theirs, so
+        # each L(x^k p_n) is a dot product of numerators, tested with no reduction
+        window = _Window(self.moments)
         for n in range(1, self.max_n + 1):
-            p = orthopoly_recur(self.moments, n)
-            bad = [
-                k
-                for k in range(n)
-                if apply_functional(self.moments, p.shift_x(k))
-            ]
+            cs, _ = _cleared(window.ring, orthopoly_recur(self.moments, n).coefficients)
+            window.extend(2 * n - 1)
+            bad = [k for k, v in enumerate(window.dots(cs, range(n))) if v]
+            if not bad:
+                window.extend(2 * n)
             # with L(x^k p_n) = 0 for k < n, the norm L(p_n^2) is L(x^n p_n)
-            if bad or not apply_functional(self.moments, p.shift_x(n)):
+            if bad or not window.dots(cs, [n])[0]:
                 note = f"nonzero against x^k for k in {bad}" if bad else "vanishing norm"
                 self._mismatch(n, "orthogonality", note)
             else:

@@ -9,7 +9,13 @@ Three independent constructions live here:
 
 * ``stieltjes`` walks the classical bootstrap: L(p_k^2) and L(x p_k^2) give
   s_k and t_k, which give the next polynomial; as p_k is orthogonal to x^j,
-  j < k, both follow exactly from L(x^k p_k) and L(x^(k+1) p_k).
+  j < k, both follow exactly from L(x^k p_k) and L(x^(k+1) p_k).  It runs
+  on cleared numerators: the moment window a(0..2k+1) over one common
+  denominator (the lcm of theirs, rescaled when it grows), and p_k as a
+  vector P_k with no content over its leading entry, so those two values
+  are dot products of numerators, and s_k, t_k and norm_k are each
+  reduced once.  The numerators are integer polynomials over Q(q) and
+  plain ints at a specialized q; one loop serves both.
 * ``orthopoly_det`` builds p_n as a bordered Hankel determinant, run
   through an LDL^T elimination of the Hankel matrix on exact integer
   images, with fraction-free (Bareiss) elimination as its fallback.
@@ -67,7 +73,15 @@ from typing import Callable, Sequence
 
 from . import _intkernel as _k
 from .exactalg import QPolynomial, QRational
-from .xpoly import MomentSequence, Scalar, XPolynomial, apply_functional, even_part_compress
+from .xpoly import (
+    MomentSequence,
+    Scalar,
+    XPolynomial,
+    _cleared,
+    _Polys,
+    _Window,
+    even_part_compress,
+)
 
 __all__ = [
     "QuasiDefinitenessError",
@@ -160,20 +174,40 @@ class ExpansionTriangle:
 
 
 class _Recurrence:
-    """``stieltjes``'s p_0..p_K, s, t and norms, kept in ``MomentSequence.recurrence``."""
+    """``stieltjes``'s state, kept in ``MomentSequence.recurrence``.
 
-    def __init__(self, one):
-        self.p, self.s, self.t, self.norms = [XPolynomial([one])], [], [], []
+    The cleared moment window, P_0..P_K (p_k = P_k / P_k[k], P_k with no
+    content), s, t and norms, and each p_k once ``orthopoly_recur`` has
+    asked for it.
+    """
+
+    def __init__(self, moments: MomentSequence):
+        self.window = _Window(moments)
+        self.cleared = [[self.window.ring.one]]
+        self.p = {0: XPolynomial([moments.one])}
+        self.s, self.t, self.norms = [], [], []
 
 
 def stieltjes(moments: MomentSequence, depth: int) -> RecurrenceTable:
-    """Recurrence table to the given depth, built from norms.
+    """Recurrence table to the given depth, read off norms on cleared numerators.
 
     p_k is orthogonal to x^j for j < k and x p_k = x^(k+1) + c x^k + lower
     terms, c its x^(k-1) coefficient, so norm_k = L(p_k^2) = L(x^k p_k) and
     s_k = L(x p_k^2) / norm_k = L(x^(k+1) p_k) / norm_k + c exactly, with
-    no polynomial product.  The state stays on the sequence, so deepening
-    is incremental.  Raises QuasiDefinitenessError when some norm vanishes.
+    no polynomial product.  The moments a(0..2k+1) are held over one
+    common denominator B (``xpoly._Window``, rescaled when the lcm of
+    their denominators grows), and p_k as a vector P_k with no content
+    over its leading entry l = P_k[k].  Then norm_k l B and
+    L(x^(k+1) p_k) l B are dot products sum_i P_k[i] a(i+j) B of
+    numerators: integer polynomials over Q(q), plain ints at a
+    specialized q.  norm_k, s_k and t_{k-1} = norm_k / norm_{k-1} are
+    each reduced once, from a numerator and a denominator, so each is in
+    canonical form; P_{k+1} is formed from P_k, P_{k-1}, s_k and t_{k-1}
+    and divided by its content once, and p_k becomes an XPolynomial only
+    in ``orthopoly_recur``.  Step k reads a(2k) before it tests the norm
+    and a(2k+1) after, so it never reads past a(2 depth - 1).  The state
+    stays on the sequence, so deepening is incremental.  Raises
+    QuasiDefinitenessError when some norm vanishes.
 
     >>> from qortho.momentfamilies import family
     >>> table = stieltjes(family("q-factorial:m=0").specialized_moments(1), 3)
@@ -183,79 +217,65 @@ def stieltjes(moments: MomentSequence, depth: int) -> RecurrenceTable:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     with moments.scratch_lock:
-        state = moments.recurrence = moments.recurrence or _Recurrence(moments.one)
-        p, s, t, norms = state.p, state.s, state.t, state.norms
+        state = moments.recurrence = moments.recurrence or _Recurrence(moments)
+        window, cleared, s, t, norms = state.window, state.cleared, state.s, state.t, state.norms
+        ring = window.ring
         for k in range(len(s), depth):
-            pk = p[k]
-            xk_pk = pk.shift_x(k)
-            norm_k = apply_functional(moments, xk_pk)
-            if not norm_k:
+            pk = cleared[k]
+            lead = pk[k]
+            window.extend(2 * k)
+            den = window.den
+            (nk,) = window.dots(pk, [k])  # norm_k * lead * den
+            if not nk:
                 raise QuasiDefinitenessError(k + 1, moments.name)
-            s_k = apply_functional(moments, xk_pk.shift_x(1)) / norm_k + pk.coefficient(k - 1)
+            norm_k = ring.value(nk, ring.mul(lead, den))
+            window.extend(2 * k + 1)
+            if window.den != den:
+                nk = ring.mul(nk, ring.quo(window.den, den))
+            # s_k = ns / nk + c, with c = pk[k-1] / lead
+            (ns,) = window.dots(pk, [k + 1])
+            c = pk[k - 1] if k else ring.zero
+            (num,) = ring.dots([ns, c], [[lead, nk]])
+            s_k = ring.value(num, ring.mul(nk, lead))
+            # l_k l_{k-1} sd td p_{k+1} = (sd x + sn) td l_{k-1} P_k + tn sd l_k P_{k-1},
+            # with sn / sd = -s_k and tn / td = -t_{k-1} (l_{-1} td = 1, tn = 0 at k = 0)
+            sn, sd = ring.parts(-s_k)
+            factor, g, prev = ring.one, ring.zero, []
+            if k:
+                (n1, d1), (n0, d0) = ring.parts(norm_k), ring.parts(norms[k - 1])
+                t_k = ring.value(ring.mul(n1, d0), ring.mul(d1, n0))
+                tn, td = ring.parts(-t_k)
+                factor = ring.mul(td, cleared[k - 1][k - 1])
+                g, prev = ring.mul(ring.mul(tn, sd), lead), cleared[k - 1]
+            coefs = [ring.mul(sd, factor), ring.mul(sn, factor), g]
+            cols = zip([ring.zero, *pk], [*pk, ring.zero], [*prev, ring.zero, ring.zero])
+            cleared.append(ring.primitive(ring.dots(coefs, cols)))
             norms.append(norm_k)
             s.append(s_k)
-            succ = pk.shift_x(1) - pk.scale(s_k)
-            if k > 0:
-                t_k = norm_k / norms[k - 1]
+            if k:
                 t.append(t_k)
-                succ = succ - p[k - 1].scale(t_k)
-            p.append(succ)
         return RecurrenceTable(
             tuple(s[:depth]), tuple(t[: max(depth - 1, 0)]), tuple(norms[:depth])
         )
 
 
 def orthopoly_recur(moments: MomentSequence, n: int) -> XPolynomial:
-    """The monic orthogonal polynomial p_n via the three-term recurrence."""
+    """The monic orthogonal polynomial p_n via the three-term recurrence.
+
+    It is read off the cleared P_n once, each coefficient reduced once.
+    """
     if n < 0:
         raise ValueError("degree must be >= 0")
     with moments.scratch_lock:
         stieltjes(moments, n)
-        return moments.recurrence.p[n]
+        state = moments.recurrence
+        if n not in state.p:
+            pn, value = state.cleared[n], state.window.ring.value
+            state.p[n] = XPolynomial([value(c, pn[n]) for c in pn[:n]] + [moments.one])
+        return state.p[n]
 
 
 # -- exact integer elimination -------------------------------------------------
-
-
-def _lcm(polys: Sequence[list[int]]) -> list[int]:
-    """The lcm of nonzero integer polynomials, with positive leading coefficient.
-
-    It is the lcm of their integer contents times the lcm of their
-    primitive parts.  The parts are taken largest first, and one that
-    divides the lcm so far leaves it as it is; only another one costs a
-    gcd, and the lcm grows by the quotient p / gcd(lcm, p) that
-    ``divide_content`` returns.  On the rational-moment families each
-    denominator divides the next, so a row's lcm is its last one.
-    """
-    k, lcm = 1, [1]
-    for cs in sorted(polys, key=len, reverse=True):
-        c, p = _k.primitive(cs)
-        k = k * abs(c) // math.gcd(k, c)
-        if len(p) > 1:
-            try:
-                _k.divexact(lcm, p)
-            except ValueError:
-                lcm = _k.mul(lcm, _k.divide_content([lcm, p])[1][1])
-    return _k.mul_scalar(lcm, k)
-
-
-def _divide_out_content(polys: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """(content, [p / content for p in polys]) for integer polynomials.
-
-    The content is their integer gcd times their primitive gcd, the h of
-    ``divide_content``, or [1] if they are all zero.
-    """
-    g = 0
-    for cs in polys:
-        g = math.gcd(g, _k.content(cs))
-        if g == 1:
-            break
-    if g == 0:
-        return [1], polys
-    if g > 1:
-        polys = [[c // g for c in cs] for cs in polys]
-    h, polys = _k.divide_content(polys)
-    return _k.mul_scalar(h, g), polys
 
 
 def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
@@ -269,16 +289,6 @@ def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
     for m in maxima:
         bound *= m
     return _k._width_for(bound)
-
-
-def _int_parts(value) -> tuple[list[int], list[int]]:
-    """(numerator, denominator) of a field value as integer polynomials."""
-    if isinstance(value, Fraction):
-        return ([value.numerator] if value else []), [value.denominator]
-    # (n / a) / (d / b) = n b / (d a)
-    n, a = value.numerator.int_parts()
-    d, b = value.denominator.int_parts()
-    return (_k.mul_scalar(n, b) if b != 1 else n), (_k.mul_scalar(d, a) if a != 1 else d)
 
 
 def _from_ints(cs: list[int], one: Scalar) -> Scalar:
@@ -332,26 +342,21 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     scales: list[Scalar] = []
     row_contents: list[list[int]] = []
     for i in range(nrows):
-        nums, dens = zip(*(_int_parts(moments.moment(i + j)) for j in range(ncols)))
-        lcm = _lcm(dens)
-        if len(lcm) == 1:  # constant denominators: polynomial moments, or a rational q
-            ints = [_k.mul_scalar(n, lcm[0] // d[0]) for n, d in zip(nums, dens)]
-        else:
-            ints = [_k.mul(n, _k.divexact(lcm, d)) for n, d in zip(nums, dens)]
-        content, ints = _divide_out_content(ints)
+        ints, lcm = _cleared(_Polys, [moments.moment(i + j) for j in range(ncols)])
+        content, ints = _k.primitive_vector(ints)
         rows.append(ints)
         scales.append(_from_ints(lcm, moments.one))
         row_contents.append(content)
     col_contents = []
     for j in range(ncols):
-        content, column = _divide_out_content([row[j] for row in rows])
+        content, column = _k.primitive_vector([row[j] for row in rows])
         for row, cs in zip(rows, column):
             row[j] = cs
         col_contents.append(content)
     maxima = [max((_k.l1(cs) for cs in row), default=0) or 1 for row in rows]
     diagonal = []  # L / c_j, the border rows' one nonzero entries
     if nrows < ncols:
-        lcm = _lcm(col_contents)
+        lcm = _k.lcm(col_contents)
         diagonal = [_k.divexact(lcm, c) for c in col_contents]
         maxima.append(max(map(_k.l1, diagonal)))
     w = _minor_width(ncols, maxima)
@@ -496,21 +501,31 @@ def _eliminate(m: _Packed, pivoting: bool = False) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def _unscale(cleared: int, m: _Packed, k: int) -> Scalar:
+def _factor_products(m: _Packed, n: int) -> list[list[int]]:
+    """factors[0] * ... * factors[k-1] for k = 1..n, each from the one before."""
+    out, product = [], [1]
+    for f in m.factors[:n]:
+        if f != [1]:
+            product = _k.mul(product, f)
+        out.append(product)
+    return out
+
+
+def _unscale(cleared: int, m: _Packed, k: int, factor: list[int]) -> Scalar:
     """A minor of the first k rows and columns, from its cleared value.
 
-    Unpacks it, multiplies by factors[0..k-1] and divides by the row
-    scales one at a time.
+    Unpacks it, multiplies by ``factor``, the product of factors[0..k-1],
+    and divides by the row scales other than 1, one at a time.
     """
     if cleared == 0:
         return m.one * 0
     cs = _k.unpack(cleared, m.w)
-    for f in m.factors[:k]:
-        if f != [1]:
-            cs = _k.mul(cs, f)
+    if factor != [1]:
+        cs = _k.mul(cs, factor)
     det = _from_ints(cs, m.one)
     for s in m.scales[:k]:
-        det = det / s
+        if s != m.one:
+            det = det / s
     return det
 
 
@@ -594,7 +609,7 @@ def hankel_direct(moments: MomentSequence, n: int) -> Scalar:
         return moments.one
     m = _packed_rows(moments, n, n)
     pivots, sign = _eliminate(m, pivoting=True)
-    return _unscale(sign * pivots[-1], m, n)
+    return _unscale(sign * pivots[-1], m, n, _factor_products(m, n)[-1])
 
 
 def hankel_minors(moments: MomentSequence, n: int) -> list[Scalar]:
@@ -620,7 +635,9 @@ def _minors(moments: MomentSequence, m: _Packed, pivots: list[int], n: int) -> l
     Each pivot is unscaled to its leading minor; every order past a zero
     pivot, where the sweep stopped, comes from ``hankel_direct``.
     """
-    dets = [moments.one] + [_unscale(p, m, k + 1) for k, p in enumerate(pivots)]
+    products = _factor_products(m, len(pivots))
+    dets = [moments.one]
+    dets.extend(_unscale(p, m, k + 1, f) for k, (p, f) in enumerate(zip(pivots, products)))
     dets.extend(hankel_direct(moments, k) for k in range(len(dets), n + 1))
     return dets
 

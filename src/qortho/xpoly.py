@@ -9,14 +9,27 @@ a growing cache and represents a linear functional L through its values
 L(x^n).  Its a(0) is the field's one, and the constructions take their
 zero and one from the sequence, so at a specialized q they compute in
 Fraction from end to end.
+
+Sums of c_i a(i) are formed on cleared numerators, not one field
+operation per term.  ``_Window`` holds a(0..m) times one common
+denominator, the lcm of theirs; ``_cleared`` writes a list of values
+over the lcm of their denominators; a sum is then a dot product of
+numerators, reduced at most once.  The numerators live in one of two
+rings chosen from the field (``_ring``): integer polynomials through
+``_intkernel`` over Q(q) (``_Polys``), plain Python ints at a
+specialized q (``_Ints``).  ``apply_functional``, ``stieltjes`` and the
+orthogonality check of ``verify`` compute through them.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import threading
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
+from . import _intkernel as _k
 from .exactalg import QPolynomial, QRational
 
 __all__ = [
@@ -336,13 +349,127 @@ class MomentSequence:
         return f"MomentSequence({self.name or self._rule!r})"
 
 
+# -- cleared arithmetic ----------------------------------------------------------
+
+
+def _int_parts(value: Scalar) -> tuple[list[int], list[int]]:
+    """(numerator, denominator) of a field value as integer polynomials."""
+    if isinstance(value, Fraction):
+        return ([value.numerator] if value else []), [value.denominator]
+    # (n / a) / (d / b) = n b / (d a)
+    n, a = value.numerator.int_parts()
+    d, b = value.denominator.int_parts()
+    return (_k.mul_scalar(n, b) if b != 1 else n), (_k.mul_scalar(d, a) if a != 1 else d)
+
+
+class _Polys:
+    """Numerators cleared over Q(q): integer polynomials, through ``_intkernel``."""
+
+    zero, one = [], [1]  # shared: the _intkernel routines change no input in place
+    mul = staticmethod(_k.mul)
+    dots = staticmethod(_k.dots)
+    quo = staticmethod(_k.divexact)
+    lcm = staticmethod(_k.lcm)
+    parts = staticmethod(_int_parts)
+
+    @staticmethod
+    def primitive(values: list[list[int]]) -> list[list[int]]:
+        return _k.primitive_vector(values)[1]
+
+    @staticmethod
+    def value(num: list[int], den: list[int]) -> QRational:
+        return QRational(QPolynomial._raw(num, 1), QPolynomial._raw(den, 1))
+
+
+class _Ints:
+    """Numerators cleared at a specialized q: plain Python ints."""
+
+    zero, one = 0, 1
+    mul = staticmethod(operator.mul)
+    quo = staticmethod(operator.floordiv)
+    value = Fraction
+
+    @staticmethod
+    def dots(xs: Sequence[int], yss: Iterable[Sequence[int]]) -> list[int]:
+        return [sum(map(operator.mul, xs, ys)) for ys in yss]
+
+    @staticmethod
+    def lcm(values: Sequence[int]) -> int:
+        return math.lcm(*values)
+
+    @staticmethod
+    def primitive(values: list[int]) -> list[int]:
+        g = math.gcd(*values)
+        return [v // g for v in values] if g > 1 else values
+
+    @staticmethod
+    def parts(value: Fraction) -> tuple[int, int]:
+        return value.numerator, value.denominator
+
+
+def _ring(*values: Scalar):
+    """The ring of cleared numerators for values of these fields.
+
+    Integer polynomials if any value is in Q(q), plain ints otherwise.
+    """
+    return _Polys if any(isinstance(v, QRational) for v in values) else _Ints
+
+
+def _cleared(ring, values: Iterable[Scalar]) -> tuple[list, object]:
+    """(numerators, den): the values over the lcm of their denominators."""
+    nums, dens = zip(*map(ring.parts, values))
+    den = ring.lcm(dens)
+    return [ring.mul(n, ring.quo(den, d)) for n, d in zip(nums, dens)], den
+
+
+class _Window:
+    """The moments a(0..m) over one common denominator, as ring elements.
+
+    ``values[j]`` is a(j) * ``den``, and ``den`` is the lcm of the
+    denominators read so far.  ``extend`` reads the moments one at a
+    time, so a moment that raises leaves the window as it was; when the
+    lcm grows, every value held is rescaled.  A sum of c_i a(i + j)
+    over one common denominator is then one of its ``dots``, with no
+    reduction.
+    """
+
+    def __init__(self, moments: MomentSequence, ring=None):
+        self.moments = moments
+        self.ring = ring or _ring(moments.one)
+        self.den = self.ring.one
+        self.values: list = []
+
+    def extend(self, m: int) -> None:
+        """Hold a(0..m)."""
+        ring = self.ring
+        for j in range(len(self.values), m + 1):
+            num, den = ring.parts(self.moments.moment(j))
+            lcm = ring.lcm([self.den, den])
+            if lcm != self.den:
+                ratio = ring.quo(lcm, self.den)
+                self.values = [ring.mul(v, ratio) for v in self.values]
+                self.den = lcm
+            self.values.append(ring.mul(num, ring.quo(lcm, den)))
+
+    def dots(self, cs: Sequence, shifts: Iterable[int]) -> list:
+        """[sum_i cs[i] a(i + j) times ``den`` for j in shifts]; the window must hold them."""
+        n = len(cs)
+        return self.ring.dots(cs, [self.values[j : j + n] for j in shifts])
+
+
 def apply_functional(moments: MomentSequence, p: XPolynomial) -> Scalar:
-    """L(p) = sum coeff_k * a(k), in the field of the moments."""
-    total = moments.zero
-    for k, c in enumerate(p.coefficients):
-        if c:
-            total = total + c * moments.moment(k)
-    return total
+    """L(p) = sum coeff_k * a(k), in the field of the moments (Q(q) if p is over it).
+
+    p is cleared by one lcm and a(0..deg p) by another, so L(p) is one
+    dot product of numerators over the product of the two lcms, reduced
+    once.
+    """
+    if p.is_zero:
+        return moments.zero
+    window = _Window(moments, _ring(moments.one, p.coefficients[-1]))
+    window.extend(p.degree)
+    cs, den = _cleared(window.ring, p.coefficients)
+    return window.ring.value(window.dots(cs, [0])[0], window.ring.mul(den, window.den))
 
 
 def even_part_compress(p: XPolynomial) -> XPolynomial:

@@ -387,6 +387,18 @@ class TestOrthogonalityCheck:
         bad = [e for e in report.mismatches() if e.check == "orthogonality"]
         assert [(e.n, e.note) for e in bad] == [(2, "nonzero against x^k for k in [0, 1]")]
 
+    def test_a_polynomial_off_the_sequence_is_flagged_at_a_specialized_q(self, monkeypatch):
+        real = closedforms.orthopoly_recur
+
+        def shifted(moments, n):
+            p = real(moments, n)
+            return p + XPolynomial.one() if n == 2 else p
+
+        monkeypatch.setattr(closedforms, "orthopoly_recur", shifted)
+        report = verify_family("q-double-factorial", max_n=3, q=Fraction(5, 4))
+        bad = [e for e in report.mismatches() if e.check == "orthogonality"]
+        assert [(e.n, e.note) for e in bad] == [(2, "nonzero against x^k for k in [0, 1]")]
+
     def test_a_vanishing_norm_is_flagged(self):
         # all moments are 1 at q = 1, so p_1 = x - 1 is orthogonal to 1 but L(p_1^2) = 0
         verifier = closedforms._Verifier("geometric-q", 1, q=1)

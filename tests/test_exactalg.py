@@ -258,6 +258,35 @@ def test_kernel_pack_unpack_round_trip(cs):
     assert _intkernel.unpack(_intkernel.pack(cs, w), w) == _intkernel.strip(cs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([8, 16, 64]).flatmap(
+    lambda w: st.tuples(
+        st.just(w),
+        st.lists(st.integers(min_value=-(1 << (w - 1)), max_value=(1 << (w - 1)) - 1), max_size=8),
+    )
+))
+@example((8, [-128, 127, 0, -1]))
+def test_kernel_pack_is_the_value_at_two_to_the_w(case):
+    # the offset digits must cover the whole balanced range, both ends included
+    w, cs = case
+    assert _intkernel.pack(cs, w) == sum(c << (w * i) for i, c in enumerate(cs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(int_coeffs, int_coeffs), max_size=5), st.integers(1, 3))
+def test_kernel_dots_match_sums_of_schoolbook_products(pairs, copies):
+    xs = [x for x, _ in pairs]
+    yss = [[y for _, y in pairs]] + [[x for x, _ in pairs]] * copies  # repeated polynomials
+    expected = []
+    for ys in yss:
+        total = []
+        for x, y in zip(xs, ys):
+            if x and y:
+                total = _intkernel.add(total, _intkernel._mul_schoolbook(x, y))
+        expected.append(_intkernel.strip(total))
+    assert _intkernel.dots(xs, yss) == expected
+
+
 long_int_coeffs = st.lists(
     st.integers(min_value=-(10**6), max_value=10**6), min_size=25, max_size=40
 )

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qortho import _intkernel, orthocore
-from qortho.exactalg import QPolynomial, QRational
+from qortho.exactalg import PoleError, QPolynomial, QRational
 from qortho.momentfamilies import family, registry_family_ids
 from qortho.orthocore import (
     ExpansionTriangle,
@@ -70,6 +70,19 @@ def point_mass_at_zero():
     return MomentSequence(lambda n: QRational.of(1 if n == 0 else 0), name="delta")
 
 
+def functional_by_terms(moments, p):
+    """L(p) as a running sum of c_k a(k), one field operation per term.
+
+    The functional before it was cleared, kept as the oracle's, so the
+    oracle shares no arithmetic with the cleared window.
+    """
+    total = moments.zero
+    for k, c in enumerate(p.coefficients):
+        if c:
+            total = total + c * moments.moment(k)
+    return total
+
+
 def _stieltjes_by_squares(moments, depth):
     """The bootstrap through p_k^2 that ``stieltjes`` replaced, kept as its oracle.
 
@@ -79,10 +92,10 @@ def _stieltjes_by_squares(moments, depth):
     p, s, t, norms = [XPolynomial.one()], [], [], []
     for k in range(depth):
         square = p[k] * p[k]
-        norm_k = apply_functional(moments, square)
+        norm_k = functional_by_terms(moments, square)
         if not norm_k:
             raise QuasiDefinitenessError(k + 1, moments.name)
-        s_k = apply_functional(moments, square.shift_x(1)) / norm_k
+        s_k = functional_by_terms(moments, square.shift_x(1)) / norm_k
         norms.append(norm_k)
         s.append(s_k)
         succ = p[k].shift_x(1) - p[k].scale(s_k)
@@ -457,7 +470,7 @@ class TestLcm:
     @given(st.lists(_int_polys(20).filter(bool), min_size=1, max_size=5), _int_polys(6).filter(bool))
     def test_every_input_divides_it(self, polys, c):
         planted = [_intkernel.mul(p, c) for p in polys]
-        lcm = orthocore._lcm(planted)
+        lcm = _intkernel.lcm(planted)
         assert lcm[-1] > 0
         for p in planted:
             _intkernel.divexact(lcm, p)  # raises unless p divides the lcm
@@ -469,7 +482,7 @@ class TestLcm:
         (ka, pa), (kb, pb) = _intkernel.primitive(a), _intkernel.primitive(b)
         gcd = _intkernel.mul_scalar(_intkernel._gcd_prs(pa, pb), math.gcd(ka, kb))
         product = _intkernel.mul(a, b)
-        assert _intkernel.mul(orthocore._lcm([a, b]), gcd) in (
+        assert _intkernel.mul(_intkernel.lcm([a, b]), gcd) in (
             product,
             _intkernel.mul_scalar(product, -1),
         )
@@ -610,13 +623,96 @@ class TestStieltjes:
             assert results == [expected, expected]
 
 
+    @pytest.mark.parametrize("specialized", [False, True], ids=["symbolic", "at-5/4"])
+    def test_eight_threads_on_a_fresh_rational_sequence(self, specialized):
+        # andrews-q-catalan's denominators grow with every moment, so the
+        # threads race through window rescales and the lazily built p_k
+        fam = family("andrews-q-catalan")
+        moments = fam.specialized_moments(Fraction(5, 4)) if specialized else fam.moments
+        depth = 8 if specialized else 6
+
+        def table_and_polys(seq):
+            return stieltjes(seq, depth), [orthopoly_recur(seq, n) for n in range(depth + 1)]
+
+        expected = table_and_polys(MomentSequence(moments.moment))
+        shared = MomentSequence(moments.moment)
+        results, errors = [], []
+
+        def run(first):
+            try:
+                # each thread deepens in its own order, asking for p_n on the way
+                for n in [*range(first, depth + 1), *range(first)]:
+                    orthopoly_recur(shared, n)
+                    stieltjes(shared, n)
+                results.append(table_and_polys(shared))
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i % (depth + 1),)) for i in range(8)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert results == [expected] * 8
+
+
+def _counted(seq):
+    """A fresh sequence over ``seq``'s moments, and the list of indices it reads."""
+    reads = []
+
+    def rule(n):
+        reads.append(n)
+        return seq.moment(n)
+
+    return MomentSequence(rule, name=seq.name), reads
+
+
+class TestStieltjesMomentReads:
+    @pytest.mark.parametrize(
+        "spec, specialized",
+        [("andrews-q-catalan", False), ("q-factorial:m=1", False), ("lucas-functional", True)],
+    )
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5])
+    def test_reads_no_moment_past_two_depth_minus_one(self, spec, specialized, depth):
+        fam = family(spec)
+        moments = fam.specialized_moments(Fraction(5, 4)) if specialized else fam.moments
+        seq, reads = _counted(moments)
+        stieltjes(seq, depth)
+        assert max(reads) == max(2 * depth - 1, 0)
+        orthopoly_recur(seq, depth)
+        assert max(reads) == max(2 * depth - 1, 0)
+
+    @pytest.mark.parametrize("lift", [Fraction, QRational.of], ids=["Q", "Q(q)"])
+    @pytest.mark.parametrize(
+        "values, level", [([1, 1, 1], 2), ([1, 0, 1, 0, 1], 3)], ids=["level-2", "level-3"]
+    )
+    def test_a_vanishing_norm_is_found_before_a_pole_past_it(self, lift, values, level):
+        # norm_k vanishes with a(0..2k) read; a(2k+1), which s_k would need, has a pole
+        def rule(n):
+            if n >= len(values):
+                raise PoleError(f"pole in moment {n}")
+            return lift(values[n])
+
+        with pytest.raises(QuasiDefinitenessError) as err:
+            stieltjes(MomentSequence(rule, name="pole-past-the-norm"), level + 1)
+        assert err.value.level == level
+
+
 def _oracle_cases():
-    """Every family symbolically at depth 6 and at q = 5/4 at depth 8, and
-    every aerated sequence at depth 7."""
+    """Every family symbolically at depth 6 and at q = 5/4, 4/5 and 9/8 at
+    depth 8, and every aerated sequence at depth 7."""
     for fid in registry_family_ids():
         fam = family(str(fid))
         yield pytest.param(fam.moments, 6, id=str(fid))
-        yield pytest.param(fam.specialized_moments(Fraction(5, 4)), 8, id=f"{fid}@5/4")
+        for q0 in (Fraction(5, 4), Fraction(4, 5), Fraction(9, 8)):
+            yield pytest.param(fam.specialized_moments(q0), 8, id=f"{fid}@{q0}")
         if fam.aerated_capable:
             yield pytest.param(fam.aerated_moments, 7, id=f"{fid}-aerated")
 
@@ -644,6 +740,33 @@ class TestStieltjesAgainstSquares:
         with pytest.raises(QuasiDefinitenessError) as got:
             stieltjes(MomentSequence(seq.moment, name=seq.name), 3)
         assert (got.value.level, str(got.value)) == (expected.value.level, str(expected.value))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([str(fid) for fid in registry_family_ids()]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_same_outcome_at_small_rational_points(self, spec, q0, depth):
+        # zero, one and negative points included: the same table and
+        # polynomials, or the same exception at the same level
+        seq = family(spec).specialized_moments(q0)
+
+        def outcome(build):
+            try:
+                return build()
+            except (QuasiDefinitenessError, PoleError) as exc:
+                return type(exc), str(exc)
+
+        def by_squares():
+            s, t, norms, polys = _stieltjes_by_squares(seq, depth)
+            return RecurrenceTable(s, t, norms), polys
+
+        def cleared():
+            fresh = MomentSequence(seq.moment, name=seq.name)
+            return stieltjes(fresh, depth), [orthopoly_recur(fresh, n) for n in range(depth + 1)]
+
+        assert outcome(cleared) == outcome(by_squares)
 
     def test_forms_no_product_of_polynomials(self, monkeypatch):
         mul = XPolynomial.__mul__

@@ -6,8 +6,11 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qortho.exactalg import QPolynomial, QRational
+from qortho.momentfamilies import family
 from qortho.xpoly import (
     MomentSequence,
     XPolynomial,
@@ -102,6 +105,40 @@ class TestMomentFunctional:
         assert apply_functional(seq, p2).is_zero
         assert apply_functional(seq, X * p2).is_zero
         assert not apply_functional(seq, X * X * p2).is_zero
+
+
+def _coefficient(symbolic):
+    """A small Fraction, or with ``symbolic`` a Fraction over 1 + c q."""
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    if not symbolic:
+        return small
+    return st.tuples(small, st.integers(-3, 3)).map(
+        lambda fc: QRational.of(QPolynomial([fc[0]]), QPolynomial([1, fc[1]]))
+    )
+
+
+class TestClearedFunctional:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(
+            ["andrews-q-catalan", "q-factorial:m=1", "lucas-functional", "geometric-q"]
+        ),
+        st.sampled_from([None, Fraction(5, 4), Fraction(-2, 3)]),
+        st.booleans().flatmap(lambda sym: st.lists(_coefficient(sym), max_size=9)),
+    )
+    def test_equals_the_sum_of_its_terms(self, spec, point, coefficients):
+        # one lcm for p and one for the moments, whose denominators grow
+        # with the index on andrews-q-catalan, so the window is rescaled
+        fam = family(spec)
+        seq = fam.moments if point is None else fam.specialized_moments(point)
+        p = XPolynomial(coefficients)
+        total = seq.zero
+        for k, c in enumerate(p.coefficients):
+            if c:
+                total = total + c * seq.moment(k)
+        value = apply_functional(seq, p)
+        assert value == total
+        assert type(value) is type(total)
 
 
 class TestMomentSequence:
