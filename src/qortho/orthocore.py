@@ -25,14 +25,15 @@ Hankel determinants come in two flavors for cross-checking: a direct
 fraction-free determinant and the product formula over the recurrence
 coefficients t_j.
 
-Determinant internals: each matrix row over Q(q) is written as integer
-polynomials over integer denominators and multiplied by their lcm L_i,
-the row's scale; the row is then divided by its content (the integer
-gcd of its entries times their primitive gcd), and then each column by
-its content.  The moments of the registry families nest (a(j) divides
-every a(i+j) of q-factorial), so these row and column contents hold
-most of the entries' size, and they are multiplied back, and the
-scales divided out, only in the values read off at the end.  Every
+Determinant internals: the Hankel block is scaled as a congruence
+U H U, U = diag(u_j) with u_j the lcm of the integer denominators of
+a(0..2j), so u_i u_j a(i+j) is an integer polynomial and the block keeps
+its LDL^T factorisation; then each row is divided by its content (the
+integer gcd of its entries times their primitive gcd), and then each
+column by its content.  The moments of the registry families nest (a(j)
+divides every a(i+j) of q-factorial), so these row and column contents
+hold most of the entries' size, and they are multiplied back, and the
+scales u_i^2 divided out, only in the values read off at the end.  Every
 entry is then evaluated at q = 2^w for a width w chosen from an
 a-priori bound on all minors, and one sweep runs on plain Python
 integers.  Because the bound makes every minor's coefficient vector
@@ -49,15 +50,16 @@ d_k off one sweep, ``orthopoly_det_sweep`` every p_k and d_k, and
 The sweep is Gaussian elimination in normalised form, the LDL^T
 factorisation of H (``_normalised``): it keeps the Schur complement
 over its leading entry, so each step divides out the factor that
-Bareiss would carry into every later product.  On the polynomial-moment
-families every such quotient is an integer.  When one is not (the
-rational-moment families, the functionals, most blocks at a
-specialized q), or when ``hankel_direct`` meets a zero pivot and needs
-row exchanges, the same rows go through Bareiss elimination
-(``_bareiss``), which divides each step exactly by the previous pivot;
-``_eliminate`` picks between them, and the Bareiss pivots are the
-tests' oracle for the normalised ones.  Every division goes through
-one ``_intkernel.ExactDivider`` (a 2-adic inverse with every quotient
+Bareiss would carry into every later product.  On the symbolic blocks
+of every family whose moments are given by a step, the rational-moment
+ones included, every such quotient has been an integer through order
+12.  When one is not (the functionals, most blocks at a specialized q),
+or when ``hankel_direct`` meets a zero pivot and needs row exchanges,
+the same rows go through Bareiss elimination (``_bareiss``), which
+divides each step exactly by the previous pivot; ``_eliminate`` picks
+between them, and the Bareiss pivots are the tests' oracle for the
+normalised ones.  Every division goes through one
+``_intkernel.ExactDivider`` (a 2-adic inverse with every quotient
 multiplied back, or ``divmod`` with its remainder tested where that is
 faster), so a division that leaves a remainder is detected instead of
 returning a wrong value.  At a specialized q every entry is an integer
@@ -77,8 +79,7 @@ from .xpoly import (
     MomentSequence,
     Scalar,
     XPolynomial,
-    _cleared,
-    _Polys,
+    _int_parts,
     _Window,
     even_part_compress,
 )
@@ -306,14 +307,15 @@ def _from_ints(cs: list[int], one: Scalar) -> Scalar:
 class _Packed:
     """A Hankel block a(i+j) cleared by ``_packed_rows`` and packed at q = 2^w.
 
-    ``scales[i]`` is L_i, the integer lcm of row i's denominators, and
-    ``factors[i]`` is r_i * c_i, its row content times its column
-    content, so a leading minor of order k+1 is the packed one times
-    factors[0..k] over scales[0..k].  When the block has one column more
-    than rows, ``border`` holds the packed border rows: row e is the x^e
-    part of the symbolic last row, L / c_e in column e and 0 elsewhere.
-    It is empty otherwise.  ``one`` is the moments' a(0), and the
-    scales and every value read off are in its field.
+    ``scales[i]`` is u_i^2, the square of the lcm of the denominators
+    of a(0..2i) that scales row and column i, and ``factors[i]`` is
+    r_i * c_i, its row content times its column content, so a leading
+    minor of order k+1 is the packed one times factors[0..k] over
+    scales[0..k].  When the block has one column more than rows,
+    ``border`` holds the packed border rows: row e is the x^e part of
+    the symbolic last row, u_e L / c_e in column e and 0 elsewhere.  It
+    is empty otherwise.  ``one`` is the moments' a(0), and the scales
+    and every value read off are in its field.
     """
 
     rows: list[list[int]]
@@ -327,26 +329,29 @@ class _Packed:
 def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     """Rows a(i+j), i < nrows, j < ncols, cleared and packed at q = 2^w.
 
-    Row i is written over the integers as numerators n_ij over
-    denominators e_ij and multiplied by L_i, the lcm of the e_ij; it is
-    then divided by its content r_i, and each column by its content c_j,
-    so cleared_ij = L_i * a(i+j) / (r_i * c_j).  Contents are integer
-    gcds times primitive polynomial gcds, [1] for an all-zero row or
-    column.  w covers every minor of an ncols x ncols matrix made of
-    these rows and, when nrows < ncols, the border row L / c_j x^j
-    (L the lcm of the c_j), counted at its largest L1 norm.  The
-    coefficient lists are dropped on return, before any elimination
-    starts.
+    The block is scaled as a congruence U H U, so its LDL^T factorisation
+    carries over: U = diag(u_j), u_j the lcm of the denominators of
+    a(0..min(2j, nrows+ncols-2)), which include those of every a(i+j),
+    i <= j.  Each row is then divided by its content r_i, and each
+    column by its content c_j: cleared_ij = u_i u_j a(i+j) / (r_i c_j).
+    Contents are integer gcds times primitive polynomial gcds, [1] for
+    an all-zero row or column.  w covers every minor of an ncols x ncols
+    matrix made of these rows and, when nrows < ncols, the border row
+    u_j L / c_j x^j (L the lcm of the c_j), counted at its largest L1
+    norm.  No moment past a(nrows+ncols-2) is read, and the coefficient
+    lists are dropped on return, before any elimination starts.
     """
-    rows: list[list[list[int]]] = []
-    scales: list[Scalar] = []
-    row_contents: list[list[int]] = []
-    for i in range(nrows):
-        ints, lcm = _cleared(_Polys, [moments.moment(i + j) for j in range(ncols)])
-        content, ints = _k.primitive_vector(ints)
-        rows.append(ints)
-        scales.append(_from_ints(lcm, moments.one))
-        row_contents.append(content)
+    top = nrows + ncols - 2
+    nums, dens = zip(*(_int_parts(moments.moment(m)) for m in range(top + 1)))
+    u = [[1]]  # a(0) = 1
+    for j in range(1, ncols):
+        u.append(_k.lcm([u[-1], *dens[2 * j - 1 : min(2 * j, top) + 1]]))
+
+    def entry(i: int, j: int) -> list[int]:  # u_i u_j a(i+j); i <= j, so u_j clears a(i+j)
+        return _k.mul(nums[i + j], _k.mul(u[i], _k.divexact(u[j], dens[i + j])))
+
+    scaled = ([entry(*sorted((i, j))) for j in range(ncols)] for i in range(nrows))
+    row_contents, rows = zip(*map(_k.primitive_vector, scaled))
     col_contents = []
     for j in range(ncols):
         content, column = _k.primitive_vector([row[j] for row in rows])
@@ -354,12 +359,13 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
             row[j] = cs
         col_contents.append(content)
     maxima = [max((_k.l1(cs) for cs in row), default=0) or 1 for row in rows]
-    diagonal = []  # L / c_j, the border rows' one nonzero entries
+    diagonal = []  # u_j L / c_j, the border rows' one nonzero entries
     if nrows < ncols:
         lcm = _k.lcm(col_contents)
-        diagonal = [_k.divexact(lcm, c) for c in col_contents]
+        diagonal = [_k.mul(v, _k.divexact(lcm, c)) for v, c in zip(u, col_contents)]
         maxima.append(max(map(_k.l1, diagonal)))
     w = _minor_width(ncols, maxima)
+    scales = [_from_ints(_k.mul(v, v), moments.one) for v in u[:nrows]]
     factors = [_k.mul(r, c) for r, c in zip(row_contents, col_contents)]
     packed = [[_k.pack(e, w) for e in row] for row in rows]
     border = [
@@ -374,9 +380,9 @@ def _bareiss(
     """Fraction-free elimination of ``rows`` in place, one step per row.
 
     The fallback of ``_eliminate`` and the oracle of ``_normalised``: it
-    runs when a normalised quotient is inexact (the rational-moment
-    families, the functionals, most blocks at a specialized q) and when
-    ``hankel_direct`` needs row exchanges.  Returns (pivots, sign).
+    runs when a normalised quotient is inexact (the functionals, most
+    blocks at a specialized q) and when ``hankel_direct`` needs row
+    exchanges.  Returns (pivots, sign).
     Without row exchanges the pivot of step k is the leading (k+1)-minor
     of the input, and the sweep stops right after the first zero pivot.
     With ``pivoting`` a zero pivot is replaced by a lower row (``sign``
@@ -533,7 +539,7 @@ def _border_poly(m: _Packed, k: int) -> XPolynomial:
     """p_k from column k of the border rows, which holds the cleared d_k p_k.
 
     p_k is monic, so its coefficients are that column over its entry in
-    border row k, the cleared d_k times L / c_k: the row scales and
+    border row k, the cleared d_k times u_k L / c_k: the row scales and
     contents cancel.  The factor that this entry shares with every
     coefficient is taken out once, before each coefficient is reduced
     on its own.

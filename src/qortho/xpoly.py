@@ -10,15 +10,16 @@ L(x^n).  Its a(0) is the field's one, and the constructions take their
 zero and one from the sequence, so at a specialized q they compute in
 Fraction from end to end.
 
-Sums of c_i a(i) are formed on cleared numerators, not one field
+The long sums of c_i a(i), in ``stieltjes`` and the orthogonality check
+of ``verify``, are formed on cleared numerators, not one field
 operation per term.  ``_Window`` holds a(0..m) times one common
 denominator, the lcm of theirs; ``_cleared`` writes a list of values
 over the lcm of their denominators; a sum is then a dot product of
 numerators, reduced at most once.  The numerators live in one of two
-rings chosen from the field (``_ring``): integer polynomials through
+rings, chosen from the field: integer polynomials through
 ``_intkernel`` over Q(q) (``_Polys``), plain Python ints at a
-specialized q (``_Ints``).  ``apply_functional``, ``stieltjes`` and the
-orthogonality check of ``verify`` compute through them.
+specialized q (``_Ints``).  ``apply_functional``, which serves short
+sums, adds its terms one at a time.
 """
 
 from __future__ import annotations
@@ -407,14 +408,6 @@ class _Ints:
         return value.numerator, value.denominator
 
 
-def _ring(*values: Scalar):
-    """The ring of cleared numerators for values of these fields.
-
-    Integer polynomials if any value is in Q(q), plain ints otherwise.
-    """
-    return _Polys if any(isinstance(v, QRational) for v in values) else _Ints
-
-
 def _cleared(ring, values: Iterable[Scalar]) -> tuple[list, object]:
     """(numerators, den): the values over the lcm of their denominators."""
     nums, dens = zip(*map(ring.parts, values))
@@ -433,9 +426,9 @@ class _Window:
     reduction.
     """
 
-    def __init__(self, moments: MomentSequence, ring=None):
+    def __init__(self, moments: MomentSequence):
         self.moments = moments
-        self.ring = ring or _ring(moments.one)
+        self.ring = _Polys if isinstance(moments.one, QRational) else _Ints
         self.den = self.ring.one
         self.values: list = []
 
@@ -458,18 +451,12 @@ class _Window:
 
 
 def apply_functional(moments: MomentSequence, p: XPolynomial) -> Scalar:
-    """L(p) = sum coeff_k * a(k), in the field of the moments (Q(q) if p is over it).
-
-    p is cleared by one lcm and a(0..deg p) by another, so L(p) is one
-    dot product of numerators over the product of the two lcms, reduced
-    once.
-    """
-    if p.is_zero:
-        return moments.zero
-    window = _Window(moments, _ring(moments.one, p.coefficients[-1]))
-    window.extend(p.degree)
-    cs, den = _cleared(window.ring, p.coefficients)
-    return window.ring.value(window.dots(cs, [0])[0], window.ring.mul(den, window.den))
+    """L(p) = sum coeff_k * a(k), in the field of the moments (Q(q) if p is over it)."""
+    total = moments.zero
+    for k, c in enumerate(p.coefficients):
+        if c:
+            total = total + c * moments.moment(k)
+    return total
 
 
 def even_part_compress(p: XPolynomial) -> XPolynomial:

@@ -6,6 +6,7 @@ permanent-style determinant over plain fractions backs up the Hankel
 values at q = 1.
 """
 
+import functools
 import math
 import sys
 import threading
@@ -220,6 +221,62 @@ class TestOrthopolyDetSweep:
         assert block.w <= 160
 
 
+def _denominator_lcms(seq, n):
+    """u_0..u_n for the order-n bordered block, from the moments alone.
+
+    u_j is the lcm of the denominators of a(0..min(2j, 2n-1)): by
+    ``math.lcm`` at a specialized q, and over Q(q) as the monic lcm, a
+    times what b / a keeps of b.  Each is returned in the moments' field.
+    """
+    if isinstance(seq.one, Fraction):
+        lcm, lift = math.lcm, Fraction
+    else:
+
+        def lcm(a, b):
+            p = a * QRational.of(b, a).numerator
+            return p * (1 / p.leading_coefficient)
+
+        lift = QRational.of
+    dens = [seq.moment(k).denominator for k in range(2 * n)]
+    return [lift(functools.reduce(lcm, dens[: min(2 * j, 2 * n - 1) + 1])) for j in range(n + 1)]
+
+
+class TestPackedBlock:
+    def test_entries_are_the_congruence_over_the_contents(self):
+        # cleared_ij r_i c_j = u_i u_j a(i+j); border row e holds u_e L / c_e
+        # and factors[i] = r_i c_i, so c_j / L and L r_i are read off them
+        n = 5
+        for name, seq in registry_sequences():
+            m = orthocore._packed_rows(seq, n, n + 1)
+
+            def value(cs):
+                return orthocore._from_ints(cs, seq.one)
+
+            u = _denominator_lcms(seq, n)
+            assert m.scales == [v * v for v in u[:n]], name
+            c = [u[e] / value(_intkernel.unpack(row[e], m.w)) for e, row in enumerate(m.border)]
+            r = [value(f) / c[i] for i, f in enumerate(m.factors)]
+            for i, row in enumerate(m.rows):
+                for j, x in enumerate(row):
+                    entry = value(_intkernel.unpack(x, m.w)) * r[i] * c[j]
+                    assert entry == u[i] * u[j] * seq.moment(i + j), (name, i, j)
+
+    @pytest.mark.parametrize("specialized", [False, True], ids=["Q(q)", "Q"])
+    def test_a_bordered_block_reads_no_moment_past_two_n_minus_one(self, specialized):
+        n = 5
+        fam = family("andrews-q-catalan")
+        base = fam.specialized_moments(Fraction(5, 4)) if specialized else fam.moments
+
+        def rule(k):
+            if k > 2 * n - 1:
+                raise IndexError(f"moment {k} read")
+            return base.moment(k)
+
+        seq = MomentSequence(rule, name="truncated")
+        orthocore._packed_rows(seq, n, n + 1)
+        assert orthopoly_det(seq, n) == orthopoly_det(base, n)
+
+
 def gauss_det(rows):
     """det over Q by Gaussian elimination with row exchanges, the Bareiss oracle."""
     a = [[Fraction(v) for v in row] for row in rows]
@@ -329,15 +386,6 @@ def _same_read_offs(result, pivots, border):
             assert [row[k + 1] for row in got_border] == [row[k + 1] for row in border]
 
 
-def _polynomial_moment_families():
-    """The stepped registry families whose moments are polynomials in q."""
-    return [
-        str(fid)
-        for fid in registry_family_ids(include_functionals=False)
-        if all(family(str(fid)).moments.moment(k).denominator.degree == 0 for k in range(17))
-    ]
-
-
 class TestNormalisedElimination:
     @settings(max_examples=200, deadline=None)
     @given(bordered_blocks())
@@ -356,23 +404,25 @@ class TestNormalisedElimination:
         _same_read_offs(result, pivots, border)
 
     def test_equals_the_bareiss_path_on_every_family(self):
-        # the order-8 blocks hold the minors of orders 1..8 and p_1..p_8
-        polynomial = set(_polynomial_moment_families())
-        assert len(polynomial) == 15
+        # the order-8 blocks hold the minors of orders 1..8 and p_1..p_8; the
+        # symbolic block of every family given by a step, its rational-moment
+        # ones included, never declines, and at q = 5/4 a block may decline
+        stepped = {str(fid) for fid in registry_family_ids(include_functionals=False)}
+        assert len(stepped) == 17 and {"andrews-q-catalan", "q-central-binomial"} <= stepped
         for name, seq in registry_sequences():
             for ncols in (8, 9):
                 m = orthocore._packed_rows(seq, 8, ncols)
                 result, pivots, border = _sweeps(m.rows, m.border)
-                if name in polynomial:
+                if name in stepped:
                     assert result is not None, name
                 if result is not None:
                     _same_read_offs(result, pivots, border)
 
-    @pytest.mark.parametrize("n", [3, 4, 6])
-    def test_declines_on_andrews_q_catalan(self, n):
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_declines_on_lucas_functional(self, n):
         # its Schur complements are not divisible by their leading entries;
         # a divider that floors instead of checking would not decline here
-        m = orthocore._packed_rows(family("andrews-q-catalan").moments, n, n + 1)
+        m = orthocore._packed_rows(family("lucas-functional").moments, n, n + 1)
         assert orthocore._normalised(m.rows, m.border) is None
         assert orthocore._normalised([row[:n] for row in m.rows]) is None
 
