@@ -17,8 +17,8 @@ Three independent constructions live here:
   reduced once.  The numerators are integer polynomials over Q(q) and
   plain ints at a specialized q; one loop serves both.
 * ``orthopoly_det`` builds p_n as a bordered Hankel determinant, run
-  through an LDL^T elimination of the Hankel matrix on exact integer
-  images, with fraction-free (Bareiss) elimination as its fallback.
+  through one fraction-free elimination of the Hankel matrix on exact
+  integer images, in LDL^T form while its quotients are exact.
 * Closed formulas for specific families are in :mod:`qortho.closedforms`.
 
 Hankel determinants come in two flavors for cross-checking: a direct
@@ -47,23 +47,21 @@ holds the cleared d_{k+1} p_{k+1}.  So ``hankel_minors`` reads every
 d_k off one sweep, ``orthopoly_det_sweep`` every p_k and d_k, and
 ``orthopoly_det`` checks quasi-definiteness on the way.
 
-The sweep is Gaussian elimination in normalised form, the LDL^T
-factorisation of H (``_normalised``): it keeps the Schur complement
-over its leading entry, so each step divides out the factor that
-Bareiss would carry into every later product.  On the symbolic blocks
-of every family whose moments are given by a step, the rational-moment
-ones included, every such quotient has been an integer through order
-12.  When one is not (the functionals, most blocks at a specialized q),
-or when ``hankel_direct`` meets a zero pivot and needs row exchanges,
-the same rows go through Bareiss elimination (``_bareiss``), which
-divides each step exactly by the previous pivot; ``_eliminate`` picks
-between them, and the Bareiss pivots are the tests' oracle for the
-normalised ones.  Every division goes through one
-``_intkernel.ExactDivider`` (a 2-adic inverse with every quotient
-multiplied back, or ``divmod`` with its remainder tested where that is
-faster), so a division that leaves a remainder is detected instead of
-returning a wrong value.  At a specialized q every entry is an integer
-constant, and the values read off are Fractions.
+The sweep (``_eliminate``) is one fraction-free (Bareiss) elimination
+that stays in normalised form, the LDL^T factorisation of H, while its
+quotients are exact, so each step divides out the factor that Bareiss
+would carry into every later product.  On the symbolic blocks of every
+family whose moments are given by a step, the rational-moment ones
+included, every such quotient has been an integer through order 12.  At
+the first one that is not (the functionals, most blocks at a specialized
+q), or at a zero pivot, the rows are scaled to Bareiss's and Bareiss
+continues on them, exchanging rows where ``hankel_direct`` needs it.
+Every division goes through one ``_intkernel.ExactDivider`` (a 2-adic
+inverse with every quotient multiplied back, or ``divmod`` with its
+remainder tested where that is faster), so a division that leaves a
+remainder is detected instead of returning a wrong value.  At a
+specialized q every entry is an integer constant, and the values read
+off are Fractions.
 """
 
 from __future__ import annotations
@@ -74,12 +72,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import _intkernel as _k
-from .exactalg import QPolynomial, QRational
 from .xpoly import (
     MomentSequence,
     Scalar,
     XPolynomial,
     _int_parts,
+    _Polys,
     _Window,
     even_part_compress,
 )
@@ -292,15 +290,14 @@ def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
     return _k._width_for(bound)
 
 
-def _from_ints(cs: list[int], one: Scalar) -> Scalar:
-    """An integer polynomial as an element of the field of ``one``.
+def _value(num: list[int], den: list[int], one: Scalar) -> Scalar:
+    """num / den, two integer polynomials, in the field of ``one``, reduced once.
 
-    At a specialized q it is an integer constant.
+    At a specialized q both are integer constants.
     """
     if isinstance(one, Fraction):
-        (c,) = cs or [0]
-        return Fraction(c)
-    return QRational.of(QPolynomial(cs))
+        return Fraction(num[0] if num else 0, den[0])
+    return _Polys.value(num, den)
 
 
 @dataclass
@@ -365,7 +362,7 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
         diagonal = [_k.mul(v, _k.divexact(lcm, c)) for v, c in zip(u, col_contents)]
         maxima.append(max(map(_k.l1, diagonal)))
     w = _minor_width(ncols, maxima)
-    scales = [_from_ints(_k.mul(v, v), moments.one) for v in u[:nrows]]
+    scales = [_value(_k.mul(v, v), [1], moments.one) for v in u[:nrows]]
     factors = [_k.mul(r, c) for r, c in zip(row_contents, col_contents)]
     packed = [[_k.pack(e, w) for e in row] for row in rows]
     border = [
@@ -374,135 +371,99 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     return _Packed(packed, w, scales, factors, border, moments.one)
 
 
-def _bareiss(
-    rows: list[list[int]], border: Sequence[list[int]] = (), pivoting: bool = False
-) -> tuple[list[int], int]:
-    """Fraction-free elimination of ``rows`` in place, one step per row.
+def _eliminate(m: _Packed, pivoting: bool = False) -> tuple[list[int], int]:
+    """Eliminate the packed block and its border rows in place: (pivots, sign).
 
-    The fallback of ``_eliminate`` and the oracle of ``_normalised``: it
-    runs when a normalised quotient is inexact (the functionals, most
-    blocks at a specialized q) and when ``hankel_direct`` needs row
-    exchanges.  Returns (pivots, sign).
-    Without row exchanges the pivot of step k is the leading (k+1)-minor
-    of the input, and the sweep stops right after the first zero pivot.
-    With ``pivoting`` a zero pivot is replaced by a lower row (``sign``
-    records the exchanges), and the sweep stops after a zero pivot only
-    when its whole column is zero.  The ``border`` rows, which never
-    pivot, are eliminated by the same update as the rows below the
-    pivot: step k writes their column k+1 for the last time, and in each
-    border row it then holds the minor of rows 0..k and that row over
-    columns 0..k+1.  Each step divides by the previous pivot through one
-    ``ExactDivider``, which checks every quotient.  Row k is never read
-    after step k, so its entries past the pivot are dropped then, and so
-    is column k of the rows below it; the border rows keep theirs.
+    One fraction-free sweep (Bareiss, Math. Comp. 22, 1968): without row
+    exchanges the pivot of step k is the cleared leading minor d_{k+1}
+    (d_0 = 1), and the sweep stops right after the first zero pivot.  The
+    border rows never pivot: step k writes their column k+1 for the last
+    time, and in each it then holds the minor of rows 0..k and that row
+    over columns 0..k+1.  Row k is never read after step k, so its
+    entries past the pivot are dropped then, and the block rows on return.
+
+    While its quotients are exact the sweep stays in normalised form, the
+    LDL^T factorisation of H (Gautschi 2004, section 2.1): rows k.. hold
+    Y = S / h_{k-1}, S the Gaussian Schur complement and h_k = d_{k+1} /
+    d_k its leading entry (h_{-1} = 1).  Step k divides row k by Y_kk =
+    h_k / h_{k-1}, so its pivot is 1, and forms S' / h_k = (Y_ij - Y_ik
+    Y_kj / Y_kk) / Y_kk, the division fused into the update; d_{k+1} =
+    d_k h_k is multiplied out.  Bareiss holds d_{k+1} S', larger by the
+    factor d_{k+1} h_k, and carries it through every later product.
+    The border rows hold their Gaussian Schur complement, with no
+    divisor, and column k is multiplied by d_k once step k has read it.
+
+    Exactness needs no check beyond the divider's: every quotient goes
+    through one ``ExactDivider``, which multiplies it back or tests its
+    remainder, so every value held is exact.  At q = 2^w the block is the
+    image of the polynomial block, so a pivot is 0 exactly when the image
+    of its minor vanishes, and a nonzero polynomial whose coefficients
+    are below 2^(w-1) cannot vanish at 2^w.  Every value read off, a
+    pivot or a finished border column, is the image of a minor of the
+    block, which the packing width covers; the held rows need not be.
+
+    At a zero Y_kk or the first inexact quotient the rows already updated
+    in step k are taken back, rows k.. are multiplied by d_k h_{k-1} and
+    the border columns from k on by d_k.  By Sylvester's identity that
+    gives d_k S, Bareiss's rows, and Bareiss continues on them from step
+    k, dividing by d_k.  With ``pivoting`` it replaces a zero pivot by a
+    lower row (``sign`` records the exchanges) and stops after a zero
+    pivot only when its whole column is zero.
     """
-    n, ncols = len(rows), len(rows[0])
+    rows, border = m.rows, m.border
+    n = len(rows)
     pivots: list[int] = []
-    sign = 1
-    div = _k.ExactDivider(1)
+    sign = d = h = 1  # d_k and h_{k-1} while the sweep is normalised
+    div = None  # then, Bareiss's divider by the previous pivot
     for k in range(n):
-        if rows[k][k] == 0 and pivoting:
+        row_k = rows[k]
+        if div is None:
+            g, i = row_k[k], k  # rows[k + 1 : i] are the ones updated so far
+            try:
+                over = _k.ExactDivider(g)
+                top = [over(v) for v in row_k[k + 1 :]]
+                for i in range(k + 1, n):
+                    row = rows[i]
+                    f = row[k]
+                    row[k + 1 :] = [over(v - f * t) for v, t in zip(row[k + 1 :], top)]
+            except ArithmeticError:  # g = 0 or an inexact quotient: Bareiss from step k
+                for row in rows[k + 1 : i]:
+                    f = row[k]
+                    row[k + 1 :] = [g * v + f * t for v, t in zip(row[k + 1 :], top)]
+                for row in rows[k:]:
+                    row[k:] = [v * (d * h) for v in row[k:]]
+                for b in border:
+                    b[k:] = [v * d for v in b[k:]]
+                div = _k.ExactDivider(d)
+            else:
+                for b in border:
+                    f = b[k]
+                    b[k + 1 :] = [v - f * t for v, t in zip(b[k + 1 :], top)]
+                    b[k] = f * d
+                h *= g
+                d *= h
+                pivots.append(d)
+                del row_k[k + 1 :]
+                continue
+        if row_k[k] == 0 and pivoting:
             for i in range(k + 1, n):
                 if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
+                    rows[k], rows[i] = rows[i], row_k
                     sign = -sign
                     break
-        pivot = rows[k][k]
+            row_k = rows[k]
+        pivot = row_k[k]
         pivots.append(pivot)
         if pivot == 0:
             break
-        row_k = rows[k]
-        for i, row_i in enumerate([*rows[k + 1 :], *border], k + 1):
-            factor = row_i[k]
-            for j in range(k + 1, ncols):
-                row_i[j] = div(pivot * row_i[j] - factor * row_k[j])
-            if i < n:  # a border row keeps column k, which holds its minor
-                row_i[k] = 0
+        for row in [*rows[k + 1 :], *border]:
+            f = row[k]
+            row[k + 1 :] = [div(pivot * v - f * t) for v, t in zip(row[k + 1 :], row_k[k + 1 :])]
         del row_k[k + 1 :]
         div = _k.ExactDivider(pivot)
-    return pivots, sign
-
-
-def _normalised(
-    rows: list[list[int]], border: Sequence[list[int]] = ()
-) -> tuple[list[int], list[list[int]]] | None:
-    """``_bareiss``'s pivots and border columns by an LDL^T elimination, or None.
-
-    Gaussian elimination of the integer matrix ``rows`` over Q, holding
-    X, the Schur complement over its leading entry h_k, so X_kk = 1 (the
-    LDL^T factorisation of a Hankel matrix, Gautschi 2004, section 2.1).
-    Step k forms Y_ij = X_ij - X_ik X_kj and g = Y_{k+1,k+1}, divides
-    Y by g through one ``ExactDivider`` and multiplies the chain out:
-    h_{k+1} = h_k g and the cleared leading minor d_{k+2} = d_{k+1}
-    h_{k+1}.  Bareiss carries the factor h_{k+1}, which every entry of
-    the Schur complement shares, through every later product; here it
-    is divided out once.  The border rows hold their Gaussian Schur
-    complement, B_ej -= B_ek X_kj with no divisor, and column k+1 of
-    each, times d_{k+1}, is the bordered minor that ``_bareiss`` leaves
-    there.  Neither ``rows`` nor ``border`` is changed.
-
-    Exactness needs no check beyond the divider's.  Every quotient is
-    multiplied back or its remainder tested, so every value held is the
-    exact value of the Gaussian elimination of the integer block over Q;
-    it returns None as soon as one quotient is not an integer.  At
-    q = 2^w that block is the image of the polynomial block, so g = 0
-    exactly when the image of d_{k+2} vanishes, and a nonzero
-    polynomial whose coefficients are below 2^(w-1) cannot vanish at
-    2^w.  Every value read off, a pivot or a border column times its
-    d_{k+1}, is the image of a minor of the block, which the packing
-    width already covers, so it unpacks to the same polynomial as in
-    ``_bareiss``.  X itself need not be the image of a polynomial.
-    """
-    n = len(rows)
-    h = d = rows[0][0]
-    pivots = [d]
-    border = [row[:] for row in border]
-    if d == 0:
-        return pivots, border
-    try:
-        div = _k.ExactDivider(d)
-        x = [[div(v) for v in row] for row in rows]
-        for k in range(n):
-            top = x.pop(0)[1:]  # row k of X past column k, where X_kk = 1
-            for b in border:
-                f = b[k]
-                if f:
-                    b[k + 1 :] = [v - f * t for v, t in zip(b[k + 1 :], top)]
-            if not x:
-                break
-            g = x[0][1] - x[0][0] * top[0]
-            h *= g
-            d *= h
-            pivots.append(d)
-            if g == 0:
-                break
-            div = _k.ExactDivider(g)
-            for i, row in enumerate(x):  # row by row, so one copy of X is held
-                f = row[0]
-                x[i] = [div(v - f * t) for v, t in zip(row[1:], top)]
-    except ArithmeticError:  # an inexact quotient
-        return None
-    for b in border:
-        for k, pivot in enumerate(pivots):
-            if pivot:
-                b[k + 1] *= pivot
-    return pivots, border
-
-
-def _eliminate(m: _Packed, pivoting: bool = False) -> tuple[list[int], int]:
-    """Eliminate the packed block and its border rows: (pivots, sign).
-
-    Runs ``_normalised``, and ``_bareiss`` on the untouched packed rows
-    when a normalised quotient is inexact or, with ``pivoting``, when a
-    pivot vanishes and rows must be exchanged.  Either way the border
-    rows end as ``_bareiss`` leaves them; the block rows are dropped.
-    """
-    result = _normalised(m.rows, m.border)
-    if result is None or (pivoting and result[0][-1] == 0):
-        pivots, sign = _bareiss(m.rows, m.border, pivoting)
-    else:
-        pivots, m.border = result
-        sign = 1
+    if div is None:
+        for b in border:
+            b[n:] = [v * d for v in b[n:]]
     m.rows = []
     return pivots, sign
 
@@ -528,7 +489,7 @@ def _unscale(cleared: int, m: _Packed, k: int, factor: list[int]) -> Scalar:
     cs = _k.unpack(cleared, m.w)
     if factor != [1]:
         cs = _k.mul(cs, factor)
-    det = _from_ints(cs, m.one)
+    det = _value(cs, [1], m.one)
     for s in m.scales[:k]:
         if s != m.one:
             det = det / s
@@ -542,11 +503,10 @@ def _border_poly(m: _Packed, k: int) -> XPolynomial:
     border row k, the cleared d_k times u_k L / c_k: the row scales and
     contents cancel.  The factor that this entry shares with every
     coefficient is taken out once, before each coefficient is reduced
-    on its own.
+    on its own, once, from its numerator and that entry.
     """
     _, cols = _k.divide_content([_k.unpack(row[k], m.w) for row in m.border[: k + 1]])
-    d = _from_ints(cols[-1], m.one)
-    return XPolynomial([_from_ints(c, m.one) / d for c in cols])
+    return XPolynomial([_value(c, cols[-1], m.one) for c in cols])
 
 
 def _bordered_sweep(moments: MomentSequence, n: int) -> tuple[_Packed, list[int]]:
@@ -605,9 +565,8 @@ def orthopoly_det_sweep(
 def hankel_direct(moments: MomentSequence, n: int) -> Scalar:
     """det(a(i+j))_{0 <= i,j < n} by elimination.
 
-    A zero pivot sends the block to Bareiss elimination, whose row swaps
-    keep it going past zero pivots, so singular matrices come back as an
-    honest 0 rather than an error.
+    At a zero pivot the sweep exchanges rows and keeps going, so singular
+    matrices come back as an honest 0 rather than an error.
     """
     if n < 0:
         raise ValueError("order must be >= 0")

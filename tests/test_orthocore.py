@@ -12,6 +12,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import permutations
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -250,7 +251,7 @@ class TestPackedBlock:
             m = orthocore._packed_rows(seq, n, n + 1)
 
             def value(cs):
-                return orthocore._from_ints(cs, seq.one)
+                return orthocore._value(cs, [1], seq.one)
 
             u = _denominator_lcms(seq, n)
             assert m.scales == [v * v for v in u[:n]], name
@@ -295,6 +296,54 @@ def gauss_det(rows):
     return det
 
 
+def _bareiss(
+    rows: list[list[int]], border: Sequence[list[int]] = (), pivoting: bool = False
+) -> tuple[list[int], int]:
+    """Fraction-free elimination of ``rows`` in place, one step per row.
+
+    The Bareiss elimination that ``orthocore._eliminate`` continues when
+    it leaves the normalised form, kept whole as its oracle.  Returns
+    (pivots, sign).
+    Without row exchanges the pivot of step k is the leading (k+1)-minor
+    of the input, and the sweep stops right after the first zero pivot.
+    With ``pivoting`` a zero pivot is replaced by a lower row (``sign``
+    records the exchanges), and the sweep stops after a zero pivot only
+    when its whole column is zero.  The ``border`` rows, which never
+    pivot, are eliminated by the same update as the rows below the
+    pivot: step k writes their column k+1 for the last time, and in each
+    border row it then holds the minor of rows 0..k and that row over
+    columns 0..k+1.  Each step divides by the previous pivot through one
+    ``ExactDivider``, which checks every quotient.  Row k is never read
+    after step k, so its entries past the pivot are dropped then, and so
+    is column k of the rows below it; the border rows keep theirs.
+    """
+    n, ncols = len(rows), len(rows[0])
+    pivots: list[int] = []
+    sign = 1
+    div = _intkernel.ExactDivider(1)
+    for k in range(n):
+        if rows[k][k] == 0 and pivoting:
+            for i in range(k + 1, n):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+        pivot = rows[k][k]
+        pivots.append(pivot)
+        if pivot == 0:
+            break
+        row_k = rows[k]
+        for i, row_i in enumerate([*rows[k + 1 :], *border], k + 1):
+            factor = row_i[k]
+            for j in range(k + 1, ncols):
+                row_i[j] = div(pivot * row_i[j] - factor * row_k[j])
+            if i < n:  # a border row keeps column k, which holds its minor
+                row_i[k] = 0
+        del row_k[k + 1 :]
+        div = _intkernel.ExactDivider(pivot)
+    return pivots, sign
+
+
 @st.composite
 def bordered_blocks(draw):
     """An integer n x (n+1) block, n <= 5, and n + 1 nonzero border scales.
@@ -325,7 +374,7 @@ class TestBareissBorderRows:
         n = len(rows)
         units = _units(scales, n + 1)
         border = [row[:] for row in units]
-        pivots, sign = orthocore._bareiss([row[:] for row in rows], border)
+        pivots, sign = _bareiss([row[:] for row in rows], border)
         minors = [gauss_det([row[: k + 1] for row in rows[: k + 1]]) for k in range(n)]
         # the pivots are the leading minors, through the first zero one
         stop = next((k for k, d in enumerate(minors) if d == 0), n - 1)
@@ -343,88 +392,133 @@ class TestBareissBorderRows:
 
 
 @st.composite
-def nested_blocks(draw):
+def nested_blocks(draw, exchange=False, bump=False):
     """An integer n x (n+1) block L diag(h) U, n <= 5, and n + 1 nonzero border scales.
 
     L is unit lower and U unit upper triangular, and each h_l divides the
     next, as the Gaussian pivots of a polynomial-moment family do, so
     every normalised quotient is an integer.  A zero h ends the chain.
+    With ``exchange`` every h is nonzero, L_{j+1,j} = 0 for some j, and
+    rows j and j+1 are exchanged: the leading minors of order up to j
+    stay nested, the one of order j+1 vanishes, and the square block is
+    nonsingular, so a sweep with row exchanges has to exchange at step j.
+    With ``bump`` the last entry of the last row gains 1: no leading
+    minor of the square block changes, but that entry's quotients stop
+    being exact at the first step whose divisor is not 1 or -1, after
+    the rows above it have been updated in that step.
     """
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(2 if exchange else 1, 5))
     small = st.integers(-4, 4)
     lower = [[1 if j == i else draw(small) if j < i else 0 for j in range(n)] for i in range(n)]
     upper = [[1 if j == i else draw(small) if j > i else 0 for j in range(n + 1)] for i in range(n)]
+    ratios = st.integers(-3, 3).filter(bool) if exchange else st.integers(-3, 3)
     h = [draw(st.integers(-3, 3).filter(bool))]
     for _ in range(n - 1):
-        h.append(h[-1] * draw(st.integers(-3, 3)))
+        h.append(h[-1] * draw(ratios))
+    if exchange:
+        j = draw(st.integers(0, n - 2))
+        lower[j + 1][j] = 0
     rows = [
         [sum(lower[i][l] * h[l] * upper[l][j] for l in range(n)) for j in range(n + 1)]
         for i in range(n)
     ]
+    if exchange:
+        rows[j], rows[j + 1] = rows[j + 1], rows[j]
+    if bump:
+        rows[-1][-1] += 1
     scales = [draw(st.integers(-50, 50).filter(bool)) for _ in range(n + 1)]
     return rows, scales
 
 
-def _sweeps(rows, border=()):
-    """(``_normalised``'s result, ``_bareiss``'s pivots and border rows) on one block.
+def _sweeps(rows, border=(), pivoting=False):
+    """``_eliminate`` and the ``_bareiss`` oracle on copies of one block.
 
-    Also checks that ``_normalised`` leaves its input as it found it.
+    Returns ((pivots, sign, border rows) of each, and the quotients that
+    ``_eliminate``'s dividers rejected, each of which sent it from the
+    normalised form to Bareiss).
     """
-    block, border_copy = [row[:] for row in rows], [row[:] for row in border]
-    result = orthocore._normalised(block, border_copy)
-    assert (block, border_copy) == (rows, list(border))
-    pivots, _ = orthocore._bareiss(block, border_copy)
-    return result, pivots, border_copy
+    rejected = []
+
+    class Recording(_intkernel.ExactDivider):
+        def __call__(self, v):
+            try:
+                return super().__call__(v)
+            except ArithmeticError:
+                rejected.append(v)
+                raise
+
+    m = orthocore._Packed([row[:] for row in rows], 0, [], [], [row[:] for row in border], 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_intkernel, "ExactDivider", Recording)
+        got = (*orthocore._eliminate(m, pivoting), m.border)
+    oracle_border = [row[:] for row in border]
+    want = (*_bareiss([row[:] for row in rows], oracle_border, pivoting), oracle_border)
+    return got, want, rejected
 
 
-def _same_read_offs(result, pivots, border):
-    """The pivots agree, and so does border column k+1 wherever pivot k is nonzero."""
-    got_pivots, got_border = result
-    assert got_pivots == pivots
-    for k, pivot in enumerate(pivots):
+def _same_read_offs(got, want):
+    """Pivots and sign agree, and so does border column k+1 wherever pivot k is nonzero."""
+    assert got[:2] == want[:2]
+    for k, pivot in enumerate(want[0]):
         if pivot:
-            assert [row[k + 1] for row in got_border] == [row[k + 1] for row in border]
+            assert [row[k + 1] for row in got[2]] == [row[k + 1] for row in want[2]]
 
 
 class TestNormalisedElimination:
     @settings(max_examples=200, deadline=None)
-    @given(bordered_blocks())
-    def test_declines_or_agrees_with_bareiss(self, case):
+    @given(st.one_of(bordered_blocks(), nested_blocks(bump=True)))
+    def test_agrees_with_bareiss(self, case):
         rows, scales = case
-        result, pivots, border = _sweeps(rows, _units(scales, len(rows) + 1))
-        if result is not None:
-            _same_read_offs(result, pivots, border)
+        got, want, _ = _sweeps(rows, _units(scales, len(rows) + 1))
+        _same_read_offs(got, want)
 
     @settings(max_examples=200, deadline=None)
     @given(nested_blocks())
-    def test_a_nested_pivot_chain_never_declines(self, case):
+    def test_a_nested_pivot_chain_never_leaves_the_normalised_form(self, case):
         rows, scales = case
-        result, pivots, border = _sweeps(rows, _units(scales, len(rows) + 1))
-        assert result is not None
-        _same_read_offs(result, pivots, border)
+        got, want, rejected = _sweeps(rows, _units(scales, len(rows) + 1))
+        assert rejected == []
+        _same_read_offs(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(bordered_blocks(), nested_blocks(), nested_blocks(exchange=True)))
+    def test_row_exchanges_agree_with_bareiss_and_give_the_determinant(self, case):
+        # nested blocks with an exchange run normalised steps before the
+        # zero pivot that sends them to Bareiss, which then exchanges rows
+        rows, scales = case
+        n = len(rows)
+        square = [row[:n] for row in rows]
+        got, want, _ = _sweeps(rows, _units(scales, n + 1), pivoting=True)
+        _same_read_offs(got, want)
+        got, want, _ = _sweeps(square, pivoting=True)
+        _same_read_offs(got, want)
+        pivots, sign, _ = got
+        assert sign * pivots[-1] == gauss_det(square)
 
     def test_equals_the_bareiss_path_on_every_family(self):
         # the order-8 blocks hold the minors of orders 1..8 and p_1..p_8; the
         # symbolic block of every family given by a step, its rational-moment
-        # ones included, never declines, and at q = 5/4 a block may decline
+        # ones included, stays normalised, and at q = 5/4 a block may leave
         stepped = {str(fid) for fid in registry_family_ids(include_functionals=False)}
         assert len(stepped) == 17 and {"andrews-q-catalan", "q-central-binomial"} <= stepped
         for name, seq in registry_sequences():
             for ncols in (8, 9):
                 m = orthocore._packed_rows(seq, 8, ncols)
-                result, pivots, border = _sweeps(m.rows, m.border)
+                got, want, rejected = _sweeps(m.rows, m.border)
                 if name in stepped:
-                    assert result is not None, name
-                if result is not None:
-                    _same_read_offs(result, pivots, border)
+                    assert rejected == [], name
+                _same_read_offs(got, want)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_declines_on_lucas_functional(self, n):
-        # its Schur complements are not divisible by their leading entries;
-        # a divider that floors instead of checking would not decline here
+    def test_leaves_the_normalised_form_on_lucas_functional(self, n):
+        # its Schur complements are not divisible by their leading entries,
+        # so the sweep goes on as Bareiss; a divider that floors instead of
+        # checking would stay normalised and read off wrong minors
         m = orthocore._packed_rows(family("lucas-functional").moments, n, n + 1)
-        assert orthocore._normalised(m.rows, m.border) is None
-        assert orthocore._normalised([row[:n] for row in m.rows]) is None
+        for rows, border in ((m.rows, m.border), ([row[:n] for row in m.rows], [])):
+            got, want, rejected = _sweeps(rows, border)
+            assert rejected
+            _same_read_offs(got, want)
 
     @pytest.mark.parametrize(
         "seq, det3",
@@ -435,22 +529,15 @@ class TestNormalisedElimination:
         ],
         ids=["plateau", "geometric-q@1", "delta"],
     )
-    def test_a_zero_pivot_needing_row_exchanges_falls_back(self, monkeypatch, seq, det3):
-        calls = []
-        real = orthocore._bareiss
-
-        def counted(rows, border=(), pivoting=False):
-            calls.append(pivoting)
-            return real(rows, border, pivoting)
-
-        monkeypatch.setattr(orthocore, "_bareiss", counted)
+    def test_a_zero_pivot_needing_row_exchanges_falls_back(self, seq, det3):
         m = orthocore._packed_rows(seq, 3, 3)
-        oracle = real([row[:] for row in m.rows])
-        # without row exchanges the normalised sweep stops at the zero pivot itself
+        oracle = _bareiss([row[:] for row in m.rows])
+        # without row exchanges the sweep stops at the zero pivot itself
         assert orthocore._eliminate(m) == oracle and oracle[0][-1] == 0
-        assert calls == []
+        m = orthocore._packed_rows(seq, 3, 3)
+        oracle = _bareiss([row[:] for row in m.rows], pivoting=True)
+        assert orthocore._eliminate(m, pivoting=True) == oracle
         assert hankel_direct(seq, 3) == det3
-        assert calls == [True]
 
 
 def _int_polys(max_digits):
