@@ -36,7 +36,8 @@ from .orthocore import (
     orthopoly_recur,
     stieltjes,
 )
-from .xpoly import XPolynomial
+from .qcombinatorics import QPoint
+from .xpoly import XPolynomial, _value_at
 
 SCHEMA_VERSION = "qortho/1"
 
@@ -150,6 +151,11 @@ def _resolve(args):
     return fam, fam.specialized_moments(args.q)
 
 
+def _point(args) -> QPoint | None:
+    """Where to build closed forms: at --q, in Fraction, or over Q(q)."""
+    return None if args.q is None else QPoint(args.q)
+
+
 def _emit(args, command: str, family_name: str, parameters: dict, results, text_lines, latex_lines=None):
     if args.format == "json":
         doc = {
@@ -197,7 +203,7 @@ def cmd_orthopoly(args) -> int:
             return orthopoly_recur(seq, args.n)
         if method == "det":
             return orthopoly_det(seq, args.n)
-        closed = fam.closed_poly(args.n)
+        closed = fam.closed_poly(args.n, _point(args))
         if closed is None:
             return None
         return closed if args.q is None else specialize_poly(closed, args.q)
@@ -252,9 +258,10 @@ def cmd_recurrence(args) -> int:
         depth = 2 * args.max_n - 1
         if fam.has_closed_T:
             t_source = "closed"
-            tvals = [fam.closed_T(j) for j in range(depth)]
+            at = _point(args)
+            tvals = [fam.closed_T(j, at) for j in range(depth)]
             if args.q is not None:
-                tvals = [v.eval_at(args.q) for v in tvals]
+                tvals = [_value_at(v, args.q) for v in tvals]
         else:
             t_source = "stieltjes"
             tvals = list(aerated_recurrence(seq.aerated(), depth))

@@ -7,6 +7,15 @@ through the determinant or recurrence machinery, which is exactly what
 makes them useful as cross-checks.  Each sum formula states only its
 term, and ``_sum_poly`` lays the terms out as one ``XPolynomial``.
 
+Each family formula is written once, over an argument q that supplies
+its brackets, binomials, Pochhammers and powers of q: ``SYMBOLIC``, over
+Q(q), or a ``QPoint``, in Fraction at one rational point.  At a
+specialized q, ``verify`` and the command line build the closed forms at
+the point, and build one over Q(q) and evaluate it only where one of its
+denominators vanishes there (see ``qcombinatorics.built_at``).  The point
+quantities share no code with the specialized moments, which multiply
+out (1 - q^k)/(1 - q) themselves.
+
 ``verify_family`` runs all applicable comparisons for one family and
 returns a structured report; nothing is asserted, so callers decide
 what a mismatch means (the command line turns any mismatch into a
@@ -35,13 +44,8 @@ from .orthocore import (
     orthopoly_recur,
     stieltjes,
 )
-from .qcombinatorics import (
-    q_binomial,
-    q_bracket,
-    q_double_factorial,
-    q_pochhammer_signed,
-)
-from .xpoly import XPolynomial, _cleared, _Window, apply_functional
+from .qcombinatorics import SYMBOLIC, QPoint, built_at
+from .xpoly import XPolynomial, _cleared, _value_at, _Window, apply_functional
 
 __all__ = [
     "cf_qbinomial_sum",
@@ -76,18 +80,8 @@ def _binom2(k: int) -> int:
     return k * (k - 1) // 2
 
 
-def _mono(e: int) -> QPolynomial:
-    return QPolynomial.monomial(e)
-
-
 def _sign(k: int) -> int:
     return -1 if k & 1 else 1
-
-
-def _signed_shift(k: int, e: int, p: QPolynomial) -> QPolynomial:
-    """(-1)^k q^e p, by one shift of p's integer coefficients."""
-    nums, den = p.int_parts()
-    return QPolynomial._raw([0] * e + nums, -den if k & 1 else den)
 
 
 def _sum_poly(n: int, term: Callable[[int], object], gap: int = 1) -> XPolynomial:
@@ -104,66 +98,65 @@ def _sum_poly(n: int, term: Callable[[int], object], gap: int = 1) -> XPolynomia
 
 def cf_qbinomial_sum(n: int) -> XPolynomial:
     """sum_j (-1)^j q^C(j,2) [n over j] x^j (the finite q-binomial sum)."""
-    return XPolynomial(_signed_shift(j, _binom2(j), q_binomial(n, j)) for j in range(n + 1))
+    q = SYMBOLIC
+    return XPolynomial(q.signed(j, _binom2(j), q.binomial(n, j)) for j in range(n + 1))
 
 
 def cf_qbinomial_product(n: int) -> XPolynomial:
     """prod_{j=0}^{n-1} (1 - q^j x), the product side of the same identity."""
     out = XPolynomial.one()
     for j in range(n):
-        out = out * XPolynomial([QPolynomial.one(), -_mono(j)])
+        out = out * XPolynomial([QPolynomial.one(), -QPolynomial.monomial(j)])
     return out
 
 
 # -- geometric family ----------------------------------------------------------
 
 
-def cf_geometric_poly(n: int) -> XPolynomial:
+def cf_geometric_poly(n: int, q=SYMBOLIC) -> XPolynomial:
     """p_n for moments a(k) = q^C(k,2): sum_j (-1)^j q^{(n-1)j} [n over j] x^{n-j}."""
-    return _sum_poly(n, lambda j: _signed_shift(j, (n - 1) * j, q_binomial(n, j)))
+    return _sum_poly(n, lambda j: q.signed(j, (n - 1) * j, q.binomial(n, j)))
 
 
-def cf_geometric_norm(n: int, m: int) -> QRational:
+def cf_geometric_norm(n: int, m: int, q=SYMBOLIC) -> QRational | Fraction:
     """L(x^m p_n) for the geometric family.
 
     Equals q^{C(n,2)+C(m,2)} prod_{i=0}^{n-1} (q^m - q^i); the factor at
     i = m makes every case m < n vanish, and m = n gives the norm.
     """
-    out = _mono(_binom2(n) + _binom2(m))
+    out = q.power(_binom2(n) + _binom2(m))
     for i in range(n):
-        out = out * (_mono(m) - _mono(i))
-    return QRational.of(out)
+        out = out * (q.power(m) - q.power(i))
+    return q.ratio(out)
 
 
 # -- factorial-type families ----------------------------------------------------
 
 
-def cf_qlaguerre(n: int, m: int) -> XPolynomial:
+def cf_qlaguerre(n: int, m: int, q=SYMBOLIC) -> XPolynomial:
     """p_n for moments [k+m]!/[m]!, the step-1 multifactorial ones.
 
     sum_k (-1)^k q^C(k,2) [n over k] ([n+m]!/[n-k+m]!) x^{n-k}.
     """
-    return cf_multifactorial_poly(n, 1, m)
+    return cf_multifactorial_poly(n, 1, m, q)
 
 
-def cf_multifactorial_poly(n: int, r: int, m: int) -> XPolynomial:
+def cf_multifactorial_poly(n: int, r: int, m: int, q=SYMBOLIC) -> XPolynomial:
     """p_n for the step-r multifactorial moments.
 
     sum_k (-1)^k q^{r C(k,2)} [n over k]_{q^r} (prod_{i=n-k+1}^{n} [ri+m]) x^{n-k}.
     """
-    brackets = (q_bracket(r * i + m) for i in range(n, 0, -1))
-    prods = list(accumulate(brackets, operator.mul, initial=QPolynomial.one()))
-    return _sum_poly(
-        n, lambda k: _signed_shift(k, r * _binom2(k), q_binomial(n, k, base=r) * prods[k])
-    )
+    brackets = (q.bracket(r * i + m) for i in range(n, 0, -1))
+    prods = list(accumulate(brackets, operator.mul, initial=q.one))
+    return _sum_poly(n, lambda k: q.signed(k, r * _binom2(k), q.binomial(n, k, base=r) * prods[k]))
 
 
-def cf_qhermite(n: int) -> XPolynomial:
+def cf_qhermite(n: int, q=SYMBOLIC) -> XPolynomial:
     """p_n for moments [2k-1]!!: sum_k (-1)^k q^{k(k-1)} [2n over 2k] [2k-1]!! x^{n-k}."""
     return _sum_poly(
         n,
-        lambda k: _signed_shift(
-            k, k * (k - 1), q_binomial(2 * n, 2 * k) * q_double_factorial(k, "odd")
+        lambda k: q.signed(
+            k, k * (k - 1), q.binomial(2 * n, 2 * k) * q.double_factorial(k, "odd")
         ),
     )
 
@@ -171,7 +164,7 @@ def cf_qhermite(n: int) -> XPolynomial:
 # -- Chebyshev-type families -----------------------------------------------------
 
 
-def cf_chebU(n: int) -> XPolynomial:
+def cf_chebU(n: int, q=SYMBOLIC) -> XPolynomial:
     """Monic second-kind q-Chebyshev polynomial u_n.
 
     sum_j (-1)^j q^{j(j-1)} [n-j over j]_{q^2}
@@ -179,20 +172,20 @@ def cf_chebU(n: int) -> XPolynomial:
     """
     return _sum_poly(
         n,
-        lambda j: QRational.of(
-            _signed_shift(j, j * (j - 1), q_binomial(n - j, j, base=2)),
-            q_pochhammer_signed(-1, n - 2 * j + 1, 2 * j),
+        lambda j: q.ratio(
+            q.signed(j, j * (j - 1), q.binomial(n - j, j, base=2)),
+            q.pochhammer(-1, n - 2 * j + 1, 2 * j),
         ),
         gap=2,
     )
 
 
-def cf_chebU_rescaled(n: int) -> XPolynomial:
+def cf_chebU_rescaled(n: int, q=SYMBOLIC) -> XPolynomial:
     """U_n = (-q; q)_n u_n, the polynomial-coefficient normalization."""
-    return cf_chebU(n).scale(QRational.of(q_pochhammer_signed(-1, 1, n)))
+    return cf_chebU(n, q).scale(q.ratio(q.pochhammer(-1, 1, n)))
 
 
-def cf_chebT(n: int) -> XPolynomial:
+def cf_chebT(n: int, q=SYMBOLIC) -> XPolynomial:
     """Monic first-kind q-Chebyshev polynomial t_n (t_0 = 1).
 
     sum_k (-1)^k q^{k(k-1)} ([n]/[n-k]) [n-k over k]
@@ -202,30 +195,30 @@ def cf_chebT(n: int) -> XPolynomial:
         return XPolynomial.one()
     return _sum_poly(
         n,
-        lambda k: QRational.of(
-            _signed_shift(k, k * (k - 1), q_bracket(n) * q_binomial(n - k, k)),
-            q_bracket(n - k) * q_pochhammer_signed(-1, 1, k) * q_pochhammer_signed(-1, n - k, k),
+        lambda k: q.ratio(
+            q.signed(k, k * (k - 1), q.bracket(n) * q.binomial(n - k, k)),
+            q.bracket(n - k) * q.pochhammer(-1, 1, k) * q.pochhammer(-1, n - k, k),
         ),
         gap=2,
     )
 
 
-def cf_chebT_rescaled(n: int) -> XPolynomial:
+def cf_chebT_rescaled(n: int, q=SYMBOLIC) -> XPolynomial:
     """T_n = (-q; q)_{n-1} t_n for n >= 1, with T_0 = 1."""
     if n == 0:
         return XPolynomial.one()
-    return cf_chebT(n).scale(QRational.of(q_pochhammer_signed(-1, 1, n - 1)))
+    return cf_chebT(n, q).scale(q.ratio(q.pochhammer(-1, 1, n - 1)))
 
 
 # -- Fibonacci / Lucas type -------------------------------------------------------
 
 
-def cf_qfibonacci(n: int) -> XPolynomial:
+def cf_qfibonacci(n: int, q=SYMBOLIC) -> XPolynomial:
     """Monic q-Fibonacci polynomial: sum_k (-1)^k q^C(k,2) [n-k over k] x^{n-2k}."""
-    return _sum_poly(n, lambda k: _signed_shift(k, _binom2(k), q_binomial(n - k, k)), gap=2)
+    return _sum_poly(n, lambda k: q.signed(k, _binom2(k), q.binomial(n - k, k)), gap=2)
 
 
-def cf_qlucas(n: int) -> XPolynomial:
+def cf_qlucas(n: int, q=SYMBOLIC) -> XPolynomial:
     """Monic q-Lucas polynomial (degree 0 case is 1).
 
     sum_k (-1)^k q^C(k,2) ([n]/[n-k]) [n-k over k] x^{n-2k}.
@@ -234,9 +227,9 @@ def cf_qlucas(n: int) -> XPolynomial:
         return XPolynomial.one()
     return _sum_poly(
         n,
-        lambda k: QRational.of(
-            _signed_shift(k, _binom2(k), q_bracket(n) * q_binomial(n - k, k)),
-            q_bracket(n - k),
+        lambda k: q.ratio(
+            q.signed(k, _binom2(k), q.bracket(n) * q.binomial(n - k, k)),
+            q.bracket(n - k),
         ),
         gap=2,
     )
@@ -245,16 +238,20 @@ def cf_qlucas(n: int) -> XPolynomial:
 # -- per-family lookup ------------------------------------------------------------
 
 
-def closed_polynomial(fid: "FamilyId | str", n: int) -> XPolynomial | None:
+def closed_polynomial(fid: "FamilyId | str", n: int, at: QPoint | None = None) -> XPolynomial | None:
     """The registered closed form for p_n of a family, or None.
 
-    The family table resolves the cf_* functions through this module's
-    globals at call time, so tests can substitute a deliberately wrong
-    formula and watch verification catch it.
+    With ``at`` the formula is built at that point, over Fraction, except
+    where one of its denominators vanishes there: then it is built over
+    Q(q), and ``specialize_poly`` gives its value at the point or raises
+    PoleError (see ``built_at``).  The family table resolves the cf_*
+    functions through this module's globals at call time, so tests can
+    substitute a deliberately wrong formula and watch verification catch
+    it; over Q(q) they are called as cf_*(n, ...), with no q argument.
     """
     fid = _as_fid(fid)
     formula = _SPECS[fid.tag].closed_poly
-    return None if formula is None else formula(fid, n)
+    return None if formula is None else built_at(at, lambda *q: formula(fid, n, *q))
 
 
 # -- classical (q = 1) counterparts ------------------------------------------------
@@ -375,17 +372,19 @@ class _Verifier:
         self.fam = family(spec)
         self.max_n = max_n
         self.q = None if q is None else Fraction(q)
+        self.at = None if q is None else QPoint(self.q)
         self.report = VerificationReport(str(self.fam.fid), max_n)
         self.moments = (
             self.fam.moments if self.q is None else self.fam.specialized_moments(self.q)
         )
         self.aerated = self.moments.aerated() if self.fam.aerated_capable else None
 
-    # closed-form values are produced symbolically and then pinned to
-    # the working point, as Fractions, so a specialization error is a
-    # finding, not a crash
-    def _rat(self, v: QRational) -> QRational | Fraction:
-        return v if self.q is None else v.eval_at(self.q)
+    # closed-form values are built at the working point, as Fractions, and
+    # only where a denominator vanishes there over Q(q); these pin the
+    # latter to the point inside each check, so a pole is a finding, not
+    # a crash
+    def _rat(self, v: QRational | Fraction) -> QRational | Fraction:
+        return v if self.q is None else _value_at(v, self.q)
 
     def _poly(self, p: XPolynomial) -> XPolynomial:
         return p if self.q is None else specialize_poly(p, self.q)
@@ -448,7 +447,7 @@ class _Verifier:
         for n in range(self.max_n + 1):
             recur = orthopoly_recur(self.moments, n)
             self._record(n, "determinant-vs-recurrence", dets[n], recur)
-            closed = closed_polynomial(self.fam.fid, n)
+            closed = closed_polynomial(self.fam.fid, n, self.at)
             if closed is None:
                 self._skip("closed-vs-recurrence", "no closed form registered", n)
                 continue
@@ -488,7 +487,7 @@ class _Verifier:
             return
         table = stieltjes(self.moments, self.max_n)
         for k in range(self.max_n):
-            s_c, t_c = self.fam.closed_st(k)
+            s_c, t_c = self.fam.closed_st(k, self.at)
             self._guarded(k, "closed-recurrence-s", lambda v=s_c, k_=k: (self._rat(v), table.s[k_]))
             if k < self.max_n - 1:
                 self._guarded(
@@ -510,12 +509,12 @@ class _Verifier:
             self._guarded(
                 j,
                 "closed-aerated-T",
-                lambda j_=j: (self._rat(self.fam.closed_T(j_)), actual[j_]),
+                lambda j_=j: (self._rat(self.fam.closed_T(j_, self.at)), actual[j_]),
             )
         if self.max_n < 1:
             return
         try:
-            detab = deaerate(lambda j: self._rat(self.fam.closed_T(j)), self.max_n)
+            detab = deaerate(lambda j: self._rat(self.fam.closed_T(j, self.at)), self.max_n)
         except PoleError as exc:
             self._mismatch(-1, "deaerated-s", f"pole: {exc}")
             return
@@ -563,7 +562,7 @@ class _Verifier:
                 "geometric-norm",
                 lambda n_=n, p_=p: (
                     apply_functional(self.moments, p_.shift_x(n_)),
-                    self._rat(cf_geometric_norm(n_, n_)),
+                    self._rat(built_at(self.at, lambda *q: cf_geometric_norm(n_, n_, *q))),
                 ),
             )
 

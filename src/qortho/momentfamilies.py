@@ -29,7 +29,10 @@ Every family but the two functionals states its moments once, as a step:
 a(n) / a(n-1) as a q-power times a ratio of brackets, multiplied out by
 one routine over Q(q) and, with no polynomial in q built, at a
 specialized q.  A functional states its basis instead, one basis element
-per moment, and evaluates its symbolic moments at a specialized q.
+per moment; at a specialized q it builds the basis there, in Fraction,
+and evaluates a symbolic moment only where a basis denominator vanishes
+at the point.  The closed T_j and (s_i, t_i) are written once, over the
+quantities of ``qcombinatorics.SYMBOLIC`` or of a ``QPoint``.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .exactalg import PoleError, QPolynomial, QRational
-from .qcombinatorics import q_bracket
-from .xpoly import MomentSequence, XPolynomial, even_part_compress
+from .qcombinatorics import SYMBOLIC, QPoint, VanishingDenominator, built_at, q_bracket
+from .xpoly import MomentSequence, Scalar, XPolynomial, even_part_compress
 
 __all__ = [
     "FamilyId",
@@ -127,35 +130,30 @@ def _cf():
     return closedforms
 
 
-def _one_plus_q(e: int) -> QPolynomial:
-    return QPolynomial.one() + QPolynomial.monomial(e)
+# The recurrence formulas take q as the closedforms ones do: SYMBOLIC or a QPoint.
 
 
-def _multifactorial_T(r: int, m: int, j: int) -> QRational:
+def _multifactorial_T(r: int, m: int, j: int, q=SYMBOLIC) -> Scalar:
     i, odd = divmod(j, 2)
     if odd:
-        return QRational.of(QPolynomial.monomial(r * (i + 1) + m) * q_bracket(r * (i + 1)))
-    return QRational.of(QPolynomial.monomial(r * i) * q_bracket(r * (i + 1) + m))
+        return q.ratio(q.power(r * (i + 1) + m) * q.bracket(r * (i + 1)))
+    return q.ratio(q.power(r * i) * q.bracket(r * (i + 1) + m))
 
 
-def _multifactorial_st(r: int, m: int, i: int) -> tuple[QRational, QRational]:
-    s = QPolynomial.monomial(r * i) * (
-        q_bracket(r * (i + 1) + m) + QPolynomial.monomial(m) * q_bracket(r * i)
-    )
-    t = QPolynomial.monomial(r * (2 * i + 1) + m) * q_bracket(r * (i + 1)) * q_bracket(
-        r * (i + 1) + m
-    )
-    return QRational.of(s), QRational.of(t)
+def _multifactorial_st(r: int, m: int, i: int, q=SYMBOLIC) -> tuple[Scalar, Scalar]:
+    s = q.power(r * i) * (q.bracket(r * (i + 1) + m) + q.power(m) * q.bracket(r * i))
+    t = q.power(r * (2 * i + 1) + m) * q.bracket(r * (i + 1)) * q.bracket(r * (i + 1) + m)
+    return q.ratio(s), q.ratio(t)
 
 
-def _catalan_T(j: int) -> QRational:
-    return QRational.of(QPolynomial.monomial(j), _one_plus_q(j + 1) * _one_plus_q(j + 2))
+def _catalan_T(j: int, q=SYMBOLIC) -> Scalar:
+    return q.ratio(q.power(j), (q.one + q.power(j + 1)) * (q.one + q.power(j + 2)))
 
 
-def _central_binomial_T(j: int) -> QRational:
+def _central_binomial_T(j: int, q=SYMBOLIC) -> Scalar:
     if j == 0:
-        return QRational.of(QPolynomial.one(), _one_plus_q(1))
-    return QRational.of(QPolynomial.monomial(j), _one_plus_q(j) * _one_plus_q(j + 1))
+        return q.ratio(q.one, q.one + q.power(1))
+    return q.ratio(q.power(j), (q.one + q.power(j)) * (q.one + q.power(j + 1)))
 
 
 @dataclass(frozen=True)
@@ -172,17 +170,20 @@ class _Spec:
     the parameter sets that ``registry_family_ids`` yields.  ``aerated``
     marks the families whose aerated recurrence is exposed.  The optional
     formulas take (fid, index) and give T_j, (s_i, t_i), the closed p_n and
-    its q = 1 counterpart.
+    its q = 1 counterpart.  ``basis`` and the first three formulas take an
+    optional last argument, a QPoint to build at, and pass it on; over
+    Q(q) they pass nothing, so the closedforms functions are called as
+    cf_*(n, ...).
     """
 
     step: Callable[[FamilyId, int], tuple[int, tuple[int, ...], tuple[int, ...]]] | None = None
-    basis: Callable[[int], XPolynomial] | None = None
+    basis: Callable[..., XPolynomial] | None = None
     params: dict[str, int] = field(default_factory=dict)
     sweep: tuple[dict[str, int], ...] = ({},)
     aerated: bool = False
-    closed_T: Callable[[FamilyId, int], QRational] | None = None
-    closed_st: Callable[[FamilyId, int], tuple[QRational, QRational]] | None = None
-    closed_poly: Callable[[FamilyId, int], XPolynomial] | None = None
+    closed_T: Callable[..., Scalar] | None = None
+    closed_st: Callable[..., tuple[Scalar, Scalar]] | None = None
+    closed_poly: Callable[..., XPolynomial] | None = None
     classical_poly: Callable[[FamilyId, int], XPolynomial] | None = None
 
 
@@ -191,7 +192,7 @@ class _Spec:
 _SPECS: dict[str, _Spec] = {
     "geometric-q": _Spec(
         step=lambda fid, n: (n - 1, (), ()),
-        closed_poly=lambda fid, n: _cf().cf_geometric_poly(n),
+        closed_poly=lambda fid, n, *q: _cf().cf_geometric_poly(n, *q),
         classical_poly=lambda fid, n: _cf().classical_geometric_style(n),
     ),
     "q-factorial": _Spec(
@@ -199,9 +200,9 @@ _SPECS: dict[str, _Spec] = {
         step=lambda fid, n: (0, (n + fid.m,), ()),
         sweep=tuple({"m": m} for m in range(4)),
         aerated=True,
-        closed_T=lambda fid, j: _multifactorial_T(1, fid.m, j),
-        closed_st=lambda fid, i: _multifactorial_st(1, fid.m, i),
-        closed_poly=lambda fid, n: _cf().cf_qlaguerre(n, fid.m),
+        closed_T=lambda fid, j, *q: _multifactorial_T(1, fid.m, j, *q),
+        closed_st=lambda fid, i, *q: _multifactorial_st(1, fid.m, i, *q),
+        closed_poly=lambda fid, n, *q: _cf().cf_qlaguerre(n, fid.m, *q),
         classical_poly=lambda fid, n: _cf().classical_laguerre_style(n, fid.m),
     ),
     "multifactorial": _Spec(
@@ -209,36 +210,36 @@ _SPECS: dict[str, _Spec] = {
         step=lambda fid, n: (0, (fid.r * n + fid.m,), ()),
         sweep=tuple({"r": r, "m": m} for r in (1, 2, 3) for m in (0, 1, 2)),
         aerated=True,
-        closed_T=lambda fid, j: _multifactorial_T(fid.r, fid.m, j),
-        closed_st=lambda fid, i: _multifactorial_st(fid.r, fid.m, i),
-        closed_poly=lambda fid, n: _cf().cf_multifactorial_poly(n, fid.r, fid.m),
+        closed_T=lambda fid, j, *q: _multifactorial_T(fid.r, fid.m, j, *q),
+        closed_st=lambda fid, i, *q: _multifactorial_st(fid.r, fid.m, i, *q),
+        closed_poly=lambda fid, n, *q: _cf().cf_multifactorial_poly(n, fid.r, fid.m, *q),
         classical_poly=lambda fid, n: _cf().classical_multifactorial_style(n, fid.r, fid.m),
     ),
     "q-double-factorial": _Spec(
         step=lambda fid, n: (0, (2 * n - 1,), ()),
         aerated=True,
-        closed_poly=lambda fid, n: _cf().cf_qhermite(n),
+        closed_poly=lambda fid, n, *q: _cf().cf_qhermite(n, *q),
         classical_poly=lambda fid, n: _cf().classical_hermite_style(n),
     ),
     "andrews-q-catalan": _Spec(
         step=lambda fid, n: (0, (2 * n - 1,), (2 * n + 2,)),
         aerated=True,
-        closed_T=lambda fid, j: _catalan_T(j),
-        closed_poly=lambda fid, n: even_part_compress(_cf().cf_chebU(2 * n)),
+        closed_T=lambda fid, j, *q: _catalan_T(j, *q),
+        closed_poly=lambda fid, n, *q: even_part_compress(_cf().cf_chebU(2 * n, *q)),
         classical_poly=lambda fid, n: even_part_compress(_cf().classical_chebU_style(2 * n)),
     ),
     "q-central-binomial": _Spec(
         step=lambda fid, n: (0, (2 * n - 1,), (2 * n,)),
         aerated=True,
-        closed_T=lambda fid, j: _central_binomial_T(j),
-        closed_poly=lambda fid, n: even_part_compress(_cf().cf_chebT(2 * n)),
+        closed_T=lambda fid, j, *q: _central_binomial_T(j, *q),
+        closed_poly=lambda fid, n, *q: even_part_compress(_cf().cf_chebT(2 * n, *q)),
         classical_poly=lambda fid, n: even_part_compress(_cf().classical_chebT_style(2 * n)),
     ),
     # The q-Fibonacci and q-Lucas bases define their functionals' moments
     # but are not themselves orthogonal for q != 1 (they satisfy no
     # three-term recurrence in x), so no closed form is registered.
-    "fibonacci-functional": _Spec(basis=lambda k: _cf().cf_qfibonacci(k)),
-    "lucas-functional": _Spec(basis=lambda k: _cf().cf_qlucas(k)),
+    "fibonacci-functional": _Spec(basis=lambda k, *q: _cf().cf_qfibonacci(k, *q)),
+    "lucas-functional": _Spec(basis=lambda k, *q: _cf().cf_qlucas(k, *q)),
 }
 
 
@@ -274,22 +275,33 @@ def _ratio(e: int, num: tuple[int, ...], den: tuple[int, ...]) -> tuple[QRationa
     return QRational.of(top, math.prod(map(q_bracket, den), start=QPolynomial.one())), 0
 
 
-def _basis_rule(basis: Callable[[int], XPolynomial]) -> Callable[[int], QRational]:
+def _basis_rule(
+    basis: Callable[[int], XPolynomial],
+    one: Scalar = QRational.one(),
+    fallback: Callable[[int], Scalar] | None = None,
+) -> Callable[[int], Scalar]:
     """The rule n -> L(x^n) for the functional with L(b_0) = 1 and L(b_k) = 0 for k >= 1.
 
     With b_k = basis(k) = x^k + sum_{j<k} b_k[j] x^j, linearity gives
-    a(k) = L(b_k) - sum_{j<k} b_k[j] a(j), one basis element per moment.
-    The moments computed so far stay in the closure.
+    a(k) = L(b_k) - sum_{j<k} b_k[j] a(j), one basis element per moment,
+    in the field of ``one``.  Where basis(k) raises VanishingDenominator
+    (a basis built at a point), a(k) is fallback(k).  The moments computed
+    so far stay in the closure; callers ask in index order, or under a lock.
     """
-    moments: list[QRational] = []
+    moments: list[Scalar] = []
+    zero = one - one
 
-    def rule(n: int) -> QRational:
+    def rule(n: int) -> Scalar:
         while len(moments) <= n:
             k = len(moments)
-            b = basis(k)
+            try:
+                b = basis(k)
+            except VanishingDenominator:
+                moments.append(fallback(k))
+                continue
             if b.degree != k or not b.is_monic:
                 raise ValueError(f"basis element {k} is not monic of degree {k}")
-            total = QRational.zero() if k else QRational.one()
+            total = zero if k else one
             for a, c in zip(moments, b.coefficients):
                 if a and c:
                     total = total - a * c
@@ -302,6 +314,19 @@ def _basis_rule(basis: Callable[[int], XPolynomial]) -> Callable[[int], QRationa
 def _moment_rule(fid: FamilyId) -> Callable[[int], QRational]:
     basis = _SPECS[fid.tag].basis
     return _stepped(fid, QRational.one(), _ratio) if basis is None else _basis_rule(basis)
+
+
+def _basis_at(fid: FamilyId, q0: Fraction, symbolic: MomentSequence) -> Callable[[int], Fraction]:
+    """A functional's rule n -> a(n) at q = q0, from its basis built at q0 in Fraction.
+
+    Where a basis element has a denominator that vanishes at q0, a(n) is
+    the symbolic moment evaluated there, which raises PoleError at a true
+    pole; elsewhere evaluation is a ring homomorphism, so the values agree.
+    """
+    basis, point = _SPECS[fid.tag].basis, QPoint(q0)
+    return _basis_rule(
+        lambda k: basis(k, point), point.one, lambda k: symbolic.moment(k).eval_at(q0)
+    )
 
 
 def _moments_at(fid: FamilyId, q0: Fraction) -> Callable[[int], Fraction]:
@@ -324,26 +349,32 @@ def _moments_at(fid: FamilyId, q0: Fraction) -> Callable[[int], Fraction]:
     return _stepped(fid, Fraction(1), ratio, q0)
 
 
-def closed_T(fid: "FamilyId | str", j: int) -> QRational:
-    """Closed-form aerated recurrence coefficient T_j, where available."""
+def closed_T(fid: "FamilyId | str", j: int, at: QPoint | None = None) -> Scalar:
+    """Closed-form aerated recurrence coefficient T_j, where available.
+
+    With ``at``, built at that point as ``built_at`` describes.
+    """
     fid = _as_fid(fid)
     if j < 0:
         raise ValueError("T index must be >= 0")
     formula = _SPECS[fid.tag].closed_T
     if formula is None:
         raise ValueError(f"no closed aerated recurrence for family {fid}")
-    return formula(fid, j)
+    return built_at(at, lambda *q: formula(fid, j, *q))
 
 
-def closed_st(fid: "FamilyId | str", i: int) -> tuple[QRational, QRational]:
-    """Closed-form three-term coefficients (s_i, t_i), where available."""
+def closed_st(fid: "FamilyId | str", i: int, at: QPoint | None = None) -> tuple[Scalar, Scalar]:
+    """Closed-form three-term coefficients (s_i, t_i), where available.
+
+    With ``at``, built at that point as ``built_at`` describes.
+    """
     fid = _as_fid(fid)
     if i < 0:
         raise ValueError("recurrence index must be >= 0")
     formula = _SPECS[fid.tag].closed_st
     if formula is None:
         raise ValueError(f"no closed three-term coefficients for family {fid}")
-    return formula(fid, i)
+    return built_at(at, lambda *q: formula(fid, i, *q))
 
 
 class MomentFamily:
@@ -351,7 +382,10 @@ class MomentFamily:
 
     def __init__(self, fid: FamilyId):
         self.fid = fid
-        at = None if _SPECS[fid.tag].step is None else lambda p: _moments_at(fid, p)
+        if _SPECS[fid.tag].step is None:
+            at = lambda p: _basis_at(fid, p, self.moments)
+        else:
+            at = lambda p: _moments_at(fid, p)
         self.moments = MomentSequence(_moment_rule(fid), name=str(fid), at=at)
 
     @property
@@ -378,21 +412,19 @@ class MomentFamily:
         """The moments at q = point, as Fractions.
 
         They come from the family's steps, or for a functional from its
-        symbolic moments evaluated at the point.
+        basis built at the point.
         """
         return self.moments.specialized(point)
 
-    def closed_T(self, j: int) -> QRational:
-        return closed_T(self.fid, j)
+    def closed_T(self, j: int, at: QPoint | None = None) -> Scalar:
+        return closed_T(self.fid, j, at)
 
-    def closed_st(self, i: int) -> tuple[QRational, QRational]:
-        return closed_st(self.fid, i)
+    def closed_st(self, i: int, at: QPoint | None = None) -> tuple[Scalar, Scalar]:
+        return closed_st(self.fid, i, at)
 
-    def closed_poly(self, n: int) -> XPolynomial | None:
+    def closed_poly(self, n: int, at: QPoint | None = None) -> XPolynomial | None:
         """Closed-form monic orthogonal polynomial, when one exists."""
-        from . import closedforms  # deferred; closedforms imports this module
-
-        return closedforms.closed_polynomial(self.fid, n)
+        return _cf().closed_polynomial(self.fid, n, at)
 
     def __repr__(self):
         return f"MomentFamily({self.fid})"

@@ -9,13 +9,22 @@ Everything returns :class:`~qortho.exactalg.QPolynomial`.  Binomials come
 from the Pascal-style recurrence (memoized) rather than division, so no
 rational arithmetic ever enters; the division route survives in the test
 suite as a cross-check.
+
+The closed forms are written once for either field, over an argument
+``q`` that supplies these quantities: ``SYMBOLIC``, over Q(q), or a
+:class:`QPoint`, at one rational point in Fraction.  A point build that
+would divide by a denominator vanishing there raises
+:class:`VanishingDenominator`, and ``built_at`` then builds over Q(q)
+instead.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
-from .exactalg import QPolynomial
+from .exactalg import QPolynomial, QRational
 
 __all__ = [
     "q_bracket",
@@ -25,6 +34,10 @@ __all__ = [
     "q_double_factorial",
     "q_multifactorial",
     "q_power_binom2",
+    "QPoint",
+    "VanishingDenominator",
+    "SYMBOLIC",
+    "built_at",
 ]
 
 
@@ -140,3 +153,146 @@ def q_power_binom2(n: int) -> QPolynomial:
     if n < 0:
         raise ValueError("q_power_binom2 wants n >= 0")
     return QPolynomial.monomial(n * (n - 1) // 2)
+
+
+# -- the same quantities for formulas written once for either field -----------
+
+
+class VanishingDenominator(ArithmeticError):
+    """A quotient built at a point has a denominator that is 0 there."""
+
+
+class _Symbolic:
+    """The quantities above over Q(q): QPolynomials, and a QRational per quotient."""
+
+    one = QPolynomial.one()
+
+    @staticmethod
+    def power(e: int) -> QPolynomial:
+        return QPolynomial.monomial(e)
+
+    @staticmethod
+    def bracket(n: int, base: int = 1) -> QPolynomial:
+        return q_bracket(n, base)
+
+    @staticmethod
+    def binomial(n: int, k: int, base: int = 1) -> QPolynomial:
+        return q_binomial(n, k, base)
+
+    @staticmethod
+    def pochhammer(sign: int, power: int, length: int) -> QPolynomial:
+        return q_pochhammer_signed(sign, power, length)
+
+    @staticmethod
+    def double_factorial(n: int, parity: str) -> QPolynomial:
+        return q_double_factorial(n, parity)
+
+    @staticmethod
+    def signed(k: int, e: int, p: QPolynomial) -> QPolynomial:
+        """(-1)^k q^e p, by one shift of p's integer coefficients."""
+        nums, den = p.int_parts()
+        return QPolynomial._raw([0] * e + nums, -den if k & 1 else den)
+
+    @staticmethod
+    def ratio(num, den=None) -> QRational:
+        return QRational.of(num, den)
+
+
+SYMBOLIC = _Symbolic()
+
+
+class QPoint:
+    """The quantities above at q = q0, as Fractions; the same methods as ``SYMBOLIC``.
+
+    Each power, bracket and binomial is computed once per instance: a
+    bracket as a running sum of powers of q0, a binomial by Pascal's
+    rule, so nothing is divided out.  ``ratio`` raises
+    VanishingDenominator where its denominator is 0 at q0.  The caches
+    grow in place, so an instance serves one thread (one verification
+    run or one request).
+    """
+
+    def __init__(self, q0):
+        self.q0 = Fraction(q0)
+        self.one = Fraction(1)
+        self._powers = [self.one]
+        self._brackets: dict[int, list[Fraction]] = {}
+        self._binomials: dict[int, list[list[Fraction]]] = {}
+        self._double_factorials: dict[str, list[Fraction]] = {}
+
+    def power(self, e: int) -> Fraction:
+        powers = self._powers
+        while len(powers) <= e:
+            powers.append(powers[-1] * self.q0)
+        return powers[e]
+
+    def bracket(self, n: int, base: int = 1) -> Fraction:
+        """[n] at q0, as 1 + q0^r + ... + q0^((n-1)r)."""
+        _check_base(base)
+        if n < 0:
+            raise ValueError("q_bracket wants n >= 0")
+        sums = self._brackets.setdefault(base, [Fraction(0)])
+        while len(sums) <= n:
+            sums.append(sums[-1] + self.power(base * (len(sums) - 1)))
+        return sums[n]
+
+    def binomial(self, n: int, k: int, base: int = 1) -> Fraction:
+        """[n over k] at q0, by [n, k] = [n-1, k-1] + q0^(rk) [n-1, k]."""
+        _check_base(base)
+        if n < 0:
+            raise ValueError("q_binomial wants n >= 0")
+        if k < 0 or k > n:
+            return Fraction(0)
+        rows = self._binomials.setdefault(base, [[self.one]])
+        while len(rows) <= n:
+            prev = rows[-1]
+            inner = [prev[j - 1] + self.power(base * j) * prev[j] for j in range(1, len(prev))]
+            rows.append([self.one, *inner, self.one])
+        return rows[n][k]
+
+    def pochhammer(self, sign: int, power: int, length: int) -> Fraction:
+        """prod_{j=0}^{length-1} (1 - sign q0^(power+j))."""
+        out = self.one
+        for j in range(length):
+            out *= self.one - sign * self.power(power + j)
+        return out
+
+    def double_factorial(self, n: int, parity: str) -> Fraction:
+        """[1][3]...[2n-1] (odd) or [2][4]...[2n] (even) at q0."""
+        if parity not in ("odd", "even"):
+            raise ValueError("parity must be 'odd' or 'even'")
+        prods = self._double_factorials.setdefault(parity, [self.one])
+        while len(prods) <= n:
+            j = len(prods)
+            prods.append(prods[-1] * self.bracket(2 * j - 1 if parity == "odd" else 2 * j))
+        return prods[n]
+
+    def signed(self, k: int, e: int, v: Fraction) -> Fraction:
+        """(-1)^k q0^e v."""
+        v = self.power(e) * v
+        return -v if k & 1 else v
+
+    def ratio(self, num: Fraction, den: Fraction | None = None) -> Fraction:
+        if den is None:
+            return num
+        if not den:
+            raise VanishingDenominator(f"denominator vanishes at q={self.q0}")
+        return num / den
+
+
+def built_at(at: QPoint | None, build: Callable):
+    """build() over Q(q) when ``at`` is None; else build(at), in Fraction at its point.
+
+    Where a denominator of build(at) vanishes at the point, the value is
+    build() over Q(q) instead, for the caller to evaluate there.  Away
+    from such denominators evaluation at the point is a ring
+    homomorphism, so build(at) is the symbolic value evaluated; the
+    reduced symbolic value has a pole there only if the value truly
+    does, and evaluating it then raises PoleError.
+    """
+    if at is None:
+        return build()
+    try:
+        return build(at)
+    except VanishingDenominator:
+        return build()

@@ -2,11 +2,15 @@
 and the verification engine that compares everything against the
 determinant oracle."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qortho.closedforms as closedforms
+import qortho.momentfamilies as momentfamilies
 import qortho.orthocore as orthocore
 from qortho.closedforms import (
     cf_chebT,
@@ -32,11 +36,18 @@ from qortho.closedforms import (
     specialize_poly,
     verify_family,
 )
-from qortho.exactalg import QPolynomial, QRational
-from qortho.momentfamilies import family
+from qortho import cli
+from qortho.exactalg import PoleError, QPolynomial, QRational
+from qortho.momentfamilies import closed_st, closed_T, family, registry_family_ids
 from qortho.orthocore import orthopoly_det, orthopoly_recur
-from qortho.qcombinatorics import q_bracket, q_factorial, q_pochhammer_signed, q_power_binom2
-from qortho.xpoly import XPolynomial, apply_functional
+from qortho.qcombinatorics import (
+    QPoint,
+    q_bracket,
+    q_factorial,
+    q_pochhammer_signed,
+    q_power_binom2,
+)
+from qortho.xpoly import XPolynomial, _value_at, apply_functional
 
 
 def qr(*coeffs):
@@ -405,3 +416,119 @@ class TestOrthogonalityCheck:
         verifier.check_orthogonality()
         [entry] = verifier.report.entries
         assert (entry.n, entry.status, entry.note) == (1, "mismatch", "vanishing norm")
+
+
+# -- closed forms built at a point ------------------------------------------------
+
+_DEPTH = 8
+
+
+def _pinned(value, q0):
+    """("value", value at q0) or ("pole", message): a point build or a symbolic one."""
+    try:
+        if isinstance(value, XPolynomial):
+            return "value", specialize_poly(value, q0)
+        return "value", _value_at(value, q0)
+    except PoleError as exc:
+        return "pole", str(exc)
+
+
+@functools.cache
+def _symbolic_values(fid) -> dict:
+    """The oracle's half: every closed value of a family built over Q(q), to depth 8."""
+    fam = family(fid)
+    out = {("p", n): closed_polynomial(fid, n) for n in range(_DEPTH + 1)}
+    if fam.has_closed_T:
+        out.update({("T", j): closed_T(fid, j) for j in range(2 * _DEPTH - 1)})
+    if fam.has_closed_st:
+        for i in range(_DEPTH):
+            out["s", i], out["t", i] = closed_st(fid, i)
+    if fam.tag == "geometric-q":
+        out.update(
+            {("norm", n, m): cf_geometric_norm(n, m) for n in range(_DEPTH + 1) for m in range(n + 1)}
+        )
+    return out
+
+
+def _point_values(fid, at: QPoint) -> dict:
+    """The same values built at the point, through the entry points the verifier calls."""
+    out = {}
+    for key in _symbolic_values(fid):
+        kind, index = key[0], key[1]
+        if kind == "p":
+            out[key] = closed_polynomial(fid, index, at)
+        elif kind == "T":
+            out[key] = closed_T(fid, index, at)
+        elif kind == "s":
+            out[key], out["t", index] = closed_st(fid, index, at)
+        elif kind == "norm":
+            out[key] = cf_geometric_norm(index, key[2], at)
+    return out
+
+
+class TestClosedFormsAtAPoint:
+    @settings(max_examples=25, deadline=None)
+    @given(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    @example(Fraction(-1))
+    @example(Fraction(0))
+    @example(Fraction(1))
+    @example(Fraction(2))
+    @example(Fraction(-1, 2))
+    def test_point_builds_equal_the_symbolic_builds_evaluated(self, q0):
+        at = QPoint(q0)
+        for fid in registry_family_ids():
+            symbolic = _symbolic_values(fid)
+            built = _point_values(fid, at)
+            assert built.keys() == symbolic.keys()
+            for key, value in built.items():
+                if value is None:
+                    assert symbolic[key] is None, (str(fid), key)
+                    continue
+                assert _pinned(value, q0) == _pinned(symbolic[key], q0), (str(fid), key, q0)
+                # only a denominator that vanishes, which among rationals only
+                # -1 has, sends a value back to the symbolic build
+                if q0 != -1:
+                    cs = value.coefficients if isinstance(value, XPolynomial) else [value]
+                    assert all(type(c) is Fraction for c in cs), (str(fid), key)
+
+    def test_the_chebyshev_forms_fall_back_at_minus_one(self):
+        at = QPoint(-1)
+        assert type(closed_T("andrews-q-catalan", 0, at)) is QRational
+        with pytest.raises(PoleError, match="pole at evaluation point q=-1"):
+            specialize_poly(closed_polynomial("andrews-q-catalan", 3, at), -1)
+
+    def test_the_corrupted_laguerre_form_trips_verification_at_a_point(self, capsys, monkeypatch):
+        intact = closedforms.cf_qlaguerre
+
+        def corrupted(n, m, *q):
+            p = intact(n, m, *q)
+            if n == 3:
+                p = p + XPolynomial.one()
+            return p
+
+        monkeypatch.setattr(closedforms, "cf_qlaguerre", corrupted)
+        code = cli.main(["verify", "--family", "q-factorial:m=0", "--max-n", "4", "--q", "5/4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "verification FAILED" in out
+        mismatches = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+        assert mismatches, out
+        assert all("q-factorial:m=0" in line and "n=3" in line for line in mismatches)
+
+    def test_a_perturbed_specialized_moment_is_caught_by_the_closed_forms(self, monkeypatch):
+        q0 = Fraction(5, 4)
+        intact = momentfamilies._moments_at
+        before = [closed_polynomial("q-factorial:m=0", n, QPoint(q0)) for n in range(5)]
+
+        def perturbed(fid, point):
+            rule = intact(fid, point)
+            return lambda n: rule(n) + 1 if n == 3 else rule(n)
+
+        monkeypatch.setattr(momentfamilies, "_moments_at", perturbed)
+        monkeypatch.setattr(momentfamilies, "_registry", {})
+        report = verify_family("q-factorial:m=0", max_n=4, q=q0)
+        bad = {(e.check, e.n) for e in report.mismatches()}
+        # p_n reads a(0..2n-1), so p_2 onward move with a(3); the closed forms do not
+        assert {("closed-vs-recurrence", n) for n in (2, 3, 4)} <= bad
+        assert ("closed-vs-recurrence", 1) not in bad
+        assert [closed_polynomial("q-factorial:m=0", n, QPoint(q0)) for n in range(5)] == before

@@ -11,7 +11,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qortho import momentfamilies
@@ -439,6 +439,7 @@ class TestDepthCaps:
 # ordinary ones.
 _POINTS = [Fraction(v) for v in (-1, 0, 1, 2, "-2/3", "1/2", "5/4", "9/8")]
 _DIRECT = registry_family_ids(include_functionals=False)
+_FUNCTIONALS = [fid for fid in registry_family_ids() if fid not in _DIRECT]
 
 
 def _symbolic_at(fid, n, q0):
@@ -483,6 +484,39 @@ class TestMomentsAtAPoint:
     def test_direct_rule_matches_at_small_height_points(self, fid, a, b, n):
         q0 = Fraction(a, b)
         assert _direct_at(momentfamilies._moments_at(fid, q0), n) == _symbolic_at(fid, n, q0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(_FUNCTIONALS),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    )
+    @example(_FUNCTIONALS[1], Fraction(-1))
+    @example(_FUNCTIONALS[0], Fraction(-1))
+    @example(_FUNCTIONALS[1], Fraction(0))
+    @example(_FUNCTIONALS[1], Fraction(1))
+    @example(_FUNCTIONALS[1], Fraction(2))
+    @example(_FUNCTIONALS[1], Fraction(-1, 2))
+    def test_functional_moments_from_the_basis_at_the_point(self, fid, q0):
+        # a fresh family, so its sequence at q0 is built by this call
+        seq = MomentFamily(fid).specialized_moments(q0)
+        for n in range(17):
+            got = _direct_at(seq.moment, n)
+            assert got == _symbolic_at(fid, n, q0), (q0, n)
+            if got[0] == "pole":
+                break
+
+    @pytest.mark.parametrize("fid", _FUNCTIONALS, ids=str)
+    def test_functional_moments_evaluate_no_symbolic_moment(self, fid, monkeypatch):
+        q0 = Fraction(-2, 3)
+        expected = [family_moment(fid, n).eval_at(q0) for n in range(13)]
+
+        def refuse(self, point):
+            raise AssertionError("a symbolic moment was evaluated")
+
+        monkeypatch.setattr(QRational, "eval_at", refuse)
+        got = [MomentFamily(fid).specialized_moments(q0).moment(n) for n in range(13)]
+        assert got == expected
+        assert all(type(v) is Fraction for v in got)
 
     def test_specialized_moments_evaluate_no_symbolic_moment(self, monkeypatch):
         q0 = Fraction(7, 11)

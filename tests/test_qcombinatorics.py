@@ -5,11 +5,18 @@ specializing q = 1 must reproduce the ordinary integer combinatorics.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qortho.exactalg import QPolynomial
+from qortho.exactalg import PoleError, QPolynomial, QRational
 from qortho.qcombinatorics import (
+    SYMBOLIC,
+    QPoint,
+    VanishingDenominator,
+    built_at,
     q_binomial,
     q_bracket,
     q_double_factorial,
@@ -177,3 +184,60 @@ def test_even_binomial_splits_into_odd_double_factorials():
             )
             rhs = q_binomial(n, k, base=2) * q_double_factorial(n, "odd")
             assert lhs == rhs
+
+
+class TestQuantitiesAtAPoint:
+    """QPoint against the symbolic quantities evaluated at its point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    @example(Fraction(-1))
+    @example(Fraction(0))
+    @example(Fraction(1))
+    @example(Fraction(2))
+    @example(Fraction(-1, 2))
+    def test_every_quantity_is_the_symbolic_one_evaluated(self, q0):
+        at = QPoint(q0)
+        for n in range(13):
+            assert at.power(n) == SYMBOLIC.power(n).evaluate(q0), n
+            for parity in ("odd", "even"):
+                assert at.double_factorial(n, parity) == q_double_factorial(n, parity).evaluate(q0)
+            for base in (1, 2, 3):
+                assert at.bracket(n, base) == q_bracket(n, base).evaluate(q0), (n, base)
+                for k in range(-1, n + 2):
+                    assert at.binomial(n, k, base) == q_binomial(n, k, base).evaluate(q0), (n, k)
+            for power in range(4):
+                for sign in (1, -1):
+                    expected = q_pochhammer_signed(sign, power, n).evaluate(q0)
+                    assert at.pochhammer(sign, power, n) == expected
+                    shift = SYMBOLIC.signed(n, power, q_bracket(3))
+                    assert at.signed(n, power, at.bracket(3)) == shift.evaluate(q0)
+
+    def test_values_are_fractions_and_cached_per_instance(self):
+        at = QPoint(Fraction(5, 4))
+        assert type(at.binomial(6, 3, base=2)) is Fraction
+        assert at.binomial(6, 3, base=2) is at.binomial(6, 3, base=2)
+        assert QPoint(Fraction(5, 4))._binomials == {}
+
+    def test_a_vanishing_denominator_raises_instead_of_dividing(self):
+        at = QPoint(-1)
+        assert at.bracket(2) == 0
+        with pytest.raises(VanishingDenominator):
+            at.ratio(at.one, at.bracket(2))
+        assert at.ratio(at.one, at.bracket(3)) == 1
+        assert at.ratio(Fraction(3, 2)) == Fraction(3, 2)
+
+    def test_built_at_falls_back_to_the_symbolic_build(self):
+        def half(q=SYMBOLIC):
+            # [4] / [2] = 1 + q^2, whose unreduced denominator vanishes at -1
+            return q.ratio(q.bracket(4), q.bracket(2))
+
+        def pole(q=SYMBOLIC):
+            return q.ratio(q.one, q.bracket(2))
+
+        assert built_at(None, half) == half()
+        assert built_at(QPoint(2), half) == Fraction(5)
+        fallen = built_at(QPoint(-1), half)
+        assert type(fallen) is QRational and fallen.eval_at(-1) == 2
+        with pytest.raises(PoleError, match="pole at evaluation point q=-1"):
+            built_at(QPoint(-1), pole).eval_at(-1)
