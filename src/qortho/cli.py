@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .closedforms import specialize_poly, verify_family
+from .closedforms import verify_family
 from .exactalg import PoleError, QRational
 from .momentfamilies import (
     DEFAULT_DEPTH_CAP,
@@ -37,7 +37,7 @@ from .orthocore import (
     stieltjes,
 )
 from .qcombinatorics import QPoint
-from .xpoly import XPolynomial, _value_at
+from .xpoly import XPolynomial
 
 SCHEMA_VERSION = "qortho/1"
 
@@ -203,10 +203,7 @@ def cmd_orthopoly(args) -> int:
             return orthopoly_recur(seq, args.n)
         if method == "det":
             return orthopoly_det(seq, args.n)
-        closed = fam.closed_poly(args.n, _point(args))
-        if closed is None:
-            return None
-        return closed if args.q is None else specialize_poly(closed, args.q)
+        return fam.closed_poly(args.n, _point(args))
 
     methods = ["recurrence", "det", "closed"] if args.all_methods else [args.method]
     polys = {m: compute(m) for m in methods}
@@ -260,8 +257,6 @@ def cmd_recurrence(args) -> int:
             t_source = "closed"
             at = _point(args)
             tvals = [fam.closed_T(j, at) for j in range(depth)]
-            if args.q is not None:
-                tvals = [_value_at(v, args.q) for v in tvals]
         else:
             t_source = "stieltjes"
             tvals = list(aerated_recurrence(seq.aerated(), depth))

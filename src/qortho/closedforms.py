@@ -10,11 +10,11 @@ term, and ``_sum_poly`` lays the terms out as one ``XPolynomial``.
 Each family formula is written once, over an argument q that supplies
 its brackets, binomials, Pochhammers and powers of q: ``SYMBOLIC``, over
 Q(q), or a ``QPoint``, in Fraction at one rational point.  At a
-specialized q, ``verify`` and the command line build the closed forms at
-the point, and build one over Q(q) and evaluate it only where one of its
-denominators vanishes there (see ``qcombinatorics.built_at``).  The point
-quantities share no code with the specialized moments, which multiply
-out (1 - q^k)/(1 - q) themselves.
+specialized q, ``verify`` and the command line take each closed value at
+the point from ``qcombinatorics.built_at``, which alone handles a
+denominator that vanishes there.  The point quantities share no code
+with the specialized moments, which multiply out (1 - q^k)/(1 - q)
+themselves.
 
 ``verify_family`` runs all applicable comparisons for one family and
 returns a structured report; nothing is asserted, so callers decide
@@ -28,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate
 from typing import Callable
 
@@ -45,7 +45,7 @@ from .orthocore import (
     stieltjes,
 )
 from .qcombinatorics import SYMBOLIC, QPoint, built_at
-from .xpoly import XPolynomial, _cleared, _value_at, _Window, apply_functional
+from .xpoly import XPolynomial, _cleared, _Window, apply_functional
 
 __all__ = [
     "cf_qbinomial_sum",
@@ -241,13 +241,11 @@ def cf_qlucas(n: int, q=SYMBOLIC) -> XPolynomial:
 def closed_polynomial(fid: "FamilyId | str", n: int, at: QPoint | None = None) -> XPolynomial | None:
     """The registered closed form for p_n of a family, or None.
 
-    With ``at`` the formula is built at that point, over Fraction, except
-    where one of its denominators vanishes there: then it is built over
-    Q(q), and ``specialize_poly`` gives its value at the point or raises
-    PoleError (see ``built_at``).  The family table resolves the cf_*
-    functions through this module's globals at call time, so tests can
-    substitute a deliberately wrong formula and watch verification catch
-    it; over Q(q) they are called as cf_*(n, ...), with no q argument.
+    With ``at``, its value at that point, over Fraction, from ``built_at``,
+    which raises PoleError where it has a pole.  The family table resolves
+    the cf_* functions through this module's globals at call time, so tests
+    can substitute a deliberately wrong formula and watch verification
+    catch it; over Q(q) they are called as cf_*(n, ...), with no q argument.
     """
     fid = _as_fid(fid)
     formula = _SPECS[fid.tag].closed_poly
@@ -378,16 +376,11 @@ class _Verifier:
             self.fam.moments if self.q is None else self.fam.specialized_moments(self.q)
         )
         self.aerated = self.moments.aerated() if self.fam.aerated_capable else None
-
-    # closed-form values are built at the working point, as Fractions, and
-    # only where a denominator vanishes there over Q(q); these pin the
-    # latter to the point inside each check, so a pole is a finding, not
-    # a crash
-    def _rat(self, v: QRational | Fraction) -> QRational | Fraction:
-        return v if self.q is None else _value_at(v, self.q)
-
-    def _poly(self, p: XPolynomial) -> XPolynomial:
-        return p if self.q is None else specialize_poly(p, self.q)
+        # each closed value at the working point, built once, by the guard of
+        # the first check that reads it, so a pole is a finding, not a crash
+        self.closed_poly = cache(partial(self.fam.closed_poly, at=self.at))
+        self.closed_T = cache(partial(self.fam.closed_T, at=self.at))
+        self.closed_st = cache(partial(self.fam.closed_st, at=self.at))
 
     def _record(self, n: int, check: str, left, right, note: str = ""):
         # only a mismatch prints its two sides, so only a mismatch keeps them
@@ -447,12 +440,11 @@ class _Verifier:
         for n in range(self.max_n + 1):
             recur = orthopoly_recur(self.moments, n)
             self._record(n, "determinant-vs-recurrence", dets[n], recur)
-            closed = closed_polynomial(self.fam.fid, n, self.at)
-            if closed is None:
+            if _SPECS[self.fam.tag].closed_poly is None:
                 self._skip("closed-vs-recurrence", "no closed form registered", n)
                 continue
             self._guarded(
-                n, "closed-vs-recurrence", lambda c=closed, r=recur: (self._poly(c), r)
+                n, "closed-vs-recurrence", lambda n_=n, r=recur: (self.closed_poly(n_), r)
             )
 
     def check_orthogonality(self):
@@ -487,11 +479,12 @@ class _Verifier:
             return
         table = stieltjes(self.moments, self.max_n)
         for k in range(self.max_n):
-            s_c, t_c = self.fam.closed_st(k, self.at)
-            self._guarded(k, "closed-recurrence-s", lambda v=s_c, k_=k: (self._rat(v), table.s[k_]))
+            self._guarded(
+                k, "closed-recurrence-s", lambda k_=k: (self.closed_st(k_)[0], table.s[k_])
+            )
             if k < self.max_n - 1:
                 self._guarded(
-                    k, "closed-recurrence-t", lambda v=t_c, k_=k: (self._rat(v), table.t[k_])
+                    k, "closed-recurrence-t", lambda k_=k: (self.closed_st(k_)[1], table.t[k_])
                 )
 
     def check_closed_aerated(self):
@@ -506,15 +499,11 @@ class _Verifier:
             return
         self._record(-1, "aeration-symmetry", "symmetric", "symmetric")
         for j in range(depth):
-            self._guarded(
-                j,
-                "closed-aerated-T",
-                lambda j_=j: (self._rat(self.fam.closed_T(j_, self.at)), actual[j_]),
-            )
+            self._guarded(j, "closed-aerated-T", lambda j_=j: (self.closed_T(j_), actual[j_]))
         if self.max_n < 1:
             return
         try:
-            detab = deaerate(lambda j: self._rat(self.fam.closed_T(j, self.at)), self.max_n)
+            detab = deaerate(self.closed_T, self.max_n)
         except PoleError as exc:
             self._mismatch(-1, "deaerated-s", f"pole: {exc}")
             return
@@ -543,15 +532,14 @@ class _Verifier:
             self._skip("classical-limit", "only meaningful symbolically")
             return
         for n in range(self.max_n + 1):
-            closed = closed_polynomial(self.fam.fid, n)
             expected = classical_polynomial(self.fam.fid, n)
-            if closed is None or expected is None:
+            if _SPECS[self.fam.tag].closed_poly is None or expected is None:
                 self._skip("classical-limit", "no closed or classical form", n)
                 continue
             self._guarded(
                 n,
                 "classical-limit",
-                lambda c=closed, e=expected: (specialize_poly(c, 1), e),
+                lambda n_=n, e=expected: (specialize_poly(self.closed_poly(n_), 1), e),
             )
 
     def check_geometric_norms(self):
@@ -562,7 +550,7 @@ class _Verifier:
                 "geometric-norm",
                 lambda n_=n, p_=p: (
                     apply_functional(self.moments, p_.shift_x(n_)),
-                    self._rat(built_at(self.at, lambda *q: cf_geometric_norm(n_, n_, *q))),
+                    built_at(self.at, lambda *q: cf_geometric_norm(n_, n_, *q)),
                 ),
             )
 

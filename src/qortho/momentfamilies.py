@@ -29,10 +29,11 @@ Every family but the two functionals states its moments once, as a step:
 a(n) / a(n-1) as a q-power times a ratio of brackets, multiplied out by
 one routine over Q(q) and, with no polynomial in q built, at a
 specialized q.  A functional states its basis instead, one basis element
-per moment; at a specialized q it builds the basis there, in Fraction,
-and evaluates a symbolic moment only where a basis denominator vanishes
-at the point.  The closed T_j and (s_i, t_i) are written once, over the
-quantities of ``qcombinatorics.SYMBOLIC`` or of a ``QPoint``.
+per moment; at a specialized q it builds each basis element at the
+point through ``qcombinatorics.built_at``, in Fraction.  The closed T_j
+and (s_i, t_i) are written once, over the quantities of
+``qcombinatorics.SYMBOLIC`` or of a ``QPoint``, and ``built_at`` gives
+their values at a point.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .exactalg import PoleError, QPolynomial, QRational
-from .qcombinatorics import SYMBOLIC, QPoint, VanishingDenominator, built_at, q_bracket
+from .qcombinatorics import SYMBOLIC, QPoint, built_at, q_bracket
 from .xpoly import MomentSequence, Scalar, XPolynomial, even_part_compress
 
 __all__ = [
@@ -276,17 +278,14 @@ def _ratio(e: int, num: tuple[int, ...], den: tuple[int, ...]) -> tuple[QRationa
 
 
 def _basis_rule(
-    basis: Callable[[int], XPolynomial],
-    one: Scalar = QRational.one(),
-    fallback: Callable[[int], Scalar] | None = None,
+    basis: Callable[[int], XPolynomial], one: Scalar = QRational.one()
 ) -> Callable[[int], Scalar]:
     """The rule n -> L(x^n) for the functional with L(b_0) = 1 and L(b_k) = 0 for k >= 1.
 
     With b_k = basis(k) = x^k + sum_{j<k} b_k[j] x^j, linearity gives
     a(k) = L(b_k) - sum_{j<k} b_k[j] a(j), one basis element per moment,
-    in the field of ``one``.  Where basis(k) raises VanishingDenominator
-    (a basis built at a point), a(k) is fallback(k).  The moments computed
-    so far stay in the closure; callers ask in index order, or under a lock.
+    in the field of ``one``.  The moments computed so far stay in the
+    closure; callers ask in index order, or under a lock.
     """
     moments: list[Scalar] = []
     zero = one - one
@@ -294,11 +293,7 @@ def _basis_rule(
     def rule(n: int) -> Scalar:
         while len(moments) <= n:
             k = len(moments)
-            try:
-                b = basis(k)
-            except VanishingDenominator:
-                moments.append(fallback(k))
-                continue
+            b = basis(k)
             if b.degree != k or not b.is_monic:
                 raise ValueError(f"basis element {k} is not monic of degree {k}")
             total = zero if k else one
@@ -316,17 +311,16 @@ def _moment_rule(fid: FamilyId) -> Callable[[int], QRational]:
     return _stepped(fid, QRational.one(), _ratio) if basis is None else _basis_rule(basis)
 
 
-def _basis_at(fid: FamilyId, q0: Fraction, symbolic: MomentSequence) -> Callable[[int], Fraction]:
+def _basis_at(fid: FamilyId, q0: Fraction) -> Callable[[int], Fraction]:
     """A functional's rule n -> a(n) at q = q0, from its basis built at q0 in Fraction.
 
-    Where a basis element has a denominator that vanishes at q0, a(n) is
-    the symbolic moment evaluated there, which raises PoleError at a true
-    pole; elsewhere evaluation is a ring homomorphism, so the values agree.
+    Each basis element is built through ``built_at``.  Every coefficient
+    of the q-Fibonacci and q-Lucas bases is a polynomial in q, so where a
+    denominator of a point build vanishes, the symbolic element it falls
+    back on has no pole there.
     """
     basis, point = _SPECS[fid.tag].basis, QPoint(q0)
-    return _basis_rule(
-        lambda k: basis(k, point), point.one, lambda k: symbolic.moment(k).eval_at(q0)
-    )
+    return _basis_rule(lambda k: built_at(point, lambda *q: basis(k, *q)), point.one)
 
 
 def _moments_at(fid: FamilyId, q0: Fraction) -> Callable[[int], Fraction]:
@@ -352,7 +346,7 @@ def _moments_at(fid: FamilyId, q0: Fraction) -> Callable[[int], Fraction]:
 def closed_T(fid: "FamilyId | str", j: int, at: QPoint | None = None) -> Scalar:
     """Closed-form aerated recurrence coefficient T_j, where available.
 
-    With ``at``, built at that point as ``built_at`` describes.
+    With ``at``, its value at that point, from ``built_at``.
     """
     fid = _as_fid(fid)
     if j < 0:
@@ -366,7 +360,7 @@ def closed_T(fid: "FamilyId | str", j: int, at: QPoint | None = None) -> Scalar:
 def closed_st(fid: "FamilyId | str", i: int, at: QPoint | None = None) -> tuple[Scalar, Scalar]:
     """Closed-form three-term coefficients (s_i, t_i), where available.
 
-    With ``at``, built at that point as ``built_at`` describes.
+    With ``at``, their values at that point, from ``built_at``.
     """
     fid = _as_fid(fid)
     if i < 0:
@@ -382,11 +376,8 @@ class MomentFamily:
 
     def __init__(self, fid: FamilyId):
         self.fid = fid
-        if _SPECS[fid.tag].step is None:
-            at = lambda p: _basis_at(fid, p, self.moments)
-        else:
-            at = lambda p: _moments_at(fid, p)
-        self.moments = MomentSequence(_moment_rule(fid), name=str(fid), at=at)
+        at = _basis_at if _SPECS[fid.tag].step is None else _moments_at
+        self.moments = MomentSequence(_moment_rule(fid), name=str(fid), at=partial(at, fid))
 
     @property
     def tag(self) -> str:

@@ -12,10 +12,11 @@ suite as a cross-check.
 
 The closed forms are written once for either field, over an argument
 ``q`` that supplies these quantities: ``SYMBOLIC``, over Q(q), or a
-:class:`QPoint`, at one rational point in Fraction.  A point build that
-would divide by a denominator vanishing there raises
-:class:`VanishingDenominator`, and ``built_at`` then builds over Q(q)
-instead.
+:class:`QPoint`, at one rational point in Fraction.  ``built_at`` gives
+a build's value at the point in every case: a point build that would
+divide by a denominator vanishing there raises
+:class:`VanishingDenominator`, and ``built_at`` alone catches it, builds
+over Q(q) and evaluates that at the point.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .exactalg import QPolynomial, QRational
+from .xpoly import XPolynomial, _value_at
 
 __all__ = [
     "q_bracket",
@@ -281,18 +283,23 @@ class QPoint:
 
 
 def built_at(at: QPoint | None, build: Callable):
-    """build() over Q(q) when ``at`` is None; else build(at), in Fraction at its point.
+    """build() over Q(q) when ``at`` is None; else the value at ``at``'s point, in Fraction.
 
-    Where a denominator of build(at) vanishes at the point, the value is
-    build() over Q(q) instead, for the caller to evaluate there.  Away
-    from such denominators evaluation at the point is a ring
-    homomorphism, so build(at) is the symbolic value evaluated; the
-    reduced symbolic value has a pole there only if the value truly
-    does, and evaluating it then raises PoleError.
+    That value is build(at), or, where a denominator of build(at)
+    vanishes at the point, build() over Q(q) evaluated there.  Away from
+    such denominators evaluation at the point is a ring homomorphism, so
+    the two agree; the reduced symbolic value has a pole there only if
+    the value truly does, and then this raises PoleError.  A build gives
+    a scalar, an x-polynomial or a tuple of scalars.
     """
     if at is None:
         return build()
     try:
         return build(at)
     except VanishingDenominator:
-        return build()
+        value = build()
+    if isinstance(value, XPolynomial):
+        return XPolynomial(value.evaluate_q(at.q0))
+    if isinstance(value, tuple):
+        return tuple(_value_at(v, at.q0) for v in value)
+    return _value_at(value, at.q0)

@@ -448,6 +448,20 @@ _PINNED = [
         _EMPTY,
         "a24aa85c5369dfcc3fd68b340c5eed9fae2f58197e72660f9da762d345dbb938",
     ),
+    # a closed form whose point build meets a vanishing denominator at a true pole
+    (
+        "orthopoly --family andrews-q-catalan --n 3 --method closed --q=-1",
+        2,
+        _EMPTY,
+        "f5629ca147398b7f8b0e0bc4b55783022483c867bb9c33d613aefbf3f79f11f2",
+    ),
+    # a functional's basis built where its denominators vanish, without a pole
+    (
+        "moments --family lucas-functional --max-n 12 --q=-1 --format json",
+        0,
+        "052ff8fcfe37f1d9bd5256c62d7b34f312c15a1bcdfb44ad46adae7b5632ba59",
+        _EMPTY,
+    ),
 ]
 
 

@@ -42,6 +42,8 @@ from qortho.momentfamilies import closed_st, closed_T, family, registry_family_i
 from qortho.orthocore import orthopoly_det, orthopoly_recur
 from qortho.qcombinatorics import (
     QPoint,
+    VanishingDenominator,
+    built_at,
     q_bracket,
     q_factorial,
     q_pochhammer_signed,
@@ -358,14 +360,42 @@ class TestVerificationEngine:
 
 class TestSpecializedVerifier:
     def test_values_at_a_point_are_fractions(self):
-        verifier = closedforms._Verifier("q-factorial:m=1", 3, q=Fraction(5, 4))
-        s2, t2 = verifier.fam.closed_st(2)
-        for v in (s2, t2):
-            assert type(verifier._rat(v)) is Fraction
-            assert verifier._rat(v) == v.eval_at(Fraction(5, 4))
+        q0 = Fraction(5, 4)
+        verifier = closedforms._Verifier("q-factorial:m=1", 3, q=q0)
+        for got, v in zip(verifier.closed_st(2), closed_st("q-factorial:m=1", 2)):
+            assert type(got) is Fraction
+            assert got == v.eval_at(q0)
         closed = closed_polynomial("q-factorial:m=1", 3)
-        assert {type(c) for c in verifier._poly(closed).coefficients} == {Fraction}
-        assert verifier._poly(closed) == specialize_poly(closed, Fraction(5, 4))
+        assert {type(c) for c in verifier.closed_poly(3).coefficients} == {Fraction}
+        assert verifier.closed_poly(3) == specialize_poly(closed, q0)
+        t = verifier.closed_T(4)
+        assert type(t) is Fraction and t == closed_T("q-factorial:m=1", 4).eval_at(q0)
+
+    def test_each_closed_T_is_built_once_at_a_point(self, monkeypatch):
+        # T_0..T_14 serve both closed-aerated-T and deaeration
+        calls = []
+        real = momentfamilies._catalan_T
+
+        def counted(j, *q):
+            calls.append(j)
+            return real(j, *q)
+
+        monkeypatch.setattr(momentfamilies, "_catalan_T", counted)
+        assert verify_family("andrews-q-catalan", 8, q=Fraction(5, 4)).ok
+        assert sorted(calls) == list(range(15))
+
+    def test_each_closed_polynomial_is_built_once(self, monkeypatch):
+        # the symbolic p_n serves both closed-vs-recurrence and classical-limit
+        calls = []
+        real = closedforms.cf_qhermite
+
+        def counted(n, *q):
+            calls.append(n)
+            return real(n, *q)
+
+        monkeypatch.setattr(closedforms, "cf_qhermite", counted)
+        assert verify_family("q-double-factorial", 6).ok
+        assert sorted(calls) == list(range(7))
 
     def test_only_a_mismatch_renders_its_sides(self):
         class Unprintable:
@@ -423,14 +453,19 @@ class TestOrthogonalityCheck:
 _DEPTH = 8
 
 
-def _pinned(value, q0):
-    """("value", value at q0) or ("pole", message): a point build or a symbolic one."""
+def _outcome(build):
+    """("value", build()) or ("pole", message)."""
     try:
-        if isinstance(value, XPolynomial):
-            return "value", specialize_poly(value, q0)
-        return "value", _value_at(value, q0)
+        return "value", build()
     except PoleError as exc:
         return "pole", str(exc)
+
+
+def _pinned(value, q0):
+    """A symbolic value's outcome at q0."""
+    if isinstance(value, XPolynomial):
+        return _outcome(lambda: specialize_poly(value, q0))
+    return _outcome(lambda: _value_at(value, q0))
 
 
 @functools.cache
@@ -451,19 +486,18 @@ def _symbolic_values(fid) -> dict:
 
 
 def _point_values(fid, at: QPoint) -> dict:
-    """The same values built at the point, through the entry points the verifier calls."""
-    out = {}
-    for key in _symbolic_values(fid):
-        kind, index = key[0], key[1]
+    """The outcome of each value at the point, through the entry points the verifier calls."""
+
+    def build(kind, index, *m):
         if kind == "p":
-            out[key] = closed_polynomial(fid, index, at)
-        elif kind == "T":
-            out[key] = closed_T(fid, index, at)
-        elif kind == "s":
-            out[key], out["t", index] = closed_st(fid, index, at)
-        elif kind == "norm":
-            out[key] = cf_geometric_norm(index, key[2], at)
-    return out
+            return closed_polynomial(fid, index, at)
+        if kind == "T":
+            return closed_T(fid, index, at)
+        if kind in ("s", "t"):
+            return closed_st(fid, index, at)["st".index(kind)]
+        return built_at(at, lambda *q: cf_geometric_norm(index, *m, *q))
+
+    return {key: _outcome(lambda: build(*key)) for key in _symbolic_values(fid)}
 
 
 class TestClosedFormsAtAPoint:
@@ -480,22 +514,33 @@ class TestClosedFormsAtAPoint:
             symbolic = _symbolic_values(fid)
             built = _point_values(fid, at)
             assert built.keys() == symbolic.keys()
-            for key, value in built.items():
-                if value is None:
-                    assert symbolic[key] is None, (str(fid), key)
+            for key, (kind, value) in built.items():
+                if symbolic[key] is None:
+                    assert (kind, value) == ("value", None), (str(fid), key)
                     continue
-                assert _pinned(value, q0) == _pinned(symbolic[key], q0), (str(fid), key, q0)
-                # only a denominator that vanishes, which among rationals only
-                # -1 has, sends a value back to the symbolic build
-                if q0 != -1:
+                # pole for pole, with the same message, and value for value
+                assert (kind, value) == _pinned(symbolic[key], q0), (str(fid), key, q0)
+                if kind == "value":
                     cs = value.coefficients if isinstance(value, XPolynomial) else [value]
                     assert all(type(c) is Fraction for c in cs), (str(fid), key)
 
-    def test_the_chebyshev_forms_fall_back_at_minus_one(self):
+    def test_the_chebyshev_forms_raise_at_their_pole_at_minus_one(self):
         at = QPoint(-1)
-        assert type(closed_T("andrews-q-catalan", 0, at)) is QRational
         with pytest.raises(PoleError, match="pole at evaluation point q=-1"):
-            specialize_poly(closed_polynomial("andrews-q-catalan", 3, at), -1)
+            closed_T("andrews-q-catalan", 0, at)
+        with pytest.raises(PoleError, match="pole at evaluation point q=-1"):
+            closed_polynomial("andrews-q-catalan", 3, at)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_a_removable_vanishing_denominator_gives_the_value(self, n):
+        # (-q; q)_k divides t_n's denominators, but T_n's coefficients are
+        # polynomials in q, so at -1 the symbolic build has no pole
+        at = QPoint(-1)
+        with pytest.raises(VanishingDenominator):
+            cf_chebT_rescaled(n, at)
+        got = built_at(at, lambda *q: cf_chebT_rescaled(n, *q))
+        assert got == specialize_poly(cf_chebT_rescaled(n), -1)
+        assert {type(c) for c in got.coefficients} == {Fraction}
 
     def test_the_corrupted_laguerre_form_trips_verification_at_a_point(self, capsys, monkeypatch):
         intact = closedforms.cf_qlaguerre

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qortho import momentfamilies
-from qortho.closedforms import classical_polynomial, closed_polynomial
+from qortho.closedforms import cf_qlucas, classical_polynomial, closed_polynomial
 from qortho.exactalg import PoleError, QPolynomial, QRational
 from qortho.momentfamilies import (
     FamilyId,
@@ -30,6 +30,8 @@ from qortho.momentfamilies import (
 )
 from qortho.orthocore import deaerate
 from qortho.qcombinatorics import (
+    QPoint,
+    VanishingDenominator,
     q_binomial,
     q_bracket,
     q_double_factorial,
@@ -517,6 +519,25 @@ class TestMomentsAtAPoint:
         got = [MomentFamily(fid).specialized_moments(q0).moment(n) for n in range(13)]
         assert got == expected
         assert all(type(v) is Fraction for v in got)
+
+    @pytest.mark.parametrize("fid", _FUNCTIONALS, ids=str)
+    def test_functional_moments_at_minus_one_read_no_symbolic_moment(self, fid):
+        # at q = -1 some point-built q-Lucas coefficients divide by a vanishing
+        # bracket; still neither functional reads its symbolic sequence past a(0)
+        fam = MomentFamily(fid)
+        got = [fam.specialized_moments(-1).moment(n) for n in range(13)]
+        assert fam.moments._cache == [QRational.one()]
+        assert got == [family_moment(fid, n).eval_at(-1) for n in range(13)]
+
+    def test_a_removable_vanishing_denominator_in_the_basis(self):
+        # [n]/[n-k] in a q-Lucas coefficient has a denominator that vanishes at
+        # -1, but the coefficient is a polynomial in q, so a(n) has a value there
+        fid = FamilyId("lucas-functional")
+        with pytest.raises(VanishingDenominator):
+            cf_qlucas(3, QPoint(-1))
+        rule = momentfamilies._basis_at(fid, Fraction(-1))
+        for n in range(13):
+            assert _direct_at(rule, n) == _symbolic_at(fid, n, Fraction(-1)), n
 
     def test_specialized_moments_evaluate_no_symbolic_moment(self, monkeypatch):
         q0 = Fraction(7, 11)

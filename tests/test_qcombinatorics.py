@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qortho.exactalg import PoleError, QPolynomial, QRational
+from qortho.exactalg import PoleError, QPolynomial
 from qortho.qcombinatorics import (
     SYMBOLIC,
     QPoint,
@@ -238,6 +238,8 @@ class TestQuantitiesAtAPoint:
         assert built_at(None, half) == half()
         assert built_at(QPoint(2), half) == Fraction(5)
         fallen = built_at(QPoint(-1), half)
-        assert type(fallen) is QRational and fallen.eval_at(-1) == 2
+        assert type(fallen) is Fraction and fallen == 2
+        pair = built_at(QPoint(-1), lambda q=SYMBOLIC: (half(q), q.ratio(q.one, q.bracket(3))))
+        assert pair == (Fraction(2), Fraction(1)) and {type(v) for v in pair} == {Fraction}
         with pytest.raises(PoleError, match="pole at evaluation point q=-1"):
-            built_at(QPoint(-1), pole).eval_at(-1)
+            built_at(QPoint(-1), pole)
