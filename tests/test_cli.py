@@ -462,6 +462,43 @@ _PINNED = [
         "052ff8fcfe37f1d9bd5256c62d7b34f312c15a1bcdfb44ad46adae7b5632ba59",
         _EMPTY,
     ),
+    # the symbolic text and LaTeX renderings, each built only when it is printed
+    (
+        "hankel --family andrews-q-catalan --max-n 5",
+        0,
+        "fa724b843cce36279322a8187d9fd8779aaa3fda1577e79c3934a6a0f57e023b",
+        _EMPTY,
+    ),
+    (
+        "hankel --family andrews-q-catalan --max-n 5 --format latex",
+        0,
+        "52b5661f57170fc4122c99284d6205ba99763e782effe159580fe8cd531f899f",
+        _EMPTY,
+    ),
+    (
+        "recurrence --family q-central-binomial --max-n 4",
+        0,
+        "43349f129d2f7a8276065d82517d2acd5fe1160ab6ec67a2ff76e1336422b902",
+        _EMPTY,
+    ),
+    (
+        "triangle --family andrews-q-catalan --max-n 4",
+        0,
+        "810ce2cf4a9a29ea7e3f133e89f4ecdee250e06ca18a0c7373d53be5dcedf944",
+        _EMPTY,
+    ),
+    (
+        "orthopoly --family q-factorial:m=2 --n 4 --method det",
+        0,
+        "28ade1891afb7ef2449861d8c86a9b6dd265e9feb2d029b327cd96d6c2d1dcca",
+        _EMPTY,
+    ),
+    (
+        "orthopoly --family q-factorial:m=2 --n 4 --method det --format latex",
+        0,
+        "3b04e91395ba4138f4940955760a7cbe3e6b2539000170d707855995669905bf",
+        _EMPTY,
+    ),
 ]
 
 
