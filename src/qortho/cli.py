@@ -4,7 +4,8 @@ Subcommands: moments, orthopoly, recurrence, triangle, hankel, verify.
 Families are addressed as ``tag`` or ``tag:key=value,...``; every value
 is exact, either symbolic in q or specialized at a rational point given
 with --q.  Specialized values are computed as Fractions and lifted to
-QRational only to be rendered, so both kinds print the same way.
+QRational only to be rendered, so both kinds print the same way.  Each
+subcommand renders only the format it prints: text, LaTeX or JSON.
 
 Exit codes: 0 on success, 1 when exact cross-checks disagree or the
 moment sequence fails quasi-definiteness, 2 for usage errors, malformed
@@ -156,22 +157,25 @@ def _point(args) -> QPoint | None:
     return None if args.q is None else QPoint(args.q)
 
 
-def _emit(args, command: str, family_name: str, parameters: dict, results, text_lines, latex_lines=None):
+def _emit(args, command: str, family_name: str, parameters: dict, results, text, latex=None):
+    """Print --format's rendering, and build no other.
+
+    ``results``, ``text`` and ``latex`` take no arguments and build the
+    JSON results, the text lines and the LaTeX lines; without ``latex``,
+    LaTeX prints the text lines.
+    """
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "family": family_name,
             "parameters": parameters,
-            "results": results,
+            "results": results(),
         }
         print(json.dumps(doc, indent=2))
-    elif args.format == "latex":
-        for line in latex_lines if latex_lines is not None else text_lines:
-            print(line)
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    for line in latex() if args.format == "latex" and latex is not None else text():
+        print(line)
 
 
 def _params(args, **extra) -> dict:
@@ -187,10 +191,15 @@ def cmd_moments(args) -> int:
     _check_depth(args.max_n, "--max-n")
     fam, seq = _resolve(args)
     values = [seq.moment(k) for k in range(args.max_n + 1)]
-    results = [{"n": k, "value": _json(v)} for k, v in enumerate(values)]
-    text = [f"a({k}) = {v}" for k, v in enumerate(values)]
-    latex = [f"a_{{{k}}} = {latex_qrat(v)}" for k, v in enumerate(values)]
-    _emit(args, "moments", str(fam.fid), _params(args, max_n=args.max_n), results, text, latex)
+    _emit(
+        args,
+        "moments",
+        str(fam.fid),
+        _params(args, max_n=args.max_n),
+        lambda: [{"n": k, "value": _json(v)} for k, v in enumerate(values)],
+        lambda: [f"a({k}) = {v}" for k, v in enumerate(values)],
+        lambda: [f"a_{{{k}}} = {latex_qrat(v)}" for k, v in enumerate(values)],
+    )
     return 0
 
 
@@ -212,13 +221,19 @@ def cmd_orthopoly(args) -> int:
             raise UsageError(f"family {fam.fid} has no closed form")
         del polys["closed"]
     agree = len({tuple(p.coefficients) for p in polys.values()}) == 1
-    results = [{"method": m, "polynomial": p.to_json()} for m, p in polys.items()]
-    if args.all_methods:
-        results.append({"agreement": agree})
-    text = [f"[{m}] p_{args.n} = {p}" for m, p in polys.items()]
-    latex = [f"p_{{{args.n}}} = {latex_xpoly(p)} \\quad\\text{{({m})}}" for m, p in polys.items()]
-    if args.all_methods:
-        text.append(f"agreement: {'yes' if agree else 'NO'}")
+
+    def results():
+        out = [{"method": m, "polynomial": p.to_json()} for m, p in polys.items()]
+        if args.all_methods:
+            out.append({"agreement": agree})
+        return out
+
+    def text():
+        out = [f"[{m}] p_{args.n} = {p}" for m, p in polys.items()]
+        if args.all_methods:
+            out.append(f"agreement: {'yes' if agree else 'NO'}")
+        return out
+
     _emit(
         args,
         "orthopoly",
@@ -226,7 +241,9 @@ def cmd_orthopoly(args) -> int:
         _params(args, n=args.n, methods=methods),
         results,
         text,
-        latex,
+        lambda: [
+            f"p_{{{args.n}}} = {latex_xpoly(p)} \\quad\\text{{({m})}}" for m, p in polys.items()
+        ],
     )
     return 0 if agree else 1
 
@@ -235,23 +252,9 @@ def cmd_recurrence(args) -> int:
     _check_depth(args.max_n, "--max-n")
     fam, seq = _resolve(args)
     table = stieltjes(seq, args.max_n)
-    rows = []
-    text = []
-    latex = []
-    for k in range(table.depth):
-        row = {"k": k, "s": _json(table.s[k]), "norm": _json(table.norms[k])}
-        line = f"s[{k}] = {table.s[k]}"
-        lline = f"s_{{{k}}} = {latex_qrat(table.s[k])}"
-        if k < len(table.t):
-            row["t"] = _json(table.t[k])
-            line += f"    t[{k}] = {table.t[k]}"
-            lline += f" \\qquad t_{{{k}}} = {latex_qrat(table.t[k])}"
-        rows.append(row)
-        text.append(line + "    [stieltjes]")
-        latex.append(lline)
-    results = {"source": "stieltjes", "rows": rows}
+    t_source, tvals = None, []
     if fam.aerated_capable and args.max_n > 0:
-        # enough T values to recover the s/t block above by deaeration
+        # enough T values to recover the s/t table by deaeration
         depth = 2 * args.max_n - 1
         if fam.has_closed_T:
             t_source = "closed"
@@ -260,13 +263,40 @@ def cmd_recurrence(args) -> int:
         else:
             t_source = "stieltjes"
             tvals = list(aerated_recurrence(seq.aerated(), depth))
-        results["aerated"] = {
-            "source": t_source,
-            "values": [{"j": j, "T": _json(v)} for j, v in enumerate(tvals)],
-        }
-        for j, v in enumerate(tvals):
-            text.append(f"T[{j}] = {v}    [{t_source}]")
-            latex.append(f"T_{{{j}}} = {latex_qrat(v)}")
+
+    def results():
+        rows = []
+        for k in range(table.depth):
+            row = {"k": k, "s": _json(table.s[k]), "norm": _json(table.norms[k])}
+            if k < len(table.t):
+                row["t"] = _json(table.t[k])
+            rows.append(row)
+        out = {"source": "stieltjes", "rows": rows}
+        if t_source is not None:
+            out["aerated"] = {
+                "source": t_source,
+                "values": [{"j": j, "T": _json(v)} for j, v in enumerate(tvals)],
+            }
+        return out
+
+    def text():
+        out = []
+        for k in range(table.depth):
+            line = f"s[{k}] = {table.s[k]}"
+            if k < len(table.t):
+                line += f"    t[{k}] = {table.t[k]}"
+            out.append(line + "    [stieltjes]")
+        return out + [f"T[{j}] = {v}    [{t_source}]" for j, v in enumerate(tvals)]
+
+    def latex():
+        out = []
+        for k in range(table.depth):
+            line = f"s_{{{k}}} = {latex_qrat(table.s[k])}"
+            if k < len(table.t):
+                line += f" \\qquad t_{{{k}}} = {latex_qrat(table.t[k])}"
+            out.append(line)
+        return out + [f"T_{{{j}}} = {latex_qrat(v)}" for j, v in enumerate(tvals)]
+
     _emit(args, "recurrence", str(fam.fid), _params(args, max_n=args.max_n), results, text, latex)
     return 0
 
@@ -275,10 +305,15 @@ def cmd_triangle(args) -> int:
     _check_depth(args.max_n, "--max-n")
     fam, seq = _resolve(args)
     rows = list(expansion_triangle(seq, args.max_n))
-    results = [{"n": n, "entries": [_json(e) for e in row]} for n, row in enumerate(rows)]
-    text = [f"row {n}: " + ", ".join(str(e) for e in row) for n, row in enumerate(rows)]
-    latex = [f"n={n}: " + ", ".join(latex_qrat(e) for e in row) for n, row in enumerate(rows)]
-    _emit(args, "triangle", str(fam.fid), _params(args, max_n=args.max_n), results, text, latex)
+    _emit(
+        args,
+        "triangle",
+        str(fam.fid),
+        _params(args, max_n=args.max_n),
+        lambda: [{"n": n, "entries": [_json(e) for e in row]} for n, row in enumerate(rows)],
+        lambda: [f"row {n}: " + ", ".join(str(e) for e in row) for n, row in enumerate(rows)],
+        lambda: [f"n={n}: " + ", ".join(latex_qrat(e) for e in row) for n, row in enumerate(rows)],
+    )
     return 0
 
 
@@ -286,10 +321,15 @@ def cmd_hankel(args) -> int:
     _check_depth(args.max_n, "--max-n")
     fam, seq = _resolve(args)
     values = [hankel_direct(seq, n) for n in range(args.max_n + 1)]
-    results = [{"n": n, "value": _json(v)} for n, v in enumerate(values)]
-    text = [f"d({n}) = {v}" for n, v in enumerate(values)]
-    latex = [f"d_{{{n}}} = {latex_qrat(v)}" for n, v in enumerate(values)]
-    _emit(args, "hankel", str(fam.fid), _params(args, max_n=args.max_n), results, text, latex)
+    _emit(
+        args,
+        "hankel",
+        str(fam.fid),
+        _params(args, max_n=args.max_n),
+        lambda: [{"n": n, "value": _json(v)} for n, v in enumerate(values)],
+        lambda: [f"d({n}) = {v}" for n, v in enumerate(values)],
+        lambda: [f"d_{{{n}}} = {latex_qrat(v)}" for n, v in enumerate(values)],
+    )
     return 0
 
 
@@ -298,24 +338,33 @@ def cmd_verify(args) -> int:
     fids = registry_family_ids() if args.all else [FamilyId.parse(args.family)]
     reports = [verify_family(fid, max_n=args.max_n, q=args.q) for fid in fids]
     ok = all(r.ok for r in reports)
-    text = []
-    for r in reports:
-        for e in r.mismatches():
-            line = f"MISMATCH {e.family} n={e.n} {e.check}"
-            if e.note:
-                line += f" ({e.note})"
-            if e.left or e.right:
-                line += f": {e.left} != {e.right}"
-            text.append(line)
-        c = r.counts
-        text.append(
-            f"{r.family}: {c['match']} checks passed, "
-            f"{c['mismatch']} mismatched, {c['skipped']} skipped"
-        )
-    text.append("all families verified" if ok else "verification FAILED")
-    results = [r.to_json() for r in reports]
+
+    def text():
+        out = []
+        for r in reports:
+            for e in r.mismatches():
+                line = f"MISMATCH {e.family} n={e.n} {e.check}"
+                if e.note:
+                    line += f" ({e.note})"
+                if e.left or e.right:
+                    line += f": {e.left} != {e.right}"
+                out.append(line)
+            c = r.counts
+            out.append(
+                f"{r.family}: {c['match']} checks passed, "
+                f"{c['mismatch']} mismatched, {c['skipped']} skipped"
+            )
+        return out + ["all families verified" if ok else "verification FAILED"]
+
     fam_label = "all" if args.all else str(fids[0])
-    _emit(args, "verify", fam_label, _params(args, max_n=args.max_n), results, text)
+    _emit(
+        args,
+        "verify",
+        fam_label,
+        _params(args, max_n=args.max_n),
+        lambda: [r.to_json() for r in reports],
+        text,
+    )
     return 0 if ok else 1
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import accumulate
@@ -307,16 +306,43 @@ def specialize_poly(p: XPolynomial, point) -> XPolynomial:
 # -- verification ------------------------------------------------------------------
 
 
-@dataclass
 class VerificationEntry:
-    family: str
-    n: int
-    check: str
-    status: str  # "match" | "mismatch" | "skipped"
-    # the two sides as text, kept for a mismatch only
-    left: str = ""
-    right: str = ""
-    note: str = ""
+    """One comparison: status is "match", "mismatch" or "skipped".
+
+    ``left`` and ``right`` are the two sides as text, kept for a mismatch only.
+    """
+
+    __slots__ = ("family", "n", "check", "status", "left", "right", "note")
+
+    def __init__(
+        self,
+        family: str,
+        n: int,
+        check: str,
+        status: str,
+        left: str = "",
+        right: str = "",
+        note: str = "",
+    ):
+        self.family = family
+        self.n = n
+        self.check = check
+        self.status = status
+        self.left = left
+        self.right = right
+        self.note = note
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"VerificationEntry({fields})"
 
     def to_json(self) -> dict:
         out = {
@@ -333,11 +359,29 @@ class VerificationEntry:
         return out
 
 
-@dataclass
 class VerificationReport:
-    family: str
-    max_n: int
-    entries: list[VerificationEntry] = field(default_factory=list)
+    """A family's verification: its entries in the order they were checked."""
+
+    __slots__ = ("family", "max_n", "entries")
+
+    def __init__(self, family: str, max_n: int, entries: list[VerificationEntry] | None = None):
+        self.family = family
+        self.max_n = max_n
+        self.entries = [] if entries is None else entries
+
+    def _key(self) -> tuple:
+        return (self.family, self.max_n, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (
+            f"VerificationReport(family={self.family!r}, max_n={self.max_n!r}, "
+            f"entries={self.entries!r})"
+        )
 
     @property
     def ok(self) -> bool:

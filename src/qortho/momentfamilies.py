@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -70,28 +69,51 @@ DEFAULT_DEPTH_CAP = 12
 HARD_DEPTH_CAP = 20
 
 
-@dataclass(frozen=True)
 class FamilyId:
-    """A family tag plus its integer parameters."""
+    """A family tag plus its integer parameters.
 
-    tag: str
-    m: int | None = None
-    r: int | None = None
+    Immutable and hashable, since the registry is keyed by it.
+    """
 
-    def __post_init__(self):
-        spec = _SPECS.get(self.tag)
+    __slots__ = ("tag", "m", "r")
+
+    def __init__(self, tag: str, m: int | None = None, r: int | None = None):
+        spec = _SPECS.get(tag)
         if spec is None:
-            raise ValueError(f"unknown family {self.tag!r}")
-        for name in ("m", "r"):
-            value = getattr(self, name)
+            raise ValueError(f"unknown family {tag!r}")
+        object.__setattr__(self, "tag", tag)
+        for name, value in (("m", m), ("r", r)):
             if name in spec.params:
                 low = spec.params[name]
                 value = low if value is None else value
                 if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                    raise ValueError(f"family {self.tag} needs integer {name} >= {low}")
-                object.__setattr__(self, name, value)
+                    raise ValueError(f"family {tag} needs integer {name} >= {low}")
             elif value is not None:
-                raise ValueError(f"family {self.tag} takes no parameter {name}")
+                raise ValueError(f"family {tag} takes no parameter {name}")
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.tag, self.m, self.r)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (FamilyId, self._key())
+
+    def __repr__(self):
+        return f"FamilyId(tag={self.tag!r}, m={self.m!r}, r={self.r!r})"
 
     @classmethod
     def parse(cls, spec: str) -> "FamilyId":
@@ -158,7 +180,6 @@ def _central_binomial_T(j: int, q=SYMBOLIC) -> Scalar:
     return q.ratio(q.power(j), (q.one + q.power(j)) * (q.one + q.power(j + 1)))
 
 
-@dataclass(frozen=True)
 class _Spec:
     """Everything known about one family tag.
 
@@ -178,15 +199,39 @@ class _Spec:
     cf_*(n, ...).
     """
 
-    step: Callable[[FamilyId, int], tuple[int, tuple[int, ...], tuple[int, ...]]] | None = None
-    basis: Callable[..., XPolynomial] | None = None
-    params: dict[str, int] = field(default_factory=dict)
-    sweep: tuple[dict[str, int], ...] = ({},)
-    aerated: bool = False
-    closed_T: Callable[..., Scalar] | None = None
-    closed_st: Callable[..., tuple[Scalar, Scalar]] | None = None
-    closed_poly: Callable[..., XPolynomial] | None = None
-    classical_poly: Callable[[FamilyId, int], XPolynomial] | None = None
+    __slots__ = (
+        "step",
+        "basis",
+        "params",
+        "sweep",
+        "aerated",
+        "closed_T",
+        "closed_st",
+        "closed_poly",
+        "classical_poly",
+    )
+
+    def __init__(
+        self,
+        step: Callable[[FamilyId, int], tuple[int, tuple[int, ...], tuple[int, ...]]] | None = None,
+        basis: Callable[..., XPolynomial] | None = None,
+        params: dict[str, int] | None = None,
+        sweep: tuple[dict[str, int], ...] = ({},),
+        aerated: bool = False,
+        closed_T: Callable[..., Scalar] | None = None,
+        closed_st: Callable[..., tuple[Scalar, Scalar]] | None = None,
+        closed_poly: Callable[..., XPolynomial] | None = None,
+        classical_poly: Callable[[FamilyId, int], XPolynomial] | None = None,
+    ):
+        self.step = step
+        self.basis = basis
+        self.params = {} if params is None else params
+        self.sweep = sweep
+        self.aerated = aerated
+        self.closed_T = closed_T
+        self.closed_st = closed_st
+        self.closed_poly = closed_poly
+        self.classical_poly = classical_poly
 
 
 # One entry per family, in registry order.  q-factorial:m=M is

@@ -13,6 +13,8 @@ import qortho.closedforms as closedforms
 import qortho.momentfamilies as momentfamilies
 import qortho.orthocore as orthocore
 from qortho.closedforms import (
+    VerificationEntry,
+    VerificationReport,
     cf_chebT,
     cf_chebT_rescaled,
     cf_chebU,
@@ -356,6 +358,41 @@ class TestVerificationEngine:
         a = verify_family("q-double-factorial", max_n=3)
         b = verify_family("q-double-factorial", max_n=3)
         assert [(e.n, e.check) for e in a.entries] == [(e.n, e.check) for e in b.entries]
+        assert a == b
+
+    def test_reports_never_share_entries(self):
+        a, b = VerificationReport("geometric-q", 2), VerificationReport("geometric-q", 2)
+        a.entries.append(VerificationEntry("geometric-q", 0, "hankel", "match"))
+        assert b.entries == [] and a != b
+        assert verify_family("geometric-q", max_n=2).entries is not a.entries
+
+    def test_entry_keyword_construction_and_equality(self):
+        entry = VerificationEntry("q-factorial", 3, "det-vs-recurrence", "mismatch", "1", "2")
+        same = VerificationEntry(
+            family="q-factorial",
+            n=3,
+            check="det-vs-recurrence",
+            status="mismatch",
+            left="1",
+            right="2",
+            note="",
+        )
+        assert entry == same
+        assert entry != VerificationEntry("q-factorial", 3, "det-vs-recurrence", "mismatch", "1", "3")
+        assert (same.left, same.right, same.note) == ("1", "2", "")
+        assert repr(VerificationEntry("f", 0, "c", "match")) == (
+            "VerificationEntry(family='f', n=0, check='c', status='match', "
+            "left='', right='', note='')"
+        )
+        assert repr(VerificationReport("f", 1)) == (
+            "VerificationReport(family='f', max_n=1, entries=[])"
+        )
+
+    def test_entries_and_reports_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(VerificationEntry("f", 0, "c", "match"))
+        with pytest.raises(TypeError):
+            hash(VerificationReport("f", 1))
 
 
 class TestSpecializedVerifier:

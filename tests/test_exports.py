@@ -4,12 +4,16 @@
 entry, so a deleted function that is still listed fails here.  A
 module-level import must be read in its module, listed in ``__all__`` or
 named in a quoted annotation, so an import left behind by a deletion
-fails here too.
+fails here too.  And ``import qortho.cli``, the start of every CLI
+request, loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +74,17 @@ def test_every_module_level_import_is_used(path):
         if name not in used and name not in exported
     ]
     assert unused == []
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # -S keeps the host's site hooks, which may import anything, out of the result
+    probe = "import sys, qortho.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = Path(qortho.__file__).parent.parent
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -6,6 +6,7 @@ factorial moments, product forms of the Catalan-style moments, and the
 consistency of the aerated coefficients T with the plain (s, t) pair.
 """
 
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -104,6 +105,53 @@ class TestFamilyId:
 
     def test_registry_is_interned(self):
         assert family("q-factorial:m=1") is family(FamilyId("q-factorial", m=1))
+
+    def test_parsed_and_keyword_forms_are_one_key(self):
+        for spec, fid in (
+            ("q-factorial:m=1", FamilyId("q-factorial", m=1)),
+            ("multifactorial:r=3,m=2", FamilyId("multifactorial", 2, 3)),
+            ("multifactorial", FamilyId(tag="multifactorial", m=0, r=1)),
+            ("geometric-q", FamilyId("geometric-q")),
+        ):
+            parsed = FamilyId.parse(spec)
+            assert parsed == fid and hash(parsed) == hash(fid)
+            assert len({parsed, fid}) == 1
+            assert family(parsed) is family(fid) is family(spec)
+        assert FamilyId("q-factorial", m=1) != FamilyId("q-factorial", m=2)
+        assert FamilyId("q-factorial") != ("q-factorial", 0, None)
+
+    def test_fields_cannot_be_assigned(self):
+        fid = FamilyId.parse("q-factorial:m=1")
+        for name, value in (("m", 2), ("r", 1), ("tag", "geometric-q")):
+            with pytest.raises(AttributeError):
+                setattr(fid, name, value)
+            with pytest.raises(AttributeError):
+                delattr(fid, name)
+        with pytest.raises(AttributeError):
+            fid.other = 1
+        assert (fid.tag, fid.m, fid.r) == ("q-factorial", 1, None)
+
+    def test_validation_messages(self):
+        for make, message in (
+            (lambda: FamilyId("chebyshev"), "unknown family 'chebyshev'"),
+            (lambda: FamilyId("geometric-q", m=1), "family geometric-q takes no parameter m"),
+            (lambda: FamilyId("q-factorial", r=2), "family q-factorial takes no parameter r"),
+            (lambda: FamilyId("multifactorial", r=0), "family multifactorial needs integer r >= 1"),
+            (lambda: FamilyId("q-factorial", m=-1), "family q-factorial needs integer m >= 0"),
+            (lambda: FamilyId("q-factorial", m=1.0), "family q-factorial needs integer m >= 0"),
+        ):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == message
+
+    def test_repr_names_the_fields_and_pickles(self):
+        fid = FamilyId.parse("multifactorial:r=2")
+        assert repr(fid) == "FamilyId(tag='multifactorial', m=0, r=2)"
+        assert pickle.loads(pickle.dumps(fid)) == fid
+
+    def test_each_spec_gets_its_own_params(self):
+        a, b = momentfamilies._Spec(), momentfamilies._Spec()
+        assert a.params == {} and a.params is not b.params
 
     def test_registry_listing(self):
         ids = registry_family_ids()

@@ -8,6 +8,7 @@ values at q = 1.
 
 import functools
 import math
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -1047,6 +1048,35 @@ class TestRecurrenceTable:
         table = RecurrenceTable.from_st([qr(1), qr(2)], [qr(3)])
         assert table.depth == 2
         assert table.norms == (qr(1), qr(3))
+
+    def test_from_st_in_fraction(self):
+        table = RecurrenceTable.from_st([Fraction(1), Fraction(5)], [Fraction(2), Fraction(9)])
+        assert table == RecurrenceTable((Fraction(1), Fraction(5)), (Fraction(2), Fraction(9)), (1, 2))
+        assert type(table.norms[0]) is Fraction
+        assert RecurrenceTable.from_st([], []) == RecurrenceTable((), (), ())
+
+    def test_equal_tables_hash_equal(self):
+        seq = family("q-factorial:m=1").specialized_moments(Fraction(3, 2))
+        table = stieltjes(seq, 4)
+        same = RecurrenceTable(table.s, table.t, table.norms)
+        assert table == same and hash(table) == hash(same)
+        assert len({table, same}) == 1
+        assert table != RecurrenceTable(table.s, table.t, table.norms[:-1])
+        assert table != (table.s, table.t, table.norms)
+
+    def test_fields_cannot_be_assigned(self):
+        table = RecurrenceTable.from_st([qr(1), qr(2)], [qr(3)])
+        for name in ("s", "t", "norms"):
+            with pytest.raises(AttributeError):
+                setattr(table, name, ())
+            with pytest.raises(AttributeError):
+                delattr(table, name)
+        assert table.depth == 2
+
+    def test_repr_names_the_fields_and_pickles(self):
+        table = RecurrenceTable.from_st([Fraction(1)], [])
+        assert repr(table) == "RecurrenceTable(s=(Fraction(1, 1),), t=(), norms=(Fraction(1, 1),))"
+        assert pickle.loads(pickle.dumps(table)) == table
 
     def test_triangle_type_bounds(self):
         tri = ExpansionTriangle([[QRational.one()]])
