@@ -31,6 +31,7 @@ from functools import cache, cached_property, partial
 from itertools import accumulate
 from typing import Callable
 
+from ._record import Record
 from .exactalg import PoleError, QPolynomial, QRational
 from .momentfamilies import _SPECS, FamilyId, _as_fid, family
 from .orthocore import (
@@ -306,43 +307,14 @@ def specialize_poly(p: XPolynomial, point) -> XPolynomial:
 # -- verification ------------------------------------------------------------------
 
 
-class VerificationEntry:
+class VerificationEntry(Record):
     """One comparison: status is "match", "mismatch" or "skipped".
 
     ``left`` and ``right`` are the two sides as text, kept for a mismatch only.
     """
 
     __slots__ = ("family", "n", "check", "status", "left", "right", "note")
-
-    def __init__(
-        self,
-        family: str,
-        n: int,
-        check: str,
-        status: str,
-        left: str = "",
-        right: str = "",
-        note: str = "",
-    ):
-        self.family = family
-        self.n = n
-        self.check = check
-        self.status = status
-        self.left = left
-        self.right = right
-        self.note = note
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"VerificationEntry({fields})"
+    _defaults = {"left": "", "right": "", "note": ""}
 
     def to_json(self) -> dict:
         out = {
@@ -359,29 +331,11 @@ class VerificationEntry:
         return out
 
 
-class VerificationReport:
+class VerificationReport(Record):
     """A family's verification: its entries in the order they were checked."""
 
     __slots__ = ("family", "max_n", "entries")
-
-    def __init__(self, family: str, max_n: int, entries: list[VerificationEntry] | None = None):
-        self.family = family
-        self.max_n = max_n
-        self.entries = [] if entries is None else entries
-
-    def _key(self) -> tuple:
-        return (self.family, self.max_n, self.entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (
-            f"VerificationReport(family={self.family!r}, max_n={self.max_n!r}, "
-            f"entries={self.entries!r})"
-        )
+    _defaults = {"entries": []}
 
     @property
     def ok(self) -> bool:

@@ -44,6 +44,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable
 
+from ._record import FrozenRecord, Record
 from .exactalg import PoleError, QPolynomial, QRational
 from .qcombinatorics import SYMBOLIC, QPoint, built_at, q_bracket
 from .xpoly import MomentSequence, Scalar, XPolynomial, even_part_compress
@@ -69,7 +70,7 @@ DEFAULT_DEPTH_CAP = 12
 HARD_DEPTH_CAP = 20
 
 
-class FamilyId:
+class FamilyId(FrozenRecord):
     """A family tag plus its integer parameters.
 
     Immutable and hashable, since the registry is keyed by it.
@@ -91,29 +92,6 @@ class FamilyId:
             elif value is not None:
                 raise ValueError(f"family {tag} takes no parameter {name}")
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.tag, self.m, self.r)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (FamilyId, self._key())
-
-    def __repr__(self):
-        return f"FamilyId(tag={self.tag!r}, m={self.m!r}, r={self.r!r})"
 
     @classmethod
     def parse(cls, spec: str) -> "FamilyId":
@@ -180,7 +158,7 @@ def _central_binomial_T(j: int, q=SYMBOLIC) -> Scalar:
     return q.ratio(q.power(j), (q.one + q.power(j)) * (q.one + q.power(j + 1)))
 
 
-class _Spec:
+class _Spec(Record):
     """Everything known about one family tag.
 
     The moments are stated once, by exactly one of two columns.
@@ -210,28 +188,7 @@ class _Spec:
         "closed_poly",
         "classical_poly",
     )
-
-    def __init__(
-        self,
-        step: Callable[[FamilyId, int], tuple[int, tuple[int, ...], tuple[int, ...]]] | None = None,
-        basis: Callable[..., XPolynomial] | None = None,
-        params: dict[str, int] | None = None,
-        sweep: tuple[dict[str, int], ...] = ({},),
-        aerated: bool = False,
-        closed_T: Callable[..., Scalar] | None = None,
-        closed_st: Callable[..., tuple[Scalar, Scalar]] | None = None,
-        closed_poly: Callable[..., XPolynomial] | None = None,
-        classical_poly: Callable[[FamilyId, int], XPolynomial] | None = None,
-    ):
-        self.step = step
-        self.basis = basis
-        self.params = {} if params is None else params
-        self.sweep = sweep
-        self.aerated = aerated
-        self.closed_T = closed_T
-        self.closed_st = closed_st
-        self.closed_poly = closed_poly
-        self.classical_poly = classical_poly
+    _defaults = dict.fromkeys(__slots__) | {"params": {}, "sweep": ({},), "aerated": False}
 
 
 # One entry per family, in registry order.  q-factorial:m=M is

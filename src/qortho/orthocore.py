@@ -71,6 +71,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import _intkernel as _k
+from ._record import FrozenRecord, Record
 from .xpoly import (
     MomentSequence,
     Scalar,
@@ -111,8 +112,12 @@ class QuasiDefinitenessError(ArithmeticError):
         where = f" of {name!r}" if name else ""
         super().__init__(f"Hankel determinant{where} of order {level} vanishes")
 
+    def __reduce__(self):
+        # args holds the message, so the default would pass it as the level
+        return (type(self), (self.level, self.name), vars(self))
 
-class RecurrenceTable:
+
+class RecurrenceTable(FrozenRecord):
     """Three-term recurrence data: p_{k+1} = (x - s_k) p_k - t_{k-1} p_{k-1}.
 
     For depth N: s has N entries, t has N - 1, norms[k] = L(p_k^2) = L(x^k p_k).
@@ -121,34 +126,6 @@ class RecurrenceTable:
     """
 
     __slots__ = ("s", "t", "norms")
-
-    def __init__(self, s: tuple[Scalar, ...], t: tuple[Scalar, ...], norms: tuple[Scalar, ...]):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "norms", norms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.s, self.t, self.norms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (RecurrenceTable, self._key())
-
-    def __repr__(self):
-        return f"RecurrenceTable(s={self.s!r}, t={self.t!r}, norms={self.norms!r})"
 
     @property
     def depth(self) -> int:
@@ -325,7 +302,7 @@ def _value(num: list[int], den: list[int], one: Scalar) -> Scalar:
     return _Polys.value(num, den)
 
 
-class _Packed:
+class _Packed(Record):
     """A Hankel block a(i+j) cleared by ``_packed_rows`` and packed at q = 2^w.
 
     ``scales[i]`` is u_i^2, the square of the lcm of the denominators
@@ -340,22 +317,6 @@ class _Packed:
     """
 
     __slots__ = ("rows", "w", "scales", "factors", "border", "one")
-
-    def __init__(
-        self,
-        rows: list[list[int]],
-        w: int,
-        scales: list[Scalar],
-        factors: list[list[int]],
-        border: list[list[int]],
-        one: Scalar,
-    ):
-        self.rows = rows
-        self.w = w
-        self.scales = scales
-        self.factors = factors
-        self.border = border
-        self.one = one
 
 
 def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:

@@ -168,36 +168,18 @@ class _Symbolic:
     """The quantities above over Q(q): QPolynomials, and a QRational per quotient."""
 
     one = QPolynomial.one()
-
-    @staticmethod
-    def power(e: int) -> QPolynomial:
-        return QPolynomial.monomial(e)
-
-    @staticmethod
-    def bracket(n: int, base: int = 1) -> QPolynomial:
-        return q_bracket(n, base)
-
-    @staticmethod
-    def binomial(n: int, k: int, base: int = 1) -> QPolynomial:
-        return q_binomial(n, k, base)
-
-    @staticmethod
-    def pochhammer(sign: int, power: int, length: int) -> QPolynomial:
-        return q_pochhammer_signed(sign, power, length)
-
-    @staticmethod
-    def double_factorial(n: int, parity: str) -> QPolynomial:
-        return q_double_factorial(n, parity)
+    power = staticmethod(QPolynomial.monomial)
+    bracket = staticmethod(q_bracket)
+    binomial = staticmethod(q_binomial)
+    pochhammer = staticmethod(q_pochhammer_signed)
+    double_factorial = staticmethod(q_double_factorial)
+    ratio = staticmethod(QRational.of)
 
     @staticmethod
     def signed(k: int, e: int, p: QPolynomial) -> QPolynomial:
         """(-1)^k q^e p, by one shift of p's integer coefficients."""
         nums, den = p.int_parts()
         return QPolynomial._raw([0] * e + nums, -den if k & 1 else den)
-
-    @staticmethod
-    def ratio(num, den=None) -> QRational:
-        return QRational.of(num, den)
 
 
 SYMBOLIC = _Symbolic()

@@ -695,6 +695,15 @@ class TestOrthopolyDet:
             orthopoly_det(seq, 2)
         assert err.value.level == 2
 
+    @pytest.mark.parametrize("name", ["q-factorial:m=1", ""])
+    def test_the_error_survives_a_pickle_round_trip(self, name):
+        err = QuasiDefinitenessError(3, name)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is QuasiDefinitenessError
+        assert (back.level, back.name, str(back)) == (3, name, str(err))
+        where = " of 'q-factorial:m=1'" if name else ""
+        assert str(back) == f"Hankel determinant{where} of order 3 vanishes"
+
 
 class TestStieltjes:
     def test_factorial_coefficients_at_one(self):
@@ -1041,6 +1050,95 @@ class TestAeration:
     def test_compression_of_an_even_polynomial(self):
         p = XPolynomial([3, 0, -6, 0, 1])
         assert even_part_compress(p) == XPolynomial([3, -6, 1])
+
+
+def _quotient(p, f):
+    """p / f for integer coefficient lists, f monic; None if f does not divide p."""
+    p, out = p[:], [0] * (len(p) - len(f) + 1)
+    for i in reversed(range(len(out))):
+        out[i] = c = p[i + len(f) - 1]
+        for j, fj in enumerate(f):
+            p[i + j] -= c * fj
+    return out if out and not any(p) else None
+
+
+def _cyclotomic(limit):
+    """Phi_1 .. Phi_limit: Phi_d is q^d - 1 over every Phi_e, e a proper divisor of d."""
+    phi = {}
+    for d in range(1, limit + 1):
+        p = [-1] + [0] * (d - 1) + [1]
+        for e in range(1, d):
+            if d % e == 0:
+                p = _quotient(p, phi[e])
+        phi[d] = p
+    return phi
+
+
+_PHI = _cyclotomic(30)
+
+
+def _non_cyclotomic(poly):
+    """poly over q^e and each Phi_d, d <= 30, as often as it divides.
+
+    Returns (integer list, denominator); the list is one constant when poly is nice.
+    """
+    nums, den = poly.int_parts()
+    nums = nums[next(i for i, c in enumerate(nums) if c) :]
+    for f in _PHI.values():
+        while (q := _quotient(nums, f)) is not None:
+            nums = q
+    return nums, den
+
+
+def _is_nice(value):
+    """value is +-q^e times a quotient of products of cyclotomic Phi_d(q), d <= 30."""
+    if not value:
+        return False
+    (n, n_den), (d, d_den) = map(_non_cyclotomic, (value.numerator, value.denominator))
+    return len(n) == len(d) == 1 and abs(Fraction(n[0] * d_den, n_den * d[0])) == 1
+
+
+class TestNiceForm:
+    """The source paper's families have q-analogs of a "nice" form.
+
+    Every d_k and t_k of a stepped family is +-q^e times a quotient of
+    products of cyclotomic polynomials.  This shares no arithmetic with
+    the elimination that gives d_k or the recurrence that gives t_k, and
+    a wrong value would almost never factor this way.  The two
+    functionals are outside the claim: fibonacci-functional's d_4 keeps
+    a non-cyclotomic factor of degree 4, and lucas-functional's d_3 one
+    of degree 3.
+    """
+
+    STEPPED = [str(f) for f in registry_family_ids(include_functionals=False)]
+    OUTSIDE = {"fibonacci-functional", "lucas-functional"}
+
+    def test_the_cyclotomic_polynomials(self):
+        assert _PHI[1] == [-1, 1] and _PHI[6] == [1, -1, 1] and _PHI[12] == [1, 0, -1, 0, 1]
+        for d, phi in _PHI.items():  # of degree Euler's totient of d
+            assert len(phi) - 1 == sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+
+    @pytest.mark.parametrize("fid", STEPPED)
+    def test_minors_and_recurrence_are_nice(self, fid):
+        moments = family(fid).moments
+        assert all(map(_is_nice, hankel_minors(moments, 8)[1:]))
+        assert all(map(_is_nice, stieltjes(moments, 8).t))
+
+    @pytest.mark.parametrize(
+        "fid, k, degree", [("fibonacci-functional", 4, 4), ("lucas-functional", 3, 3)]
+    )
+    def test_the_functionals_are_outside_the_claim(self, fid, k, degree):
+        assert {str(f) for f in registry_family_ids()} - set(self.STEPPED) == self.OUTSIDE
+        minors = hankel_minors(family(fid).moments, k)
+        assert all(map(_is_nice, minors[1:k]))
+        rest, _ = _non_cyclotomic(minors[k].numerator)
+        assert len(rest) - 1 == degree and not _is_nice(minors[k])
+
+    def test_one_perturbed_moment_is_caught(self):
+        real = family("q-factorial:m=1").moments
+        bumped = MomentSequence(lambda n: real.moment(n) + (1 if n == 3 else 0), name="bumped")
+        assert not all(map(_is_nice, hankel_minors(bumped, 8)[1:]))
+        assert not all(map(_is_nice, stieltjes(bumped, 8).t))
 
 
 class TestRecurrenceTable:
