@@ -157,19 +157,20 @@ def _point(args) -> QPoint | None:
     return None if args.q is None else QPoint(args.q)
 
 
-def _emit(args, command: str, family_name: str, parameters: dict, results, text, latex=None):
+def _emit(args, family_name: str, results, text, latex=None, **parameters):
     """Print --format's rendering, and build no other.
 
     ``results``, ``text`` and ``latex`` take no arguments and build the
     JSON results, the text lines and the LaTeX lines; without ``latex``,
-    LaTeX prints the text lines.
+    LaTeX prints the text lines.  The JSON names the subcommand argparse
+    parsed, and its parameters are q and then ``parameters``.
     """
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "command": command,
+            "command": args.command,
             "family": family_name,
-            "parameters": parameters,
+            "parameters": {"q": None if args.q is None else str(args.q), **parameters},
             "results": results(),
         }
         print(json.dumps(doc, indent=2))
@@ -178,29 +179,27 @@ def _emit(args, command: str, family_name: str, parameters: dict, results, text,
         print(line)
 
 
-def _params(args, **extra) -> dict:
-    out = {"q": None if args.q is None else str(args.q)}
-    out.update(extra)
-    return out
-
-
 # -- subcommands --------------------------------------------------------------------
 
 
-def cmd_moments(args) -> int:
+def _sequence(args, label: str, value) -> int:
+    """Print label(n) = value(seq, n) for n = 0..--max-n."""
     _check_depth(args.max_n, "--max-n")
     fam, seq = _resolve(args)
-    values = [seq.moment(k) for k in range(args.max_n + 1)]
+    values = [value(seq, n) for n in range(args.max_n + 1)]
     _emit(
         args,
-        "moments",
         str(fam.fid),
-        _params(args, max_n=args.max_n),
-        lambda: [{"n": k, "value": _json(v)} for k, v in enumerate(values)],
-        lambda: [f"a({k}) = {v}" for k, v in enumerate(values)],
-        lambda: [f"a_{{{k}}} = {latex_qrat(v)}" for k, v in enumerate(values)],
+        lambda: [{"n": n, "value": _json(v)} for n, v in enumerate(values)],
+        lambda: [f"{label}({n}) = {v}" for n, v in enumerate(values)],
+        lambda: [f"{label}_{{{n}}} = {latex_qrat(v)}" for n, v in enumerate(values)],
+        max_n=args.max_n,
     )
     return 0
+
+
+def cmd_moments(args) -> int:
+    return _sequence(args, "a", lambda seq, n: seq.moment(n))
 
 
 def cmd_orthopoly(args) -> int:
@@ -236,14 +235,14 @@ def cmd_orthopoly(args) -> int:
 
     _emit(
         args,
-        "orthopoly",
         str(fam.fid),
-        _params(args, n=args.n, methods=methods),
         results,
         text,
         lambda: [
             f"p_{{{args.n}}} = {latex_xpoly(p)} \\quad\\text{{({m})}}" for m, p in polys.items()
         ],
+        n=args.n,
+        methods=methods,
     )
     return 0 if agree else 1
 
@@ -297,7 +296,7 @@ def cmd_recurrence(args) -> int:
             out.append(line)
         return out + [f"T_{{{j}}} = {latex_qrat(v)}" for j, v in enumerate(tvals)]
 
-    _emit(args, "recurrence", str(fam.fid), _params(args, max_n=args.max_n), results, text, latex)
+    _emit(args, str(fam.fid), results, text, latex, max_n=args.max_n)
     return 0
 
 
@@ -307,30 +306,17 @@ def cmd_triangle(args) -> int:
     rows = list(expansion_triangle(seq, args.max_n))
     _emit(
         args,
-        "triangle",
         str(fam.fid),
-        _params(args, max_n=args.max_n),
         lambda: [{"n": n, "entries": [_json(e) for e in row]} for n, row in enumerate(rows)],
         lambda: [f"row {n}: " + ", ".join(str(e) for e in row) for n, row in enumerate(rows)],
         lambda: [f"n={n}: " + ", ".join(latex_qrat(e) for e in row) for n, row in enumerate(rows)],
+        max_n=args.max_n,
     )
     return 0
 
 
 def cmd_hankel(args) -> int:
-    _check_depth(args.max_n, "--max-n")
-    fam, seq = _resolve(args)
-    values = [hankel_direct(seq, n) for n in range(args.max_n + 1)]
-    _emit(
-        args,
-        "hankel",
-        str(fam.fid),
-        _params(args, max_n=args.max_n),
-        lambda: [{"n": n, "value": _json(v)} for n, v in enumerate(values)],
-        lambda: [f"d({n}) = {v}" for n, v in enumerate(values)],
-        lambda: [f"d_{{{n}}} = {latex_qrat(v)}" for n, v in enumerate(values)],
-    )
-    return 0
+    return _sequence(args, "d", hankel_direct)
 
 
 def cmd_verify(args) -> int:
@@ -356,15 +342,8 @@ def cmd_verify(args) -> int:
             )
         return out + ["all families verified" if ok else "verification FAILED"]
 
-    fam_label = "all" if args.all else str(fids[0])
-    _emit(
-        args,
-        "verify",
-        fam_label,
-        _params(args, max_n=args.max_n),
-        lambda: [r.to_json() for r in reports],
-        text,
-    )
+    label = "all" if args.all else str(fids[0])
+    _emit(args, label, lambda: [r.to_json() for r in reports], text, max_n=args.max_n)
     return 0 if ok else 1
 
 

@@ -380,34 +380,26 @@ class _Verifier:
         self.closed_T = cache(partial(self.fam.closed_T, at=self.at))
         self.closed_st = cache(partial(self.fam.closed_st, at=self.at))
 
-    def _record(self, n: int, check: str, left, right, note: str = ""):
+    def _entry(self, n: int, check: str, status: str, note: str = "", left="", right=""):
+        self.report.entries.append(
+            VerificationEntry(self.report.family, n, check, status, left, right, note)
+        )
+
+    def _record(self, n: int, check: str, left, right):
         # only a mismatch prints its two sides, so only a mismatch keeps them
         if left == right:
-            entry = VerificationEntry(self.report.family, n, check, "match", note=note)
+            self._entry(n, check, "match")
         else:
-            entry = VerificationEntry(
-                self.report.family, n, check, "mismatch", str(left), str(right), note
-            )
-        self.report.entries.append(entry)
-
-    def _skip(self, check: str, note: str, n: int = -1):
-        self.report.entries.append(
-            VerificationEntry(self.report.family, n, check, "skipped", note=note)
-        )
-
-    def _mismatch(self, n: int, check: str, note: str):
-        self.report.entries.append(
-            VerificationEntry(self.report.family, n, check, "mismatch", note=note)
-        )
+            self._entry(n, check, "mismatch", "", str(left), str(right))
 
     def _guarded(self, n: int, check: str, thunk):
         try:
             left, right = thunk()
         except PoleError as exc:
-            self._mismatch(n, check, f"pole: {exc}")
+            self._entry(n, check, "mismatch", f"pole: {exc}")
             return
         except ValueError as exc:
-            self._mismatch(n, check, str(exc))
+            self._entry(n, check, "mismatch", str(exc))
             return
         self._record(n, check, left, right)
 
@@ -439,7 +431,7 @@ class _Verifier:
             recur = orthopoly_recur(self.moments, n)
             self._record(n, "determinant-vs-recurrence", dets[n], recur)
             if _SPECS[self.fam.tag].closed_poly is None:
-                self._skip("closed-vs-recurrence", "no closed form registered", n)
+                self._entry(n, "closed-vs-recurrence", "skipped", "no closed form registered")
                 continue
             self._guarded(
                 n, "closed-vs-recurrence", lambda n_=n, r=recur: (self.closed_poly(n_), r)
@@ -458,7 +450,7 @@ class _Verifier:
             # with L(x^k p_n) = 0 for k < n, the norm L(p_n^2) is L(x^n p_n)
             if bad or not window.dots(cs, [n])[0]:
                 note = f"nonzero against x^k for k in {bad}" if bad else "vanishing norm"
-                self._mismatch(n, "orthogonality", note)
+                self._entry(n, "orthogonality", "mismatch", note)
             else:
                 self._record(n, "orthogonality", "orthogonal", "orthogonal")
 
@@ -473,7 +465,7 @@ class _Verifier:
 
     def check_closed_recurrence(self):
         if not self.fam.has_closed_st:
-            self._skip("closed-recurrence", "no closed three-term coefficients")
+            self._entry(-1, "closed-recurrence", "skipped", "no closed three-term coefficients")
             return
         table = stieltjes(self.moments, self.max_n)
         for k in range(self.max_n):
@@ -487,13 +479,13 @@ class _Verifier:
 
     def check_closed_aerated(self):
         if not self.fam.has_closed_T:
-            self._skip("closed-aerated-T", "no closed aerated coefficients")
+            self._entry(-1, "closed-aerated-T", "skipped", "no closed aerated coefficients")
             return
         depth = 2 * self.max_n - 1 if self.max_n >= 1 else 0
         try:
             actual = aerated_recurrence(self.aerated, depth)
         except ValueError as exc:
-            self._mismatch(-1, "aeration-symmetry", str(exc))
+            self._entry(-1, "aeration-symmetry", "mismatch", str(exc))
             return
         self._record(-1, "aeration-symmetry", "symmetric", "symmetric")
         for j in range(depth):
@@ -503,7 +495,7 @@ class _Verifier:
         try:
             detab = deaerate(self.closed_T, self.max_n)
         except PoleError as exc:
-            self._mismatch(-1, "deaerated-s", f"pole: {exc}")
+            self._entry(-1, "deaerated-s", "mismatch", f"pole: {exc}")
             return
         table = stieltjes(self.moments, self.max_n)
         for k in range(self.max_n):
@@ -513,7 +505,7 @@ class _Verifier:
 
     def check_aeration_roundtrip(self):
         if not self.fam.aerated_capable:
-            self._skip("aeration-roundtrip", "family is not aerated")
+            self._entry(-1, "aeration-roundtrip", "skipped", "family is not aerated")
             return
         for n in range(self.max_n // 2 + 1):
             self._guarded(
@@ -527,12 +519,12 @@ class _Verifier:
 
     def check_classical_limit(self):
         if self.q is not None:
-            self._skip("classical-limit", "only meaningful symbolically")
+            self._entry(-1, "classical-limit", "skipped", "only meaningful symbolically")
             return
         for n in range(self.max_n + 1):
             expected = classical_polynomial(self.fam.fid, n)
             if _SPECS[self.fam.tag].closed_poly is None or expected is None:
-                self._skip("classical-limit", "no closed or classical form", n)
+                self._entry(n, "classical-limit", "skipped", "no closed or classical form")
                 continue
             self._guarded(
                 n,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
+from math import lcm
 from typing import Iterable, Union
 
 from . import _intkernel as _k
@@ -32,10 +33,6 @@ __all__ = ["QPolynomial", "QRational", "PoleError"]
 
 class PoleError(ZeroDivisionError):
     """Raised when a rational function is evaluated at a genuine pole."""
-
-
-def _ilcm(a: int, b: int) -> int:
-    return a // _igcd(a, b) * b
 
 
 _Scalar = Union[int, Fraction]
@@ -61,28 +58,18 @@ class QPolynomial:
     def __init__(self, coefficients: Iterable[_Scalar] = ()):
         fracs: list[Fraction] = []
         for c in coefficients:
-            if isinstance(c, int):
-                fracs.append(Fraction(c))
-            elif isinstance(c, Fraction):
-                fracs.append(c)
-            else:
+            if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-        den = 1
-        for f in fracs:
-            den = _ilcm(den, f.denominator)
-        nums = [f.numerator * (den // f.denominator) for f in fracs]
-        _k.strip(nums)
-        g = _igcd(_k.content(nums), den)
-        if g > 1:
-            nums = [x // g for x in nums]
-            den //= g
-        self._num: tuple[int, ...] = tuple(nums)
-        self._den: int = den if nums else 1
+            fracs.append(Fraction(c))
+        den = lcm(*(f.denominator for f in fracs))
+        reduced = self._raw([f.numerator * (den // f.denominator) for f in fracs], den)
+        self._num, self._den = reduced._num, reduced._den
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def _raw(cls, nums: list[int], den: int) -> "QPolynomial":
+        """The polynomial nums / den, reduced: the one reducer of every constructor."""
         self = object.__new__(cls)
         nums = _k.strip(list(nums))
         if den == 0:
@@ -170,7 +157,7 @@ class QPolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = _ilcm(self._den, o._den)
+        d = lcm(self._den, o._den)
         a = _k.mul_scalar(list(self._num), d // self._den)
         b = _k.mul_scalar(list(o._num), d // o._den)
         return QPolynomial._raw(_k.add(a, b), d)
@@ -352,7 +339,10 @@ class QRational:
         if den.is_one:
             self._num, self._den = num, den
             return
-        num, den = _cancel(num, den)
+        self._monic(*_cancel(num, den))
+
+    def _monic(self, num: QPolynomial, den: QPolynomial) -> None:
+        """Hold num / den, two coprime polynomials, with den made monic."""
         # Divide both sides by den's leading coefficient lead / e.
         lead, e = den._num[-1], den._den
         if lead != e:
@@ -454,11 +444,14 @@ class QRational:
         a, b = self._num, self._den
         c, d = o._num, o._den
         # Cross-cancel before multiplying; keeps intermediate degrees down.
+        # Then a*c and b*d are coprime (Knuth, TAOCP vol. 2, 4.5.1): no gcd.
         if not d.is_one:
             a, d = _cancel(a, d)
         if not b.is_one:
             c, b = _cancel(c, b)
-        return QRational(a * c, b * d)
+        out = object.__new__(QRational)
+        out._monic(a * c, b * d)
+        return out
 
     __rmul__ = __mul__
 

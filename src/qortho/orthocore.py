@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from . import _intkernel as _k
@@ -340,6 +341,7 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     for j in range(1, ncols):
         u.append(_k.lcm([u[-1], *dens[2 * j - 1 : min(2 * j, top) + 1]]))
 
+    @cache  # H is symmetric: each entry is built once, and rows share its list
     def entry(i: int, j: int) -> list[int]:  # u_i u_j a(i+j); i <= j, so u_j clears a(i+j)
         return _k.mul(nums[i + j], _k.mul(u[i], _k.divexact(u[j], dens[i + j])))
 
@@ -505,13 +507,6 @@ def _border_poly(m: _Packed, k: int) -> XPolynomial:
     return XPolynomial([_value(c, cols[-1], m.one) for c in cols])
 
 
-def _bordered_sweep(moments: MomentSequence, n: int) -> tuple[_Packed, list[int]]:
-    """One bordered elimination of order n: (block with its border rows, pivots)."""
-    m = _packed_rows(moments, n, n + 1)
-    pivots, _ = _eliminate(m)
-    return m, pivots
-
-
 def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
     """The monic orthogonal polynomial p_n as a bordered Hankel determinant.
 
@@ -527,7 +522,8 @@ def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return XPolynomial([moments.one])
-    m, pivots = _bordered_sweep(moments, n)
+    m = _packed_rows(moments, n, n + 1)
+    pivots, _ = _eliminate(m)
     if pivots[-1] == 0:
         raise QuasiDefinitenessError(len(pivots), moments.name)
     return _border_poly(m, n)
@@ -551,7 +547,8 @@ def orthopoly_det_sweep(
     if n == 0:
         return [XPolynomial([one])], [one]
     polys = [XPolynomial([one])]
-    m, pivots = _bordered_sweep(moments, n)
+    m = _packed_rows(moments, n, n + 1)
+    pivots, _ = _eliminate(m)
     for k, pivot in enumerate(pivots):
         if pivot != 0:
             polys.append(_border_poly(m, k + 1))

@@ -507,3 +507,24 @@ def test_output_is_pinned(capsys, argv, code, out_sha, err_sha):
     got_code, out, err = run(capsys, *shlex.split(argv))
     digest = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
     assert (got_code, *digest) == (code, out_sha, err_sha)
+
+
+# sha256 of each --help at 80 columns, the same on Python 3.10 to 3.13
+_HELP_PINNED = [
+    ("", "7468ce239f6248df7dc658f1e10b994cc5f848acdcf52046c50b32fcff6461b8"),
+    ("moments", "f26c222fc5c11b4b88eae3de1962b6bfb644c53958fbc6c3c301623fa50d0438"),
+    ("orthopoly", "79f8d78718fec125ffd21fe494f611474ebe8344e1e7bcf83da594cb85dc7104"),
+    ("recurrence", "562f338cf92f354cac3a4181d9401614a385c6af867750c0c908a08abf510a0a"),
+    ("triangle", "8d072888f542ccf17d92c551b074bd060fc24751e6e93d054ee0ebcb07c016e9"),
+    ("hankel", "0e99e167c1f1961e7696abf9664a65d44c65e7b1057a9aa0d82d47a09cdce2bd"),
+    ("verify", "c2f0e0bd05603835dda94bc78bdec7be9014e7a291d353ed54a3381b7cb2eeae"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, out_sha", _HELP_PINNED, ids=[p[0] or "qortho" for p in _HELP_PINNED]
+)
+def test_help_is_pinned(capsys, monkeypatch, command, out_sha):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, err = run(capsys, *command.split(), "--help")
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, out_sha, "")

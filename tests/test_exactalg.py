@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qortho import _intkernel
+from qortho import _intkernel, exactalg
 from qortho.exactalg import PoleError, QPolynomial, QRational
 
 
@@ -125,6 +125,22 @@ class TestQRational:
         r = QRational.of(qp(1, -2, 5), qp(3, 0, 1))
         assert QRational.from_json(r.to_json()) == r
 
+    def test_a_product_takes_no_gcd_after_its_cross_cancels(self, monkeypatch):
+        # a/b and c/d reduced, so a*c and b*d are coprime once a, d and c, b
+        # have cancelled: two gcds, one per cross-cancel
+        x, y = QRational(Q, qp(1, 1)), QRational(qp(2, 1), qp(-1, 1))
+        expected = QRational(qp(0, 2, 1), qp(-1, 0, 1))
+        calls = []
+        cancel = exactalg._cancel
+
+        def counting(a, b):
+            calls.append((a, b))
+            return cancel(a, b)
+
+        monkeypatch.setattr(exactalg, "_cancel", counting)
+        assert x * y == expected
+        assert len(calls) == 2
+
 
 def test_equal_constants_hash_equal():
     assert len({1, Fraction(1), QPolynomial.one(), QRational.one()}) == 1
@@ -196,6 +212,12 @@ def _with_factors(base):
 rationals = st.tuples(_with_factors(polys), _with_factors(nonzero_polys)).map(
     lambda nd: QRational.of(*nd)
 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(*[_with_factors(p) for p in (polys, nonzero_polys, polys, nonzero_polys)])
+def test_a_product_is_the_reduced_product_of_its_parts(a, b, c, d):
+    assert QRational(a, b) * QRational(c, d) == QRational(a * c, b * d)
 
 
 @settings(max_examples=80, deadline=None)

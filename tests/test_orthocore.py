@@ -278,6 +278,23 @@ class TestPackedBlock:
         orthocore._packed_rows(seq, n, n + 1)
         assert orthopoly_det(seq, n) == orthopoly_det(base, n)
 
+    def test_each_entry_of_the_symmetric_block_is_built_once(self, monkeypatch):
+        # u_i u_j a(i+j) is the same for (i, j) and (j, i); each build costs
+        # one schoolbook divexact, and polynomial moments need no other
+        seq = family("q-factorial:m=1").moments
+        for k in range(11):
+            seq.moment(k)
+        calls = []
+        divexact = _intkernel.divexact
+
+        def counting(f, g):
+            calls.append((f, g))
+            return divexact(f, g)
+
+        monkeypatch.setattr(_intkernel, "divexact", counting)
+        orthocore._packed_rows(seq, 6, 6)
+        assert len(calls) == 6 * 7 // 2
+
 
 def gauss_det(rows):
     """det over Q by Gaussian elimination with row exchanges, the Bareiss oracle."""
