@@ -10,6 +10,9 @@ Reduction is one cancellation on the integer coefficient lists, through
 ``_intkernel.gcd``, after which the denominator is made monic by
 rescaling both sides.
 
+Subtraction, equality, ``repr`` and powers are written once for both,
+on their private base ``_Field``.
+
 Values at a specialized q are plain ``Fraction``s, not degree-0
 QRationals.  A constant QRational equals its Fraction and hashes like
 it, so values of the two fields compare exactly.
@@ -38,7 +41,46 @@ class PoleError(ZeroDivisionError):
 _Scalar = Union[int, Fraction]
 
 
-class QPolynomial:
+class _Field:
+    """The operators QPolynomial and QRational share; each keeps its own ``__hash__``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self._reciprocal() ** -n
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._num == o._num and self._den == o._den
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self!s})"
+
+
+class QPolynomial(_Field):
     """A polynomial in q with rational coefficients, stored exactly.
 
     Internally the coefficients live as a tuple of integers over one
@@ -167,18 +209,6 @@ class QPolynomial:
     def __neg__(self):
         return QPolynomial._raw([-x for x in self._num], self._den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -187,17 +217,8 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = QPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+    def _reciprocal(self):
+        raise ValueError("negative power of a polynomial")
 
     def divexact(self, other: "QPolynomial") -> "QPolynomial":
         """Exact quotient self / other; raises ValueError when not divisible."""
@@ -247,12 +268,6 @@ class QPolynomial:
 
     # -- comparisons, hashing, display ---------------------------------------
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._num == o._num and self._den == o._den
-
     def __hash__(self):
         # A constant equals its Fraction, so it must hash like one.
         if len(self._num) <= 1:
@@ -261,9 +276,6 @@ class QPolynomial:
 
     def __bool__(self):
         return bool(self._num)
-
-    def __repr__(self):
-        return f"QPolynomial({self!s})"
 
     def __str__(self):
         if not self._num:
@@ -317,7 +329,7 @@ def _cancel(a: QPolynomial, b: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
     )
 
 
-class QRational:
+class QRational(_Field):
     """An element of Q(q) as a reduced fraction of two QPolynomials.
 
     Canonical form: gcd(num, den) = 1 and den is monic, so equality is
@@ -423,18 +435,6 @@ class QRational:
         out._den = self._den
         return out
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -471,15 +471,8 @@ class QRational:
             return NotImplemented
         return o / self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("division by zero polynomial")
-            return QRational.one() / self ** (-n)
-        out = QRational.one()
-        for _ in range(n):
-            out = out * self
-        return out
+    def _reciprocal(self):
+        return QRational.one() / self
 
     # -- evaluation and transforms ----------------------------------------------
 
@@ -510,12 +503,6 @@ class QRational:
 
     # -- comparisons, hashing, display -------------------------------------------
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._num == o._num and self._den == o._den
-
     def __hash__(self):
         # A polynomial value equals its QPolynomial, so it hashes like one.
         if self._den.is_one:
@@ -524,9 +511,6 @@ class QRational:
 
     def __bool__(self):
         return bool(self._num._num)
-
-    def __repr__(self):
-        return f"QRational({self!s})"
 
     def __str__(self):
         if self._den.is_one:

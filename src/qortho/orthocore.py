@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import reduce
 from typing import Callable, Sequence
 
 from . import _intkernel as _k
@@ -280,19 +280,6 @@ def orthopoly_recur(moments: MomentSequence, n: int) -> XPolynomial:
 # -- exact integer elimination -------------------------------------------------
 
 
-def _minor_width(nrows_total: int, maxima: Sequence[int]) -> int:
-    """Packing width so every minor's coefficients unpack unambiguously.
-
-    A k x k minor is a signed sum of at most k! products of entries, so
-    its L1 norm is at most k! times the product of per-row maxima (rows
-    not listed in ``maxima`` count as 1).
-    """
-    bound = math.factorial(nrows_total)
-    for m in maxima:
-        bound *= m
-    return _k._width_for(bound)
-
-
 def _value(num: list[int], den: list[int], one: Scalar) -> Scalar:
     """num / den, two integer polynomials, in the field of ``one``, reduced once.
 
@@ -333,7 +320,9 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     matrix made of these rows and, when nrows < ncols, the border row
     u_j L / c_j x^j (L the lcm of the c_j), counted at its largest L1
     norm.  No moment past a(nrows+ncols-2) is read, and the coefficient
-    lists are dropped on return, before any elimination starts.
+    lists are dropped on return, before any elimination starts.  Each
+    entry is built once: entry (i, j), i < j < nrows, is held from row i
+    until row j reads it, and no longer.
     """
     top = nrows + ncols - 2
     nums, dens = zip(*(_int_parts(moments.moment(m)) for m in range(top + 1)))
@@ -341,9 +330,15 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     for j in range(1, ncols):
         u.append(_k.lcm([u[-1], *dens[2 * j - 1 : min(2 * j, top) + 1]]))
 
-    @cache  # H is symmetric: each entry is built once, and rows share its list
+    held: dict[tuple[int, int], list[int]] = {}  # H is symmetric: rows i and j share (i, j)
+
     def entry(i: int, j: int) -> list[int]:  # u_i u_j a(i+j); i <= j, so u_j clears a(i+j)
-        return _k.mul(nums[i + j], _k.mul(u[i], _k.divexact(u[j], dens[i + j])))
+        e = held.pop((i, j), None)
+        if e is None:
+            e = _k.mul(nums[i + j], _k.mul(u[i], _k.divexact(u[j], dens[i + j])))
+            if i < j < nrows:
+                held[i, j] = e
+        return e
 
     scaled = ([entry(*sorted((i, j))) for j in range(ncols)] for i in range(nrows))
     row_contents, rows = zip(*map(_k.primitive_vector, scaled))
@@ -359,7 +354,8 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
         lcm = _k.lcm(col_contents)
         diagonal = [_k.mul(v, _k.divexact(lcm, c)) for v, c in zip(u, col_contents)]
         maxima.append(max(map(_k.l1, diagonal)))
-    w = _minor_width(ncols, maxima)
+    # a k x k minor is a signed sum of k! products, one entry from each row
+    w = _k._width_for(math.factorial(ncols) * math.prod(maxima))
     scales = [_value(_k.mul(v, v), [1], moments.one) for v in u[:nrows]]
     factors = [_k.mul(r, c) for r, c in zip(row_contents, col_contents)]
     packed = [[_k.pack(e, w) for e in row] for row in rows]
@@ -466,16 +462,6 @@ def _eliminate(m: _Packed, pivoting: bool = False) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def _factor_products(m: _Packed, n: int) -> list[list[int]]:
-    """factors[0] * ... * factors[k-1] for k = 1..n, each from the one before."""
-    out, product = [], [1]
-    for f in m.factors[:n]:
-        if f != [1]:
-            product = _k.mul(product, f)
-        out.append(product)
-    return out
-
-
 def _unscale(cleared: int, m: _Packed, k: int, factor: list[int]) -> Scalar:
     """A minor of the first k rows and columns, from its cleared value.
 
@@ -567,7 +553,7 @@ def hankel_direct(moments: MomentSequence, n: int) -> Scalar:
         return moments.one
     m = _packed_rows(moments, n, n)
     pivots, sign = _eliminate(m, pivoting=True)
-    return _unscale(sign * pivots[-1], m, n, _factor_products(m, n)[-1])
+    return _unscale(sign * pivots[-1], m, n, reduce(_k.mul, m.factors, [1]))
 
 
 def hankel_minors(moments: MomentSequence, n: int) -> list[Scalar]:
@@ -593,9 +579,11 @@ def _minors(moments: MomentSequence, m: _Packed, pivots: list[int], n: int) -> l
     Each pivot is unscaled to its leading minor; every order past a zero
     pivot, where the sweep stopped, comes from ``hankel_direct``.
     """
-    products = _factor_products(m, len(pivots))
-    dets = [moments.one]
-    dets.extend(_unscale(p, m, k + 1, f) for k, (p, f) in enumerate(zip(pivots, products)))
+    dets, product = [moments.one], [1]
+    for k, (p, f) in enumerate(zip(pivots, m.factors)):
+        if f != [1]:
+            product = _k.mul(product, f)
+        dets.append(_unscale(p, m, k + 1, product))
     dets.extend(hankel_direct(moments, k) for k in range(len(dets), n + 1))
     return dets
 

@@ -75,6 +75,19 @@ class TestQPolynomial:
         assert str(qp(1, 1, 2)) == "1 + q + 2q^2"
         assert str(QPolynomial.zero()) == "0"
 
+    def test_repr_names_the_class(self):
+        assert repr(Q + 1) == "QPolynomial(1 + q)"
+
+    def test_subtraction_from_a_scalar(self):
+        assert str(1 - Q) == "1 - q"
+
+    def test_equality_with_a_foreign_type_is_false(self):
+        assert (Q == "q") is False
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError, match="negative power of a polynomial"):
+            Q**-1
+
 
 class TestQRational:
     def test_common_factor_cancels_to_polynomial(self):
@@ -115,6 +128,23 @@ class TestQRational:
         r = QRational.of(Q, qp(1, 1))
         assert r**2 == r * r
         assert 1 / r == QRational.of(qp(1, 1), Q)
+
+    def test_repr_names_the_class(self):
+        assert repr(QRational.of(Q + 1, Q - 2)) == "QRational((1 + q)/(-2 + q))"
+
+    def test_subtraction_from_a_fraction(self):
+        r = QRational.of(Q + 1, Q - 2)
+        assert Fraction(1, 2) - r == QRational.of(Fraction(-1, 2) * Q - 2, Q - 2)
+
+    def test_subtracting_a_foreign_type_raises(self):
+        with pytest.raises(TypeError):
+            QRational.of(Q + 1, Q - 2) - object()
+
+    def test_negative_powers(self):
+        r = QRational.of(Q + 1, Q - 2)
+        assert r**-2 == 1 / (r * r)
+        with pytest.raises(ZeroDivisionError):
+            QRational.zero() ** -1
 
     def test_reciprocal_substitution(self):
         # f(1/q) for f = q/(1+q) is (1/q)/(1+1/q) = 1/(1+q)
@@ -231,6 +261,12 @@ def test_rational_field_axioms(a, b, c):
     assert a - a == QRational.zero()
     if not b.is_zero:
         assert (a / b) * b == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals, st.integers(min_value=0, max_value=6))
+def test_a_power_is_the_repeated_product(r, n):
+    assert r**n == math.prod([r] * n, start=QRational.one())
 
 
 @settings(max_examples=100, deadline=None)
