@@ -33,7 +33,7 @@ from typing import Callable
 
 from ._record import Record
 from .exactalg import PoleError, QPolynomial, QRational
-from .momentfamilies import _SPECS, FamilyId, _as_fid, family
+from .momentfamilies import FamilyId, _closed, family
 from .orthocore import (
     aerated_orthopoly,
     aerated_recurrence,
@@ -44,7 +44,7 @@ from .orthocore import (
     orthopoly_recur,
     stieltjes,
 )
-from .qcombinatorics import SYMBOLIC, QPoint, built_at
+from .qcombinatorics import SYMBOLIC, QPoint
 from .xpoly import XPolynomial, _cleared, _Window, apply_functional
 
 __all__ = [
@@ -247,9 +247,7 @@ def closed_polynomial(fid: "FamilyId | str", n: int, at: QPoint | None = None) -
     can substitute a deliberately wrong formula and watch verification
     catch it; over Q(q) they are called as cf_*(n, ...), with no q argument.
     """
-    fid = _as_fid(fid)
-    formula = _SPECS[fid.tag].closed_poly
-    return None if formula is None else built_at(at, lambda *q: formula(fid, n, *q))
+    return _closed(fid, "closed_poly", n, at)
 
 
 # -- classical (q = 1) counterparts ------------------------------------------------
@@ -294,9 +292,7 @@ def classical_chebT_style(n: int) -> XPolynomial:
 
 def classical_polynomial(fid: "FamilyId | str", n: int) -> XPolynomial | None:
     """The q = 1 counterpart of a family's closed form, or None."""
-    fid = _as_fid(fid)
-    formula = _SPECS[fid.tag].classical_poly
-    return None if formula is None else formula(fid, n)
+    return _closed(fid, "classical_poly", n)
 
 
 def specialize_poly(p: XPolynomial, point) -> XPolynomial:
@@ -412,7 +408,7 @@ class _Verifier:
         self.check_closed_aerated()
         self.check_aeration_roundtrip()
         self.check_classical_limit()
-        if self.fam.tag == "geometric-q":
+        if self.fam.has_closed_norm:
             self.check_geometric_norms()
         return self.report
 
@@ -430,7 +426,7 @@ class _Verifier:
         for n in range(self.max_n + 1):
             recur = orthopoly_recur(self.moments, n)
             self._record(n, "determinant-vs-recurrence", dets[n], recur)
-            if _SPECS[self.fam.tag].closed_poly is None:
+            if not self.fam.has_closed_poly:
                 self._entry(n, "closed-vs-recurrence", "skipped", "no closed form registered")
                 continue
             self._guarded(
@@ -442,7 +438,7 @@ class _Verifier:
         # each L(x^k p_n) is a dot product of numerators, tested with no reduction
         window = _Window(self.moments)
         for n in range(1, self.max_n + 1):
-            cs, _ = _cleared(window.ring, orthopoly_recur(self.moments, n).coefficients)
+            cs, _ = _cleared(self.moments.ring, orthopoly_recur(self.moments, n).coefficients)
             window.extend(2 * n - 1)
             bad = [k for k, v in enumerate(window.dots(cs, range(n))) if v]
             if not bad:
@@ -523,7 +519,7 @@ class _Verifier:
             return
         for n in range(self.max_n + 1):
             expected = classical_polynomial(self.fam.fid, n)
-            if _SPECS[self.fam.tag].closed_poly is None or expected is None:
+            if not self.fam.has_closed_poly or expected is None:
                 self._entry(n, "classical-limit", "skipped", "no closed or classical form")
                 continue
             self._guarded(
@@ -540,7 +536,7 @@ class _Verifier:
                 "geometric-norm",
                 lambda n_=n, p_=p: (
                     apply_functional(self.moments, p_.shift_x(n_)),
-                    built_at(self.at, lambda *q: cf_geometric_norm(n_, n_, *q)),
+                    _closed(self.fam.fid, "closed_norm", n_, self.at),
                 ),
             )
 

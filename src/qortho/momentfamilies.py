@@ -3,10 +3,11 @@
 A family is a named moment sequence a(n) in Q(q) with a(0) = 1, plus
 whatever closed-form extras it supports: three-term recurrence
 coefficients s_n/t_n, aerated recurrence coefficients T_n, and (via the
-closedforms module) explicit orthogonal polynomials and their q = 1
-limits.  Each family is one entry of the table ``_SPECS``: its
-parameters, moments, registry sweep and optional formulas.  Adding a
-family means adding one entry plus its formulas.
+closedforms module) explicit orthogonal polynomials, their norms and
+their q = 1 limits.  Each family is one entry of the table ``_SPECS``:
+its parameters, moments, registry sweep and optional formulas, which
+``_closed`` alone reads.  Adding a family means adding one entry plus its
+formulas, and ``verify`` then runs every check the entry supports.
 
 Families are addressed by a tag plus small integer parameters, written
 ``tag`` or ``tag:key=value,key=value`` on the command line:
@@ -120,18 +121,6 @@ class FamilyId(FrozenRecord):
         return self.tag if not parts else f"{self.tag}:{','.join(parts)}"
 
 
-def _cf():
-    """The closedforms module, imported late because it imports this one.
-
-    Table entries fetch their closedforms formula or basis through it at
-    call time, so a formula substituted on that module (as the negative
-    control in the acceptance tests does) is the one that runs.
-    """
-    from . import closedforms
-
-    return closedforms
-
-
 # The recurrence formulas take q as the closedforms ones do: SYMBOLIC or a QPoint.
 
 
@@ -170,11 +159,13 @@ class _Spec(Record):
     parameter to its minimum, which is also its default, and ``sweep`` lists
     the parameter sets that ``registry_family_ids`` yields.  ``aerated``
     marks the families whose aerated recurrence is exposed.  The optional
-    formulas take (fid, index) and give T_j, (s_i, t_i), the closed p_n and
-    its q = 1 counterpart.  ``basis`` and the first three formulas take an
-    optional last argument, a QPoint to build at, and pass it on; over
-    Q(q) they pass nothing, so the closedforms functions are called as
-    cf_*(n, ...).
+    formulas take (fid, index) and give T_j, (s_i, t_i), the closed p_n,
+    the closed norm L(x^n p_n) that ``verify`` compares with the
+    recurrence's p_n, and the q = 1 counterpart of p_n.  ``basis`` and
+    every formula but the last take an optional last argument, a QPoint
+    to build at, and pass it on; over Q(q) they pass nothing, so the
+    closedforms functions are called as cf_*(n, ...).  ``_closed`` is the
+    one reader of the formula columns.
     """
 
     __slots__ = (
@@ -186,6 +177,7 @@ class _Spec(Record):
         "closed_T",
         "closed_st",
         "closed_poly",
+        "closed_norm",
         "classical_poly",
     )
     _defaults = dict.fromkeys(__slots__) | {"params": {}, "sweep": ({},), "aerated": False}
@@ -196,8 +188,9 @@ class _Spec(Record):
 _SPECS: dict[str, _Spec] = {
     "geometric-q": _Spec(
         step=lambda fid, n: (n - 1, (), ()),
-        closed_poly=lambda fid, n, *q: _cf().cf_geometric_poly(n, *q),
-        classical_poly=lambda fid, n: _cf().classical_geometric_style(n),
+        closed_poly=lambda fid, n, *q: _cf.cf_geometric_poly(n, *q),
+        closed_norm=lambda fid, n, *q: _cf.cf_geometric_norm(n, n, *q),
+        classical_poly=lambda fid, n: _cf.classical_geometric_style(n),
     ),
     "q-factorial": _Spec(
         params={"m": 0},
@@ -206,8 +199,8 @@ _SPECS: dict[str, _Spec] = {
         aerated=True,
         closed_T=lambda fid, j, *q: _multifactorial_T(1, fid.m, j, *q),
         closed_st=lambda fid, i, *q: _multifactorial_st(1, fid.m, i, *q),
-        closed_poly=lambda fid, n, *q: _cf().cf_qlaguerre(n, fid.m, *q),
-        classical_poly=lambda fid, n: _cf().classical_laguerre_style(n, fid.m),
+        closed_poly=lambda fid, n, *q: _cf.cf_qlaguerre(n, fid.m, *q),
+        classical_poly=lambda fid, n: _cf.classical_laguerre_style(n, fid.m),
     ),
     "multifactorial": _Spec(
         params={"m": 0, "r": 1},
@@ -216,34 +209,34 @@ _SPECS: dict[str, _Spec] = {
         aerated=True,
         closed_T=lambda fid, j, *q: _multifactorial_T(fid.r, fid.m, j, *q),
         closed_st=lambda fid, i, *q: _multifactorial_st(fid.r, fid.m, i, *q),
-        closed_poly=lambda fid, n, *q: _cf().cf_multifactorial_poly(n, fid.r, fid.m, *q),
-        classical_poly=lambda fid, n: _cf().classical_multifactorial_style(n, fid.r, fid.m),
+        closed_poly=lambda fid, n, *q: _cf.cf_multifactorial_poly(n, fid.r, fid.m, *q),
+        classical_poly=lambda fid, n: _cf.classical_multifactorial_style(n, fid.r, fid.m),
     ),
     "q-double-factorial": _Spec(
         step=lambda fid, n: (0, (2 * n - 1,), ()),
         aerated=True,
-        closed_poly=lambda fid, n, *q: _cf().cf_qhermite(n, *q),
-        classical_poly=lambda fid, n: _cf().classical_hermite_style(n),
+        closed_poly=lambda fid, n, *q: _cf.cf_qhermite(n, *q),
+        classical_poly=lambda fid, n: _cf.classical_hermite_style(n),
     ),
     "andrews-q-catalan": _Spec(
         step=lambda fid, n: (0, (2 * n - 1,), (2 * n + 2,)),
         aerated=True,
         closed_T=lambda fid, j, *q: _catalan_T(j, *q),
-        closed_poly=lambda fid, n, *q: even_part_compress(_cf().cf_chebU(2 * n, *q)),
-        classical_poly=lambda fid, n: even_part_compress(_cf().classical_chebU_style(2 * n)),
+        closed_poly=lambda fid, n, *q: even_part_compress(_cf.cf_chebU(2 * n, *q)),
+        classical_poly=lambda fid, n: even_part_compress(_cf.classical_chebU_style(2 * n)),
     ),
     "q-central-binomial": _Spec(
         step=lambda fid, n: (0, (2 * n - 1,), (2 * n,)),
         aerated=True,
         closed_T=lambda fid, j, *q: _central_binomial_T(j, *q),
-        closed_poly=lambda fid, n, *q: even_part_compress(_cf().cf_chebT(2 * n, *q)),
-        classical_poly=lambda fid, n: even_part_compress(_cf().classical_chebT_style(2 * n)),
+        closed_poly=lambda fid, n, *q: even_part_compress(_cf.cf_chebT(2 * n, *q)),
+        classical_poly=lambda fid, n: even_part_compress(_cf.classical_chebT_style(2 * n)),
     ),
     # The q-Fibonacci and q-Lucas bases define their functionals' moments
     # but are not themselves orthogonal for q != 1 (they satisfy no
     # three-term recurrence in x), so no closed form is registered.
-    "fibonacci-functional": _Spec(basis=lambda k, *q: _cf().cf_qfibonacci(k, *q)),
-    "lucas-functional": _Spec(basis=lambda k, *q: _cf().cf_qlucas(k, *q)),
+    "fibonacci-functional": _Spec(basis=lambda k, *q: _cf.cf_qfibonacci(k, *q)),
+    "lucas-functional": _Spec(basis=lambda k, *q: _cf.cf_qlucas(k, *q)),
 }
 
 
@@ -345,18 +338,32 @@ def _moments_at(fid: FamilyId, q0: Fraction) -> Callable[[int], Fraction]:
     return _stepped(fid, Fraction(1), ratio, q0)
 
 
+def _closed(
+    fid: "FamilyId | str", column: str, index: int, at: QPoint | None = None, what: str = ""
+):
+    """The family's ``column`` formula of ``_SPECS`` at ``index``, where it has one.
+
+    The one reader of the formula columns.  The value is built over Q(q),
+    or with ``at`` at that point, through ``built_at``.  Where the column
+    is empty: None, or with ``what`` a ValueError that names the formula.
+    """
+    fid = _as_fid(fid)
+    formula = getattr(_SPECS[fid.tag], column)
+    if formula is None:
+        if what:
+            raise ValueError(f"no closed {what} for family {fid}")
+        return None
+    return built_at(at, lambda *q: formula(fid, index, *q))
+
+
 def closed_T(fid: "FamilyId | str", j: int, at: QPoint | None = None) -> Scalar:
     """Closed-form aerated recurrence coefficient T_j, where available.
 
     With ``at``, its value at that point, from ``built_at``.
     """
-    fid = _as_fid(fid)
     if j < 0:
         raise ValueError("T index must be >= 0")
-    formula = _SPECS[fid.tag].closed_T
-    if formula is None:
-        raise ValueError(f"no closed aerated recurrence for family {fid}")
-    return built_at(at, lambda *q: formula(fid, j, *q))
+    return _closed(fid, "closed_T", j, at, "aerated recurrence")
 
 
 def closed_st(fid: "FamilyId | str", i: int, at: QPoint | None = None) -> tuple[Scalar, Scalar]:
@@ -364,13 +371,9 @@ def closed_st(fid: "FamilyId | str", i: int, at: QPoint | None = None) -> tuple[
 
     With ``at``, their values at that point, from ``built_at``.
     """
-    fid = _as_fid(fid)
     if i < 0:
         raise ValueError("recurrence index must be >= 0")
-    formula = _SPECS[fid.tag].closed_st
-    if formula is None:
-        raise ValueError(f"no closed three-term coefficients for family {fid}")
-    return built_at(at, lambda *q: formula(fid, i, *q))
+    return _closed(fid, "closed_st", i, at, "three-term coefficients")
 
 
 class MomentFamily:
@@ -385,17 +388,11 @@ class MomentFamily:
     def tag(self) -> str:
         return self.fid.tag
 
-    @property
-    def aerated_capable(self) -> bool:
-        return _SPECS[self.tag].aerated
-
-    @property
-    def has_closed_T(self) -> bool:
-        return _SPECS[self.tag].closed_T is not None
-
-    @property
-    def has_closed_st(self) -> bool:
-        return _SPECS[self.tag].closed_st is not None
+    aerated_capable = property(lambda self: _SPECS[self.tag].aerated)
+    has_closed_T = property(lambda self: _SPECS[self.tag].closed_T is not None)
+    has_closed_st = property(lambda self: _SPECS[self.tag].closed_st is not None)
+    has_closed_poly = property(lambda self: _SPECS[self.tag].closed_poly is not None)
+    has_closed_norm = property(lambda self: _SPECS[self.tag].closed_norm is not None)
 
     @property
     def aerated_moments(self) -> MomentSequence:
@@ -417,7 +414,7 @@ class MomentFamily:
 
     def closed_poly(self, n: int, at: QPoint | None = None) -> XPolynomial | None:
         """Closed-form monic orthogonal polynomial, when one exists."""
-        return _cf().closed_polynomial(self.fid, n, at)
+        return _cf.closed_polynomial(self.fid, n, at)
 
     def __repr__(self):
         return f"MomentFamily({self.fid})"
@@ -476,3 +473,9 @@ def registry_family_ids(include_functionals: bool = True) -> list[FamilyId]:
         if include_functionals or spec.basis is None
         for params in spec.sweep
     ]
+
+
+# Bound last: closedforms imports this module.  Table entries read _cf.cf_* at
+# call time, so a formula substituted on closedforms (as the negative controls
+# in the tests do) is the one that runs.
+from . import closedforms as _cf  # noqa: E402

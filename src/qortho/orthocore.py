@@ -59,29 +59,23 @@ continues on them, exchanging rows where ``hankel_direct`` needs it.
 Every division goes through one ``_intkernel.ExactDivider`` (a 2-adic
 inverse with every quotient multiplied back, or ``divmod`` with its
 remainder tested where that is faster), so a division that leaves a
-remainder is detected instead of returning a wrong value.  At a
-specialized q every entry is an integer constant, and the values read
-off are Fractions.
+remainder is detected instead of returning a wrong value.  The block
+is cleared, packed and read off in the sequence's numerator ring
+(``MomentSequence.ring``), the one that ``stieltjes`` sums in: integer
+polynomials over Q(q), and plain ints at a specialized q, where every
+entry is an integer constant, packs as itself, and the values read off
+are Fractions.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
 
 from . import _intkernel as _k
 from ._record import FrozenRecord, Record
-from .xpoly import (
-    MomentSequence,
-    Scalar,
-    XPolynomial,
-    _int_parts,
-    _Polys,
-    _Window,
-    even_part_compress,
-)
+from .xpoly import MomentSequence, Scalar, XPolynomial, _is_one, _Window, even_part_compress
 
 __all__ = [
     "QuasiDefinitenessError",
@@ -185,7 +179,7 @@ class _Recurrence:
 
     def __init__(self, moments: MomentSequence):
         self.window = _Window(moments)
-        self.cleared = [[self.window.ring.one]]
+        self.cleared = [[moments.ring.one]]
         self.p = {0: XPolynomial([moments.one])}
         self.s, self.t, self.norms = [], [], []
 
@@ -221,7 +215,7 @@ def stieltjes(moments: MomentSequence, depth: int) -> RecurrenceTable:
     with moments.scratch_lock:
         state = moments.recurrence = moments.recurrence or _Recurrence(moments)
         window, cleared, s, t, norms = state.window, state.cleared, state.s, state.t, state.norms
-        ring = window.ring
+        ring = moments.ring
         for k in range(len(s), depth):
             pk = cleared[k]
             lead = pk[k]
@@ -251,7 +245,7 @@ def stieltjes(moments: MomentSequence, depth: int) -> RecurrenceTable:
                 g, prev = ring.mul(ring.mul(tn, sd), lead), cleared[k - 1]
             coefs = [ring.mul(sd, factor), ring.mul(sn, factor), g]
             cols = zip([ring.zero, *pk], [*pk, ring.zero], [*prev, ring.zero, ring.zero])
-            cleared.append(ring.primitive(ring.dots(coefs, cols)))
+            cleared.append(ring.primitive(ring.dots(coefs, cols))[1])
             norms.append(norm_k)
             s.append(s_k)
             if k:
@@ -272,22 +266,12 @@ def orthopoly_recur(moments: MomentSequence, n: int) -> XPolynomial:
         stieltjes(moments, n)
         state = moments.recurrence
         if n not in state.p:
-            pn, value = state.cleared[n], state.window.ring.value
+            pn, value = state.cleared[n], moments.ring.value
             state.p[n] = XPolynomial([value(c, pn[n]) for c in pn[:n]] + [moments.one])
         return state.p[n]
 
 
 # -- exact integer elimination -------------------------------------------------
-
-
-def _value(num: list[int], den: list[int], one: Scalar) -> Scalar:
-    """num / den, two integer polynomials, in the field of ``one``, reduced once.
-
-    At a specialized q both are integer constants.
-    """
-    if isinstance(one, Fraction):
-        return Fraction(num[0] if num else 0, den[0])
-    return _Polys.value(num, den)
 
 
 class _Packed(Record):
@@ -300,11 +284,12 @@ class _Packed(Record):
     scales[0..k].  When the block has one column more than rows,
     ``border`` holds the packed border rows: row e is the x^e part of
     the symbolic last row, u_e L / c_e in column e and 0 elsewhere.  It
-    is empty otherwise.  ``one`` is the moments' a(0), and the scales
-    and every value read off are in its field.
+    is empty otherwise.  ``ring`` is the moments' numerator ring: the
+    factors are its elements, the packed values its packings, and the
+    scales and every value read off are in the moments' field.
     """
 
-    __slots__ = ("rows", "w", "scales", "factors", "border", "one")
+    __slots__ = ("rows", "w", "scales", "factors", "border", "ring")
 
 
 def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
@@ -315,8 +300,8 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     a(0..min(2j, nrows+ncols-2)), which include those of every a(i+j),
     i <= j.  Each row is then divided by its content r_i, and each
     column by its content c_j: cleared_ij = u_i u_j a(i+j) / (r_i c_j).
-    Contents are integer gcds times primitive polynomial gcds, [1] for
-    an all-zero row or column.  w covers every minor of an ncols x ncols
+    Contents are integer gcds, times primitive polynomial gcds over
+    Q(q), and 1 for an all-zero row or column.  w covers every minor of an ncols x ncols
     matrix made of these rows and, when nrows < ncols, the border row
     u_j L / c_j x^j (L the lcm of the c_j), counted at its largest L1
     norm.  No moment past a(nrows+ncols-2) is read, and the coefficient
@@ -324,45 +309,45 @@ def _packed_rows(moments: MomentSequence, nrows: int, ncols: int) -> _Packed:
     entry is built once: entry (i, j), i < j < nrows, is held from row i
     until row j reads it, and no longer.
     """
-    top = nrows + ncols - 2
-    nums, dens = zip(*(_int_parts(moments.moment(m)) for m in range(top + 1)))
-    u = [[1]]  # a(0) = 1
+    ring, top = moments.ring, nrows + ncols - 2
+    nums, dens = zip(*(ring.parts(moments.moment(m)) for m in range(top + 1)))
+    u = [ring.one]  # a(0) = 1
     for j in range(1, ncols):
-        u.append(_k.lcm([u[-1], *dens[2 * j - 1 : min(2 * j, top) + 1]]))
+        u.append(ring.lcm([u[-1], *dens[2 * j - 1 : min(2 * j, top) + 1]]))
 
-    held: dict[tuple[int, int], list[int]] = {}  # H is symmetric: rows i and j share (i, j)
+    held = {}  # H is symmetric: rows i and j share entry (i, j)
 
-    def entry(i: int, j: int) -> list[int]:  # u_i u_j a(i+j); i <= j, so u_j clears a(i+j)
+    def entry(i: int, j: int):  # u_i u_j a(i+j); i <= j, so u_j clears a(i+j)
         e = held.pop((i, j), None)
         if e is None:
-            e = _k.mul(nums[i + j], _k.mul(u[i], _k.divexact(u[j], dens[i + j])))
+            e = ring.mul(nums[i + j], ring.mul(u[i], ring.quo(u[j], dens[i + j])))
             if i < j < nrows:
                 held[i, j] = e
         return e
 
     scaled = ([entry(*sorted((i, j))) for j in range(ncols)] for i in range(nrows))
-    row_contents, rows = zip(*map(_k.primitive_vector, scaled))
+    row_contents, rows = zip(*map(ring.primitive, scaled))
     col_contents = []
     for j in range(ncols):
-        content, column = _k.primitive_vector([row[j] for row in rows])
+        content, column = ring.primitive([row[j] for row in rows])
         for row, cs in zip(rows, column):
             row[j] = cs
         col_contents.append(content)
-    maxima = [max((_k.l1(cs) for cs in row), default=0) or 1 for row in rows]
+    maxima = [max(map(ring.height, row), default=0) or 1 for row in rows]
     diagonal = []  # u_j L / c_j, the border rows' one nonzero entries
     if nrows < ncols:
-        lcm = _k.lcm(col_contents)
-        diagonal = [_k.mul(v, _k.divexact(lcm, c)) for v, c in zip(u, col_contents)]
-        maxima.append(max(map(_k.l1, diagonal)))
+        lcm = ring.lcm(col_contents)
+        diagonal = [ring.mul(v, ring.quo(lcm, c)) for v, c in zip(u, col_contents)]
+        maxima.append(max(map(ring.height, diagonal)))
     # a k x k minor is a signed sum of k! products, one entry from each row
     w = _k._width_for(math.factorial(ncols) * math.prod(maxima))
-    scales = [_value(_k.mul(v, v), [1], moments.one) for v in u[:nrows]]
-    factors = [_k.mul(r, c) for r, c in zip(row_contents, col_contents)]
-    packed = [[_k.pack(e, w) for e in row] for row in rows]
+    scales = [ring.value(ring.mul(v, v), ring.one) for v in u[:nrows]]
+    factors = [ring.mul(r, c) for r, c in zip(row_contents, col_contents)]
+    packed = [[ring.pack(e, w) for e in row] for row in rows]
     border = [
-        [_k.pack(b, w) if j == e else 0 for j in range(ncols)] for e, b in enumerate(diagonal)
+        [ring.pack(b, w) if j == e else 0 for j in range(ncols)] for e, b in enumerate(diagonal)
     ]
-    return _Packed(packed, w, scales, factors, border, moments.one)
+    return _Packed(packed, w, scales, factors, border, ring)
 
 
 def _eliminate(m: _Packed, pivoting: bool = False) -> tuple[list[int], int]:
@@ -462,20 +447,16 @@ def _eliminate(m: _Packed, pivoting: bool = False) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def _unscale(cleared: int, m: _Packed, k: int, factor: list[int]) -> Scalar:
+def _unscale(cleared: int, m: _Packed, k: int, factor) -> Scalar:
     """A minor of the first k rows and columns, from its cleared value.
 
     Unpacks it, multiplies by ``factor``, the product of factors[0..k-1],
     and divides by the row scales other than 1, one at a time.
     """
-    if cleared == 0:
-        return m.one * 0
-    cs = _k.unpack(cleared, m.w)
-    if factor != [1]:
-        cs = _k.mul(cs, factor)
-    det = _value(cs, [1], m.one)
+    ring = m.ring
+    det = ring.value(ring.mul(ring.unpack(cleared, m.w), factor), ring.one)
     for s in m.scales[:k]:
-        if s != m.one:
+        if not _is_one(s):
             det = det / s
     return det
 
@@ -489,8 +470,9 @@ def _border_poly(m: _Packed, k: int) -> XPolynomial:
     coefficient is taken out once, before each coefficient is reduced
     on its own, once, from its numerator and that entry.
     """
-    _, cols = _k.divide_content([_k.unpack(row[k], m.w) for row in m.border[: k + 1]])
-    return XPolynomial([_value(c, cols[-1], m.one) for c in cols])
+    ring = m.ring
+    _, cols = ring.primitive([ring.unpack(row[k], m.w) for row in m.border[: k + 1]])
+    return XPolynomial([ring.value(c, cols[-1]) for c in cols])
 
 
 def orthopoly_det(moments: MomentSequence, n: int) -> XPolynomial:
@@ -553,7 +535,7 @@ def hankel_direct(moments: MomentSequence, n: int) -> Scalar:
         return moments.one
     m = _packed_rows(moments, n, n)
     pivots, sign = _eliminate(m, pivoting=True)
-    return _unscale(sign * pivots[-1], m, n, reduce(_k.mul, m.factors, [1]))
+    return _unscale(sign * pivots[-1], m, n, reduce(m.ring.mul, m.factors, m.ring.one))
 
 
 def hankel_minors(moments: MomentSequence, n: int) -> list[Scalar]:
@@ -579,10 +561,10 @@ def _minors(moments: MomentSequence, m: _Packed, pivots: list[int], n: int) -> l
     Each pivot is unscaled to its leading minor; every order past a zero
     pivot, where the sweep stopped, comes from ``hankel_direct``.
     """
-    dets, product = [moments.one], [1]
+    dets, product = [moments.one], m.ring.one
     for k, (p, f) in enumerate(zip(pivots, m.factors)):
-        if f != [1]:
-            product = _k.mul(product, f)
+        if f != m.ring.one:
+            product = m.ring.mul(product, f)
         dets.append(_unscale(p, m, k + 1, product))
     dets.extend(hankel_direct(moments, k) for k in range(len(dets), n + 1))
     return dets

@@ -10,16 +10,18 @@ L(x^n).  Its a(0) is the field's one, and the constructions take their
 zero and one from the sequence, so at a specialized q they compute in
 Fraction from end to end.
 
-The long sums of c_i a(i), in ``stieltjes`` and the orthogonality check
-of ``verify``, are formed on cleared numerators, not one field
-operation per term.  ``_Window`` holds a(0..m) times one common
-denominator, the lcm of theirs; ``_cleared`` writes a list of values
-over the lcm of their denominators; a sum is then a dot product of
-numerators, reduced at most once.  The numerators live in one of two
-rings, chosen from the field: integer polynomials through
+Every computation that clears denominators takes its arithmetic on the
+numerators from one ring, chosen once per sequence from its field and
+held as ``MomentSequence.ring``: integer polynomials through
 ``_intkernel`` over Q(q) (``_Polys``), plain Python ints at a
-specialized q (``_Ints``).  ``apply_functional``, which serves short
-sums, adds its terms one at a time.
+specialized q (``_Ints``).  Those are the long sums of c_i a(i), in
+``stieltjes`` and the orthogonality check of ``verify``, and the
+cleared Hankel blocks of the determinant path.  ``_Window`` holds
+a(0..m) times one common denominator, the lcm of theirs; ``_cleared``
+writes a list of values over the lcm of their denominators; a sum is
+then a dot product of numerators, reduced at most once.
+``apply_functional``, which serves short sums, adds its terms one at a
+time.
 """
 
 from __future__ import annotations
@@ -273,8 +275,10 @@ class MomentSequence:
     specialized q, and any other value one over Q(q).  Every later value
     is lifted to that field; over Q, a value that depends on q raises
     TypeError.  ``one`` is a(0) and ``zero`` the zero of its field.
-    ``at(p)``, when given, is the rule n -> a(n) at q = p that
-    ``specialized`` uses in place of evaluating each symbolic moment.
+    ``ring`` is the ring of the numerators that cleared computations
+    work in: ``_Ints`` over Q, ``_Polys`` over Q(q).  ``at(p)``, when
+    given, is the rule n -> a(n) at q = p that ``specialized`` uses in
+    place of evaluating each symbolic moment.
     The cache is guarded by a lock, so instances may be shared between
     threads.
     """
@@ -297,6 +301,7 @@ class MomentSequence:
         self._specialized: dict[Fraction, MomentSequence] = {}
         first = rule(0)
         self._field = Fraction if isinstance(first, Fraction) else QRational
+        self.ring = _Ints if self._field is Fraction else _Polys
         first = _in_field(first, self._field)
         if not _is_one(first):
             raise ValueError(f"moment(0) must be 1, got {first}")
@@ -353,16 +358,6 @@ class MomentSequence:
 # -- cleared arithmetic ----------------------------------------------------------
 
 
-def _int_parts(value: Scalar) -> tuple[list[int], list[int]]:
-    """(numerator, denominator) of a field value as integer polynomials."""
-    if isinstance(value, Fraction):
-        return ([value.numerator] if value else []), [value.denominator]
-    # (n / a) / (d / b) = n b / (d a)
-    n, a = value.numerator.int_parts()
-    d, b = value.denominator.int_parts()
-    return (_k.mul_scalar(n, b) if b != 1 else n), (_k.mul_scalar(d, a) if a != 1 else d)
-
-
 class _Polys:
     """Numerators cleared over Q(q): integer polynomials, through ``_intkernel``."""
 
@@ -371,11 +366,18 @@ class _Polys:
     dots = staticmethod(_k.dots)
     quo = staticmethod(_k.divexact)
     lcm = staticmethod(_k.lcm)
-    parts = staticmethod(_int_parts)
+    height = staticmethod(_k.l1)
+    pack = staticmethod(_k.pack)
+    unpack = staticmethod(_k.unpack)
+    primitive = staticmethod(_k.primitive_vector)
 
     @staticmethod
-    def primitive(values: list[list[int]]) -> list[list[int]]:
-        return _k.primitive_vector(values)[1]
+    def parts(value: QRational) -> tuple[list[int], list[int]]:
+        """(numerator, denominator) of value as integer polynomials."""
+        # (n / a) / (d / b) = n b / (d a)
+        n, a = value.numerator.int_parts()
+        d, b = value.denominator.int_parts()
+        return (_k.mul_scalar(n, b) if b != 1 else n), (_k.mul_scalar(d, a) if a != 1 else d)
 
     @staticmethod
     def value(num: list[int], den: list[int]) -> QRational:
@@ -383,11 +385,12 @@ class _Polys:
 
 
 class _Ints:
-    """Numerators cleared at a specialized q: plain Python ints."""
+    """Numerators cleared at a specialized q: plain Python ints, which pack as themselves."""
 
     zero, one = 0, 1
     mul = staticmethod(operator.mul)
     quo = staticmethod(operator.floordiv)
+    height = abs
     value = Fraction
 
     @staticmethod
@@ -399,9 +402,16 @@ class _Ints:
         return math.lcm(*values)
 
     @staticmethod
-    def primitive(values: list[int]) -> list[int]:
-        g = math.gcd(*values)
-        return [v // g for v in values] if g > 1 else values
+    def pack(value: int, w: int) -> int:
+        return value
+
+    unpack = pack
+
+    @staticmethod
+    def primitive(values: list[int]) -> tuple[int, list[int]]:
+        """(g, [v / g for v in values]), g their gcd, or 1 if they are all zero."""
+        g = math.gcd(*values) or 1
+        return g, ([v // g for v in values] if g > 1 else values)
 
     @staticmethod
     def parts(value: Fraction) -> tuple[int, int]:
@@ -428,7 +438,7 @@ class _Window:
 
     def __init__(self, moments: MomentSequence):
         self.moments = moments
-        self.ring = _Polys if isinstance(moments.one, QRational) else _Ints
+        self.ring = moments.ring
         self.den = self.ring.one
         self.values: list = []
 

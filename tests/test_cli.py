@@ -96,6 +96,14 @@ class TestOrthopoly:
         assert "agreement: yes" in out
         assert "[closed]" not in out
 
+    def test_all_methods_json_ends_with_the_agreement(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "orthopoly", "--family", "geometric-q", "--n", "3", "--all-methods"
+        )
+        assert code == 0
+        assert [r.get("method") for r in doc["results"]] == ["recurrence", "det", "closed", None]
+        assert doc["results"][-1] == {"agreement": True}
+
     def test_closed_method_without_a_closed_form_is_a_usage_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -460,6 +468,14 @@ _PINNED = [
         "moments --family lucas-functional --max-n 12 --q=-1 --format json",
         0,
         "052ff8fcfe37f1d9bd5256c62d7b34f312c15a1bcdfb44ad46adae7b5632ba59",
+        _EMPTY,
+    ),
+    # d_2 and d_3 vanish at this point while d_4 and d_5 do not: only the
+    # row exchanges of hankel_direct reach them
+    (
+        "hankel --family lucas-functional --max-n 7 --q=-1",
+        0,
+        "d2ecc2e82fa4eaa60d55f8b58b0741379bc48a0b15b2828adde3e9846da19429",
         _EMPTY,
     ),
     # the symbolic text and LaTeX renderings, each built only when it is printed

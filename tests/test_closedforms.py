@@ -3,6 +3,7 @@ and the verification engine that compares everything against the
 determinant oracle."""
 
 import functools
+import json
 from fractions import Fraction
 
 import pytest
@@ -393,6 +394,69 @@ class TestVerificationEngine:
             hash(VerificationEntry("f", 0, "c", "match"))
         with pytest.raises(TypeError):
             hash(VerificationReport("f", 1))
+
+
+class TestFailureReports:
+    """What verify reports when a closed value is wrong, raises or has a pole."""
+
+    def test_a_wrong_closed_form_reports_both_sides_in_json(self, capsys, monkeypatch):
+        intact = closedforms.cf_qlaguerre
+
+        def corrupted(n, m, *q):
+            p = intact(n, m, *q)
+            return p + ONE if n == 3 else p
+
+        monkeypatch.setattr(closedforms, "cf_qlaguerre", corrupted)
+        code = cli.main(["verify", "--family", "q-factorial:m=0", "--max-n", "4", "--format", "json"])
+        entries = json.loads(capsys.readouterr().out)["results"][0]["entries"]
+        assert code == 1
+        bad = [e for e in entries if e["status"] == "mismatch"]
+        assert [(e["check"], e["n"]) for e in bad] == [
+            ("closed-vs-recurrence", 3),
+            ("classical-limit", 3),
+        ]
+        seq = family("q-factorial:m=0").moments
+        assert bad[0]["left"] == str(intact(3, 0) + ONE)
+        assert bad[0]["right"] == str(orthopoly_recur(seq, 3))
+        assert all(set(e) == {"family", "n", "check", "status", "left", "right"} for e in bad)
+        assert not any("left" in e or "right" in e for e in entries if e["status"] != "mismatch")
+
+    def test_a_closed_form_that_raises_is_a_mismatch_noted_with_its_message(self, monkeypatch):
+        def failing(n, m, *q):
+            raise ValueError(f"no p_{n} here")
+
+        monkeypatch.setattr(closedforms, "cf_qlaguerre", failing)
+        report = verify_family("q-factorial:m=0", max_n=3)
+        for check in ("closed-vs-recurrence", "classical-limit"):
+            got = [(e.n, e.status, e.note, e.left, e.right) for e in report.entries if e.check == check]
+            assert got == [(n, "mismatch", f"no p_{n} here", "", "") for n in range(4)], check
+        # every other check still ran and matched
+        others = [e for e in report.entries if e.check not in ("closed-vs-recurrence", "classical-limit")]
+        assert {e.status for e in others} == {"match"}
+        assert {"closed-recurrence-s", "deaerated-t", "aeration-roundtrip"} <= {e.check for e in others}
+
+    def test_a_closed_coefficient_with_a_pole_is_a_mismatch_noted_pole(self, capsys, monkeypatch):
+        def pole(j, *q):
+            raise PoleError(f"pole in T_{j}")
+
+        monkeypatch.setattr(momentfamilies, "_catalan_T", pole)
+        report = verify_family("andrews-q-catalan", max_n=2)
+        assert [(e.check, e.n, e.note) for e in report.mismatches()] == [
+            *(("closed-aerated-T", j, f"pole: pole in T_{j}") for j in range(3)),
+            ("deaerated-s", -1, "pole: pole in T_0"),
+        ]
+        code = cli.main(["verify", "--family", "andrews-q-catalan", "--max-n", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line for line in lines if line.startswith("MISMATCH")] == [
+            *(f"MISMATCH andrews-q-catalan n={j} closed-aerated-T (pole: pole in T_{j})" for j in range(3)),
+            "MISMATCH andrews-q-catalan n=-1 deaerated-s (pole: pole in T_0)",
+        ]
+        assert lines[-1] == "verification FAILED"
+
+    def test_a_negative_depth_is_rejected(self):
+        with pytest.raises(ValueError, match="max_n must be >= 0"):
+            verify_family("geometric-q", max_n=-1)
 
 
 class TestSpecializedVerifier:

@@ -195,6 +195,8 @@ class TestFamilyId:
             for n in (0, 3):
                 closed = closed_polynomial(fid, n)
                 assert (closed is None) == (classical_polynomial(fid, n) is None), (str(fid), n)
+                assert fam.has_closed_poly == (closed is not None), (str(fid), n)
+            assert fam.has_closed_norm == (fid.tag == "geometric-q"), str(fid)
         plain = registry_family_ids(include_functionals=False)
         assert [fid for fid in ids if fid in plain] == plain
         dropped = [str(fid) for fid in ids if fid not in plain]

@@ -7,15 +7,16 @@ import pytest
 from qortho.closedforms import VerificationEntry, VerificationReport
 from qortho.momentfamilies import FamilyId, _Spec
 from qortho.orthocore import RecurrenceTable, _Packed
+from qortho.xpoly import _Ints
 
 # each record class with one value per field, in field order
 RECORDS = [
     (FamilyId, ("multifactorial", 2, 3)),
     (RecurrenceTable, ((Fraction(1),), (), (Fraction(1),))),
-    (_Packed, ([[1]], 4, [Fraction(1)], [[1]], [], Fraction(1))),
+    (_Packed, ([[1]], 4, [Fraction(1)], [[1]], [], _Ints)),
     (VerificationEntry, ("f", 0, "c", "mismatch", "1", "2", "why")),
     (VerificationReport, ("f", 1, [VerificationEntry("f", 0, "c", "match")])),
-    (_Spec, (None, None, {"m": 0}, ({},), True, None, None, None, None)),
+    (_Spec, (None, None, {"m": 0}, ({},), True, None, None, None, None, None)),
 ]
 
 
