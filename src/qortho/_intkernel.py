@@ -109,31 +109,21 @@ def pack(cs: list[int], w: int) -> int:
 def unpack(x: int, w: int) -> list[int]:
     """Inverse of pack for results whose coefficients satisfy |c| < 2**(w-1).
 
-    Reads balanced base-2**w digits.  w must be a multiple of 8.
+    Reads balanced base-2**w digits.  w must be a multiple of 8.  As in
+    pack, one repeated-byte integer adds 2**(w-1) to every digit, so each
+    digit reads nonnegative with no carry; one spare digit keeps any x in
+    range of ``to_bytes``.
     """
     if x == 0:
         return []
-    sign = 1
-    if x < 0:
-        sign, x = -1, -x
     wbytes = w // 8
-    nbytes = (x.bit_length() + 7) // 8
-    nbytes = ((nbytes + wbytes - 1) // wbytes) * wbytes
-    data = x.to_bytes(nbytes, "little")
+    ndigits = x.bit_length() // w + 2
+    offsets = (bytes(wbytes - 1) + b"\x80") * ndigits
+    data = (x + int.from_bytes(offsets, "little")).to_bytes(len(offsets), "little")
     half = 1 << (w - 1)
-    full = 1 << w
-    out: list[int] = []
-    carry = 0
-    for i in range(0, nbytes, wbytes):
-        d = int.from_bytes(data[i : i + wbytes], "little") + carry
-        carry = 0
-        if d >= half:
-            d -= full
-            carry = 1
-        out.append(sign * d)
-    if carry:
-        out.append(sign)
-    return strip(out)
+    return strip(
+        [int.from_bytes(data[i : i + wbytes], "little") - half for i in range(0, len(data), wbytes)]
+    )
 
 
 def _width_for(bound: int) -> int:

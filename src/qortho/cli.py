@@ -7,19 +7,26 @@ with --q.  Specialized values are computed as Fractions and lifted to
 QRational only to be rendered, so both kinds print the same way.  Each
 subcommand renders only the format it prints: text, LaTeX or JSON.
 
+JSON is written in batches as it is encoded, each value (a verification
+report too) turned into JSON only as it is written; every value is
+computed first, so an error prints nothing on stdout.
+
 Exit codes: 0 on success, 1 when exact cross-checks disagree or the
 moment sequence fails quasi-definiteness, 2 for usage errors, malformed
-input, and evaluation at poles.
+input, and evaluation at poles, 141 (as a shell reports a process that
+SIGPIPE ended) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
-from .closedforms import verify_family
+from .closedforms import VerificationReport, verify_family
 from .exactalg import PoleError, QRational
 from .momentfamilies import (
     DEFAULT_DEPTH_CAP,
@@ -126,9 +133,19 @@ def latex_xpoly(p: XPolynomial) -> str:
 # -- shared plumbing ---------------------------------------------------------------
 
 
-def _json(v) -> dict:
-    """A QRational, or a Fraction as the constant QRational it equals."""
-    return QRational.of(v).to_json()
+def _to_json(o):
+    """A qortho value's JSON, a Fraction's as the constant QRational it equals."""
+    if isinstance(o, (QRational, Fraction)):
+        return QRational.of(o).to_json()
+    if isinstance(o, (XPolynomial, VerificationReport)):
+        return o.to_json()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+_ENCODER = json.JSONEncoder(indent=2, default=_to_json)
+# encoder chunks per write, about 30 KB of document: with an unbuffered
+# stdout (PYTHONUNBUFFERED) every write is a system call
+_BATCH = 4096
 
 
 def _check_depth(value: int, what: str) -> None:
@@ -162,8 +179,11 @@ def _emit(args, family_name: str, results, text, latex=None, **parameters):
 
     ``results``, ``text`` and ``latex`` take no arguments and build the
     JSON results, the text lines and the LaTeX lines; without ``latex``,
-    LaTeX prints the text lines.  The JSON names the subcommand argparse
-    parsed, and its parameters are q and then ``parameters``.
+    LaTeX prints the text lines.  The JSON, which may hold qortho values,
+    is ``json.dumps``'s indent-2 rendering, written to the current
+    ``sys.stdout`` in batches of ``_BATCH`` encoder chunks rather than as
+    one string.  It names the subcommand argparse parsed, and its
+    parameters are q and then ``parameters``.
     """
     if args.format == "json":
         doc = {
@@ -173,7 +193,11 @@ def _emit(args, family_name: str, results, text, latex=None, **parameters):
             "parameters": {"q": None if args.q is None else str(args.q), **parameters},
             "results": results(),
         }
-        print(json.dumps(doc, indent=2))
+        out = sys.stdout
+        chunks = _ENCODER.iterencode(doc)
+        while batch := "".join(islice(chunks, _BATCH)):
+            out.write(batch)
+        out.write("\n")
         return
     for line in latex() if args.format == "latex" and latex is not None else text():
         print(line)
@@ -190,7 +214,7 @@ def _sequence(args, label: str, value) -> int:
     _emit(
         args,
         str(fam.fid),
-        lambda: [{"n": n, "value": _json(v)} for n, v in enumerate(values)],
+        lambda: [{"n": n, "value": v} for n, v in enumerate(values)],
         lambda: [f"{label}({n}) = {v}" for n, v in enumerate(values)],
         lambda: [f"{label}_{{{n}}} = {latex_qrat(v)}" for n, v in enumerate(values)],
         max_n=args.max_n,
@@ -222,7 +246,7 @@ def cmd_orthopoly(args) -> int:
     agree = len({tuple(p.coefficients) for p in polys.values()}) == 1
 
     def results():
-        out = [{"method": m, "polynomial": p.to_json()} for m, p in polys.items()]
+        out = [{"method": m, "polynomial": p} for m, p in polys.items()]
         if args.all_methods:
             out.append({"agreement": agree})
         return out
@@ -266,15 +290,15 @@ def cmd_recurrence(args) -> int:
     def results():
         rows = []
         for k in range(table.depth):
-            row = {"k": k, "s": _json(table.s[k]), "norm": _json(table.norms[k])}
+            row = {"k": k, "s": table.s[k], "norm": table.norms[k]}
             if k < len(table.t):
-                row["t"] = _json(table.t[k])
+                row["t"] = table.t[k]
             rows.append(row)
         out = {"source": "stieltjes", "rows": rows}
         if t_source is not None:
             out["aerated"] = {
                 "source": t_source,
-                "values": [{"j": j, "T": _json(v)} for j, v in enumerate(tvals)],
+                "values": [{"j": j, "T": v} for j, v in enumerate(tvals)],
             }
         return out
 
@@ -307,7 +331,7 @@ def cmd_triangle(args) -> int:
     _emit(
         args,
         str(fam.fid),
-        lambda: [{"n": n, "entries": [_json(e) for e in row]} for n, row in enumerate(rows)],
+        lambda: [{"n": n, "entries": row} for n, row in enumerate(rows)],
         lambda: [f"row {n}: " + ", ".join(str(e) for e in row) for n, row in enumerate(rows)],
         lambda: [f"n={n}: " + ", ".join(latex_qrat(e) for e in row) for n, row in enumerate(rows)],
         max_n=args.max_n,
@@ -343,7 +367,7 @@ def cmd_verify(args) -> int:
         return out + ["all families verified" if ok else "verification FAILED"]
 
     label = "all" if args.all else str(fids[0])
-    _emit(args, label, lambda: [r.to_json() for r in reports], text, max_n=args.max_n)
+    _emit(args, label, lambda: reports, text, max_n=args.max_n)
     return 0 if ok else 1
 
 
@@ -438,7 +462,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``qortho ... | head``): end quietly, with
+        # stdout on devnull so the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

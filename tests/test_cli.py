@@ -4,11 +4,16 @@ degeneracy, 2 usage and evaluation errors)."""
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qortho.cli import SCHEMA_VERSION, main
+from qortho.cli import _ENCODER, SCHEMA_VERSION, main
 from qortho.exactalg import QRational
 from qortho.momentfamilies import family
 from qortho.orthocore import orthopoly_det
@@ -544,3 +549,75 @@ def test_help_is_pinned(capsys, monkeypatch, command, out_sha):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     code, out, err = run(capsys, *command.split(), "--help")
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, out_sha, "")
+
+
+# -- the streamed JSON document ---------------------------------------------------------
+
+_DOCUMENTS = [
+    "moments --family andrews-q-catalan --max-n 5",
+    "hankel --family q-central-binomial --max-n 4",
+    "recurrence --family andrews-q-catalan --max-n 4",
+    "triangle --family q-double-factorial --max-n 4",
+    "orthopoly --family geometric-q --n 3 --all-methods",
+    "verify --all --max-n 4",
+]
+
+
+@pytest.mark.parametrize("q", [[], ["--q", "5/4"]], ids=["symbolic", "q=5/4"])
+@pytest.mark.parametrize("argv", _DOCUMENTS)
+def test_json_is_its_own_indent_two_rendering(capsys, argv, q):
+    code, out, err = run(capsys, *shlex.split(argv), *q, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
+
+def test_json_arrives_in_a_few_writes_none_of_them_whole(monkeypatch):
+    # an unbuffered stdout (PYTHONUNBUFFERED) makes each write a system call,
+    # so one write per encoder chunk would cost thousands of them
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["verify", "--all", "--max-n", "4", "--format", "json"]) == 0
+    doc = "".join(out.writes)
+    assert doc == json.dumps(json.loads(doc), indent=2) + "\n"
+    assert 1 < len(out.writes) <= 16
+    assert max(map(len, out.writes)) < len(doc) // 2
+
+
+def test_the_encoder_refuses_what_is_not_a_qortho_value():
+    assert json.loads(_ENCODER.encode([Fraction(3, 4)])) == [{"num": ["3/4"], "den": ["1"]}]
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        _ENCODER.encode({"value": object()})
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(unbuffered):
+    # as `qortho verify ... | head -1`: no traceback, and the exit code 141
+    # that a shell reports for a process ended by SIGPIPE
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["verify", "--all", "--max-n", "6", "--q", "5/4", "--format", "json"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qortho.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()  # far more than a pipe buffer is still unwritten
+    try:
+        _, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+    assert (child.returncode, err) == (141, b"")

@@ -330,6 +330,51 @@ def test_kernel_pack_is_the_value_at_two_to_the_w(case):
     assert _intkernel.pack(cs, w) == sum(c << (w * i) for i, c in enumerate(cs))
 
 
+def _unpack_with_carries(x: int, w: int) -> list[int]:
+    """unpack as a carry loop over the digits of |x|: the oracle for the offset read."""
+    if x == 0:
+        return []
+    sign = 1
+    if x < 0:
+        sign, x = -1, -x
+    wbytes = w // 8
+    nbytes = (x.bit_length() + 7) // 8
+    nbytes = ((nbytes + wbytes - 1) // wbytes) * wbytes
+    data = x.to_bytes(nbytes, "little")
+    half = 1 << (w - 1)
+    full = 1 << w
+    out: list[int] = []
+    carry = 0
+    for i in range(0, nbytes, wbytes):
+        d = int.from_bytes(data[i : i + wbytes], "little") + carry
+        carry = 0
+        if d >= half:
+            d -= full
+            carry = 1
+        out.append(sign * d)
+    if carry:
+        out.append(sign)
+    return _intkernel.strip(out)
+
+
+def _balanced_digits(w):
+    """Coefficient lists inside unpack's precondition |c| < 2**(w-1), ends included."""
+    top = (1 << (w - 1)) - 1
+    digit = st.one_of(st.sampled_from([0, 1, -1, top, -top]), st.integers(-top, top))
+    return st.tuples(st.just(w), st.lists(digit, max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64).map(lambda k: 8 * k).flatmap(_balanced_digits))
+@example((8, [127, -127, 0, -1, 0]))
+@example((8, [-127, 0, 0, 127]))
+@example((512, [(1 << 511) - 1, -((1 << 511) - 1), 0, -5]))
+def test_kernel_unpack_matches_the_carry_loop(case):
+    w, cs = case
+    x = sum(c << (w * i) for i, c in enumerate(cs))
+    assert _intkernel.unpack(x, w) == _unpack_with_carries(x, w) == _intkernel.strip(list(cs))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(int_coeffs, int_coeffs), max_size=5), st.integers(1, 3))
 def test_kernel_dots_match_sums_of_schoolbook_products(pairs, copies):
