@@ -143,9 +143,11 @@ def _to_json(o):
 
 
 _ENCODER = json.JSONEncoder(indent=2, default=_to_json)
-# encoder chunks per write, about 30 KB of document: with an unbuffered
-# stdout (PYTHONUNBUFFERED) every write is a system call
-_BATCH = 4096
+# Encoder chunks are joined _GROUP at a time, so few small strings are held
+# at once, and written once _WRITE characters are pending: with an unbuffered
+# stdout (PYTHONUNBUFFERED) every write is a system call.
+_GROUP = 256
+_WRITE = 32768
 
 
 def _check_depth(value: int, what: str) -> None:
@@ -181,8 +183,8 @@ def _emit(args, family_name: str, results, text, latex=None, **parameters):
     JSON results, the text lines and the LaTeX lines; without ``latex``,
     LaTeX prints the text lines.  The JSON, which may hold qortho values,
     is ``json.dumps``'s indent-2 rendering, written to the current
-    ``sys.stdout`` in batches of ``_BATCH`` encoder chunks rather than as
-    one string.  It names the subcommand argparse parsed, and its
+    ``sys.stdout`` in writes of about ``_WRITE`` characters rather than
+    as one string.  It names the subcommand argparse parsed, and its
     parameters are q and then ``parameters``.
     """
     if args.format == "json":
@@ -195,9 +197,15 @@ def _emit(args, family_name: str, results, text, latex=None, **parameters):
         }
         out = sys.stdout
         chunks = _ENCODER.iterencode(doc)
-        while batch := "".join(islice(chunks, _BATCH)):
-            out.write(batch)
-        out.write("\n")
+        pending, size = [], 0
+        while group := "".join(islice(chunks, _GROUP)):
+            pending.append(group)
+            size += len(group)
+            if size >= _WRITE:
+                out.write("".join(pending))
+                pending, size = [], 0
+        pending.append("\n")
+        out.write("".join(pending))
         return
     for line in latex() if args.format == "latex" and latex is not None else text():
         print(line)

@@ -369,6 +369,8 @@ class _Verifier:
         self.moments = (
             self.fam.moments if self.q is None else self.fam.specialized_moments(self.q)
         )
+        # held for the whole run: the sequence caches it only weakly, and two
+        # checks read its Stieltjes table
         self.aerated = self.moments.aerated() if self.fam.aerated_capable else None
         # each closed value at the working point, built once, by the guard of
         # the first check that reads it, so a pole is a finding, not a crash
@@ -436,13 +438,13 @@ class _Verifier:
     def check_orthogonality(self):
         # p_n over the lcm of its denominators and the moments over theirs, so
         # each L(x^k p_n) is a dot product of numerators, tested with no reduction
-        window = _Window(self.moments)
+        window = _Window(self.moments.ring)
         for n in range(1, self.max_n + 1):
             cs, _ = _cleared(self.moments.ring, orthopoly_recur(self.moments, n).coefficients)
-            window.extend(2 * n - 1)
+            window.extend(self.moments, 2 * n - 1)
             bad = [k for k, v in enumerate(window.dots(cs, range(n))) if v]
             if not bad:
-                window.extend(2 * n)
+                window.extend(self.moments, 2 * n)
             # with L(x^k p_n) = 0 for k < n, the norm L(p_n^2) is L(x^n p_n)
             if bad or not window.dots(cs, [n])[0]:
                 note = f"nonzero against x^k for k in {bad}" if bad else "vanishing norm"

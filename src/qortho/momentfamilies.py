@@ -383,6 +383,9 @@ class MomentFamily:
         self.fid = fid
         at = _basis_at if _SPECS[fid.tag].step is None else _moments_at
         self.moments = MomentSequence(_moment_rule(fid), name=str(fid), at=partial(at, fid))
+        # held as long as the family, so its state lives for the process too;
+        # the sequence itself caches it only weakly
+        self.aerated_moments = self.moments.aerated()
 
     @property
     def tag(self) -> str:
@@ -393,10 +396,6 @@ class MomentFamily:
     has_closed_st = property(lambda self: _SPECS[self.tag].closed_st is not None)
     has_closed_poly = property(lambda self: _SPECS[self.tag].closed_poly is not None)
     has_closed_norm = property(lambda self: _SPECS[self.tag].closed_norm is not None)
-
-    @property
-    def aerated_moments(self) -> MomentSequence:
-        return self.moments.aerated()
 
     def specialized_moments(self, point) -> MomentSequence:
         """The moments at q = point, as Fractions.

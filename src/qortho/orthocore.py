@@ -178,7 +178,7 @@ class _Recurrence:
     """
 
     def __init__(self, moments: MomentSequence):
-        self.window = _Window(moments)
+        self.window = _Window(moments.ring)
         self.cleared = [[moments.ring.one]]
         self.p = {0: XPolynomial([moments.one])}
         self.s, self.t, self.norms = [], [], []
@@ -219,13 +219,13 @@ def stieltjes(moments: MomentSequence, depth: int) -> RecurrenceTable:
         for k in range(len(s), depth):
             pk = cleared[k]
             lead = pk[k]
-            window.extend(2 * k)
+            window.extend(moments, 2 * k)
             den = window.den
             (nk,) = window.dots(pk, [k])  # norm_k * lead * den
             if not nk:
                 raise QuasiDefinitenessError(k + 1, moments.name)
             norm_k = ring.value(nk, ring.mul(lead, den))
-            window.extend(2 * k + 1)
+            window.extend(moments, 2 * k + 1)
             if window.den != den:
                 nk = ring.mul(nk, ring.quo(window.den, den))
             # s_k = ns / nk + c, with c = pk[k-1] / lead

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+import weakref
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -297,8 +298,10 @@ class MomentSequence:
         # Held while that record or a derived sequence is built in several
         # steps.  It is not _lock, because moment() takes _lock inside one.
         self.scratch_lock = threading.RLock()
-        self._aerated: MomentSequence | None = None
-        self._specialized: dict[Fraction, MomentSequence] = {}
+        # weak, so a derived sequence and its state live only while a caller
+        # holds it; each derived sequence's rule holds this one instead
+        self._aerated: weakref.ref | None = None
+        self._specialized = weakref.WeakValueDictionary()
         first = rule(0)
         self._field = Fraction if isinstance(first, Fraction) else QRational
         self.ring = _Ints if self._field is Fraction else _Polys
@@ -324,32 +327,37 @@ class MomentSequence:
         """The same functional with q fixed at a rational point, over Q.
 
         Its rule is ``at(p)`` when the sequence has one; otherwise each
-        value is the symbolic moment evaluated at the point.  Built once
-        per point; every call at that point returns the same sequence, so
-        its own caches are shared.
+        value is the symbolic moment evaluated at the point.  Every call
+        at that point returns the same sequence while any caller holds it,
+        so its own caches are shared; once none does, it is freed.
         """
         p = Fraction(point)
         with self.scratch_lock:
-            if p not in self._specialized:
-                self._specialized[p] = MomentSequence(
+            seq = self._specialized.get(p)
+            if seq is None:
+                seq = self._specialized[p] = MomentSequence(
                     self._at(p) if self._at else lambda n: _value_at(self.moment(n), p),
                     name=f"{self.name}@q={p}" if self.name else f"@q={p}",
                 )
-            return self._specialized[p]
+            return seq
 
     def aerated(self) -> "MomentSequence":
         """Interleave zeros: A(2n) = a(n), A(2n+1) = 0.
 
-        Built once; every call returns the same sequence, so its own
-        caches (moments, recurrence tables) are shared.
+        Every call returns the same sequence while any caller holds it,
+        so its own caches (moments, recurrence tables) are shared; once
+        none does, it is freed.
         """
         with self.scratch_lock:
-            if self._aerated is None:
-                self._aerated = MomentSequence(
-                    lambda n: self.moment(n // 2) if n % 2 == 0 else self.zero,
+            seq = self._aerated and self._aerated()
+            if seq is None:
+                moment, zero = self.moment, self.zero
+                seq = MomentSequence(
+                    lambda n: moment(n // 2) if n % 2 == 0 else zero,
                     name=f"{self.name}-aerated" if self.name else "aerated",
                 )
-            return self._aerated
+                self._aerated = weakref.ref(seq)
+            return seq
 
     def __repr__(self):
         return f"MomentSequence({self.name or self._rule!r})"
@@ -426,27 +434,27 @@ def _cleared(ring, values: Iterable[Scalar]) -> tuple[list, object]:
 
 
 class _Window:
-    """The moments a(0..m) over one common denominator, as ring elements.
+    """The moments a(0..m) of one sequence over one common denominator, as ring elements.
 
     ``values[j]`` is a(j) * ``den``, and ``den`` is the lcm of the
     denominators read so far.  ``extend`` reads the moments one at a
     time, so a moment that raises leaves the window as it was; when the
     lcm grows, every value held is rescaled.  A sum of c_i a(i + j)
     over one common denominator is then one of its ``dots``, with no
-    reduction.
+    reduction.  The window does not hold its sequence: each ``extend``
+    is handed it, so a window kept on the sequence closes no cycle.
     """
 
-    def __init__(self, moments: MomentSequence):
-        self.moments = moments
-        self.ring = moments.ring
-        self.den = self.ring.one
+    def __init__(self, ring):
+        self.ring = ring
+        self.den = ring.one
         self.values: list = []
 
-    def extend(self, m: int) -> None:
-        """Hold a(0..m)."""
+    def extend(self, moments: MomentSequence, m: int) -> None:
+        """Hold a(0..m) of ``moments``, the sequence of every earlier call."""
         ring = self.ring
         for j in range(len(self.values), m + 1):
-            num, den = ring.parts(self.moments.moment(j))
+            num, den = ring.parts(moments.moment(j))
             lcm = ring.lcm([self.den, den])
             if lcm != self.den:
                 ratio = ring.quo(lcm, self.den)

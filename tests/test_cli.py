@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from qortho.cli import _ENCODER, SCHEMA_VERSION, main
-from qortho.exactalg import QRational
+from qortho.cli import _ENCODER, SCHEMA_VERSION, latex_qpoly, latex_xpoly, main
+from qortho.exactalg import QPolynomial, QRational
 from qortho.momentfamilies import family
 from qortho.orthocore import orthopoly_det
 from qortho.xpoly import XPolynomial
@@ -131,6 +131,11 @@ class TestOrthopoly:
         )
         assert code == 0
         assert out.startswith("p_{2} = x^{2}")
+
+    def test_latex_of_zero_and_of_a_gapped_polynomial(self):
+        assert latex_qpoly(QPolynomial.zero()) == "0"
+        assert latex_xpoly(XPolynomial.zero()) == "0"
+        assert latex_xpoly(XPolynomial([1, 0, 2])) == "2x^{2}+1"
 
 
 class TestRecurrence:

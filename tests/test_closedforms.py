@@ -2,8 +2,12 @@
 and the verification engine that compares everything against the
 determinant oracle."""
 
+import collections
 import functools
+import gc
 import json
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -42,7 +46,7 @@ from qortho.closedforms import (
 from qortho import cli
 from qortho.exactalg import PoleError, QPolynomial, QRational
 from qortho.momentfamilies import closed_st, closed_T, family, registry_family_ids
-from qortho.orthocore import orthopoly_det, orthopoly_recur
+from qortho.orthocore import aerated_recurrence, orthopoly_det, orthopoly_recur, stieltjes
 from qortho.qcombinatorics import (
     QPoint,
     VanishingDenominator,
@@ -52,7 +56,7 @@ from qortho.qcombinatorics import (
     q_pochhammer_signed,
     q_power_binom2,
 )
-from qortho.xpoly import XPolynomial, _value_at, apply_functional
+from qortho.xpoly import MomentSequence, XPolynomial, _value_at, apply_functional
 
 
 def qr(*coeffs):
@@ -454,6 +458,35 @@ class TestFailureReports:
         ]
         assert lines[-1] == "verification FAILED"
 
+    def test_an_asymmetric_aerated_sequence_is_a_mismatch_and_the_rest_still_runs(
+        self, monkeypatch
+    ):
+        def asymmetric(seq, depth):
+            raise ValueError(f"moment sequence {seq.name!r} is not symmetric")
+
+        monkeypatch.setattr(closedforms, "aerated_recurrence", asymmetric)
+        report = verify_family("q-factorial:m=0", max_n=3)
+        assert not report.ok
+        assert [(e.check, e.n, e.note) for e in report.mismatches()] == [
+            ("aeration-symmetry", -1, "moment sequence 'q-factorial:m=0-aerated' is not symmetric")
+        ]
+        checks = {e.check for e in report.entries}
+        assert {
+            "determinant-vs-recurrence",
+            "orthogonality",
+            "hankel-two-path",
+            "closed-recurrence-s",
+            "aeration-roundtrip",
+            "classical-limit",
+        } <= checks
+        assert not checks & {"closed-aerated-T", "deaerated-s", "deaerated-t"}
+
+    def test_depth_zero_checks_the_symmetry_and_deaerates_nothing(self):
+        report = verify_family("q-factorial:m=0", max_n=0)
+        assert report.ok
+        assert [e.status for e in report.entries if e.check == "aeration-symmetry"] == ["match"]
+        assert not [e for e in report.entries if e.check.startswith("deaerated-")]
+
     def test_a_negative_depth_is_rejected(self):
         with pytest.raises(ValueError, match="max_n must be >= 0"):
             verify_family("geometric-q", max_n=-1)
@@ -514,6 +547,85 @@ class TestSpecializedVerifier:
         match, mismatch = verifier.report.entries
         assert (match.status, match.left, match.right) == ("match", "", "")
         assert (mismatch.status, mismatch.left, mismatch.right) == ("mismatch", "1/2", "1/3")
+
+
+def _sequence_names(monkeypatch) -> list[str]:
+    """The name of every MomentSequence built from now on, in order."""
+    names = []
+    init = MomentSequence.__init__
+
+    def recorded(self, rule, name="", at=None):
+        names.append(name)
+        init(self, rule, name, at)
+
+    monkeypatch.setattr(MomentSequence, "__init__", recorded)
+    return names
+
+
+class TestPointStateLifetime:
+    """A point sequence and all its state live while a caller holds it, and no longer."""
+
+    def test_more_points_leave_no_more_live_memory(self):
+        points = [Fraction(p, p + 10) for p in (3, 7, 9, 11, 13)]
+
+        def verify_all(points):
+            for q0 in points:
+                for fid in registry_family_ids():
+                    assert verify_family(fid, 3, q=q0).ok
+
+        tracemalloc.start()
+        try:
+            verify_all(points[:1])
+            gc.collect()
+            one = tracemalloc.get_traced_memory()[0]
+            verify_all(points)
+            gc.collect()
+            five = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert five - one <= 64 * 1024
+
+    def test_reference_counting_alone_frees_a_point_sequence(self):
+        q0 = Fraction(23, 19)
+        gc.disable()
+        try:
+            seq = family("q-double-factorial").specialized_moments(q0)
+            aerated = seq.aerated()
+            stieltjes(seq, 5)
+            aerated_recurrence(aerated, 9)
+            assert verify_family("q-double-factorial", 5, q=q0).ok
+            refs = weakref.ref(seq), weakref.ref(aerated)
+            del seq, aerated
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("q0", [None, Fraction(5, 4)], ids=["symbolic", "point"])
+    def test_a_verification_builds_each_aerated_sequence_once(self, monkeypatch, q0):
+        # the weak cache must not drop an aerated sequence whose Stieltjes
+        # table a later check reads again
+        monkeypatch.setattr(momentfamilies, "_registry", {})
+        names = _sequence_names(monkeypatch)
+        for fid in registry_family_ids():
+            assert verify_family(fid, 4, q=q0).ok
+        built = collections.Counter(name for name in names if name.endswith("-aerated"))
+        at = "" if q0 is None else f"@q={q0}"
+        capable = [fid for fid in registry_family_ids() if family(fid).aerated_capable]
+        assert len(capable) > 1
+        assert all(built[f"{fid}{at}-aerated"] == 1 for fid in capable)
+        assert set(built.values()) == {1}
+
+    @pytest.mark.parametrize("q0", [None, Fraction(3, 2)], ids=["symbolic", "point"])
+    def test_the_recurrence_command_builds_one_aerated_sequence(self, monkeypatch, capsys, q0):
+        monkeypatch.setattr(momentfamilies, "_registry", {})
+        names = _sequence_names(monkeypatch)
+        argv = ["recurrence", "--family", "q-double-factorial", "--max-n", "5", "--format", "json"]
+        assert cli.main(argv + ([] if q0 is None else ["--q", str(q0)])) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["aerated"]["source"] == "stieltjes"
+        built = [name for name in names if name.endswith("-aerated")]
+        at = "" if q0 is None else f"@q={q0}"
+        assert built.count(f"q-double-factorial{at}-aerated") == 1
+        assert len(built) == len(set(built))
 
 
 class TestOrthogonalityCheck:

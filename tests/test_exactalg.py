@@ -75,6 +75,16 @@ class TestQPolynomial:
         assert str(qp(1, 1, 2)) == "1 + q + 2q^2"
         assert str(QPolynomial.zero()) == "0"
 
+    def test_a_fractional_coefficient_is_bracketed(self):
+        assert str(QPolynomial([0, Fraction(1, 2)])) == "(1/2)q"
+
+    def test_coefficient_inside_and_outside_the_degree_range(self):
+        p = QPolynomial([Fraction(-3, 4), 0, Fraction(5, 2)])
+        assert [p.coefficient(k) for k in range(3)] == [Fraction(-3, 4), 0, Fraction(5, 2)]
+        assert p.coefficient(3) == 0 and p.coefficient(-1) == 0
+        assert type(p.coefficient(7)) is Fraction
+        assert QPolynomial.zero().coefficient(0) == 0
+
     def test_repr_names_the_class(self):
         assert repr(Q + 1) == "QPolynomial(1 + q)"
 

@@ -56,6 +56,17 @@ class TestArithmetic:
     def test_coefficient_beyond_degree_is_zero(self):
         assert (X - ONE).coefficient(7) == 0
 
+    def test_product_with_a_fraction_scales_each_coefficient(self):
+        p = XPolynomial([1, Fraction(1, 2), 3]) * Fraction(2, 3)
+        assert p == XPolynomial([Fraction(2, 3), Fraction(1, 3), 2])
+        assert Fraction(2, 3) * XPolynomial([1, Fraction(1, 2), 3]) == p
+        assert (p * Fraction(0)).is_zero
+
+    def test_product_with_the_zero_polynomial_is_zero(self):
+        p = XPolynomial([qr(1, 1), qr(2)])
+        assert (p * XPolynomial.zero()).is_zero
+        assert (XPolynomial.zero() * p).is_zero
+
     def test_evaluate_q_specializes_every_coefficient(self):
         p = XPolynomial([qr(1, 1), qr(0, 0, 1)])
         assert p.evaluate_q(2) == (Fraction(3), Fraction(4))
