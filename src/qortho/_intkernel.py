@@ -6,11 +6,12 @@ package that needs to be fast (multiplication, gcd, fraction-free
 determinants) bottoms out in these helpers, because CPython bigint
 arithmetic is the only genuinely quick exact arithmetic available.
 
-Large multiplications use Kronecker substitution: evaluate both factors
-at q = 2**w for a width w that provably bounds every coefficient of the
-product, multiply once as integers, and read the coefficients back off
-as balanced base-2**w digits.  Packing and unpacking are linear in the
-bit length because they go through ``int.to_bytes``/``from_bytes``.
+Every product of two non-constant polynomials is packed, by Kronecker
+substitution: evaluate both factors at q = 2**w for a width w that
+provably bounds every coefficient of the product, multiply once as
+integers, and read the coefficients back off as balanced base-2**w
+digits.  Packing and unpacking are linear in the bit length because
+they go through ``int.to_bytes``/``from_bytes``.
 ``dots`` forms several sums of products the same way, at one width,
 packing each polynomial once.
 
@@ -35,9 +36,6 @@ from __future__ import annotations
 import math
 import sys
 from functools import reduce
-
-# Below this many coefficients on the shorter side, schoolbook wins.
-_SCHOOLBOOK_CUTOFF = 24
 
 
 def strip(cs: list[int]) -> list[int]:
@@ -80,15 +78,6 @@ def mul_scalar(a: list[int], k: int) -> list[int]:
     if k == 0:
         return []
     return [v * k for v in a]
-
-
-def _mul_schoolbook(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def pack(cs: list[int], w: int) -> int:
@@ -137,14 +126,16 @@ def l1(cs: list[int]) -> int:
 
 
 def mul(a: list[int], b: list[int]) -> list[int]:
-    """Exact product of two integer polynomials."""
+    """Exact product of two integer polynomials; a constant factor scales the other."""
     a = strip(list(a))
     b = strip(list(b))
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= _SCHOOLBOOK_CUTOFF:
-        return strip(_mul_schoolbook(a, b))
-    bound = min(len(a), len(b)) * max(abs(c) for c in a) * max(abs(c) for c in b)
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        return mul_scalar(b, a[0])
+    bound = len(a) * max(abs(c) for c in a) * max(abs(c) for c in b)
     w = _width_for(bound)
     return unpack(pack(a, w) * pack(b, w), w)
 

@@ -164,16 +164,11 @@ def _check_depth(value: int, what: str) -> None:
 
 
 def _resolve(args):
-    """(family, moment sequence) honoring --q."""
+    """(family, moment sequence, closed-form point) honoring --q; None is Q(q)."""
     fam = family(args.family)
     if args.q is None:
-        return fam, fam.moments
-    return fam, fam.specialized_moments(args.q)
-
-
-def _point(args) -> QPoint | None:
-    """Where to build closed forms: at --q, in Fraction, or over Q(q)."""
-    return None if args.q is None else QPoint(args.q)
+        return fam, fam.moments, None
+    return fam, fam.specialized_moments(args.q), QPoint(args.q)
 
 
 def _emit(args, family_name: str, results, text, latex=None, **parameters):
@@ -217,7 +212,7 @@ def _emit(args, family_name: str, results, text, latex=None, **parameters):
 def _sequence(args, label: str, value) -> int:
     """Print label(n) = value(seq, n) for n = 0..--max-n."""
     _check_depth(args.max_n, "--max-n")
-    fam, seq = _resolve(args)
+    fam, seq, _ = _resolve(args)
     values = [value(seq, n) for n in range(args.max_n + 1)]
     _emit(
         args,
@@ -236,14 +231,14 @@ def cmd_moments(args) -> int:
 
 def cmd_orthopoly(args) -> int:
     _check_depth(args.n, "--n")
-    fam, seq = _resolve(args)
+    fam, seq, at = _resolve(args)
 
     def compute(method: str) -> XPolynomial | None:
         if method == "recurrence":
             return orthopoly_recur(seq, args.n)
         if method == "det":
             return orthopoly_det(seq, args.n)
-        return fam.closed_poly(args.n, _point(args))
+        return fam.closed_poly(args.n, at)
 
     methods = ["recurrence", "det", "closed"] if args.all_methods else [args.method]
     polys = {m: compute(m) for m in methods}
@@ -281,7 +276,7 @@ def cmd_orthopoly(args) -> int:
 
 def cmd_recurrence(args) -> int:
     _check_depth(args.max_n, "--max-n")
-    fam, seq = _resolve(args)
+    fam, seq, at = _resolve(args)
     table = stieltjes(seq, args.max_n)
     t_source, tvals = None, []
     if fam.aerated_capable and args.max_n > 0:
@@ -289,7 +284,6 @@ def cmd_recurrence(args) -> int:
         depth = 2 * args.max_n - 1
         if fam.has_closed_T:
             t_source = "closed"
-            at = _point(args)
             tvals = [fam.closed_T(j, at) for j in range(depth)]
         else:
             t_source = "stieltjes"
@@ -334,7 +328,7 @@ def cmd_recurrence(args) -> int:
 
 def cmd_triangle(args) -> int:
     _check_depth(args.max_n, "--max-n")
-    fam, seq = _resolve(args)
+    fam, seq, _ = _resolve(args)
     rows = list(expansion_triangle(seq, args.max_n))
     _emit(
         args,

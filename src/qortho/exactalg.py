@@ -246,10 +246,6 @@ class QPolynomial(_Field):
             out[i * r] = c
         return QPolynomial._raw(out, self._den)
 
-    def reversed_coefficients(self) -> "QPolynomial":
-        """q**degree * p(1/q): the coefficient sequence read backwards."""
-        return QPolynomial._raw(list(reversed(self._num)), self._den)
-
     def evaluate(self, point: _Scalar) -> Fraction:
         """Exact value at a rational point a/b, by one integer Horner.
 
@@ -489,17 +485,15 @@ class QRational(_Field):
         return self._num.evaluate(p) / dv
 
     def substitute_q_reciprocal(self) -> "QRational":
-        """The element r(1/q) as a member of Q(q)."""
+        """The element r(1/q): each side read backwards is q**degree * p(1/q)."""
         if self.is_zero:
             return self
-        dn, dd = self._num.degree, self._den.degree
-        num = self._num.reversed_coefficients()
-        den = self._den.reversed_coefficients()
-        if dd >= dn:
-            num = num * QPolynomial.monomial(dd - dn)
-        else:
-            den = den * QPolynomial.monomial(dn - dd)
-        return QRational(num, den)
+        num, den = self._num, self._den
+        shift = den.degree - num.degree
+        return QRational(
+            QPolynomial._raw([0] * shift + list(reversed(num._num)), num._den),
+            QPolynomial._raw([0] * -shift + list(reversed(den._num)), den._den),
+        )
 
     # -- comparisons, hashing, display -------------------------------------------
 

@@ -160,6 +160,12 @@ class TestQRational:
         # f(1/q) for f = q/(1+q) is (1/q)/(1+1/q) = 1/(1+q)
         r = QRational.of(Q, qp(1, 1))
         assert r.substitute_q_reciprocal() == QRational.of(ONE, qp(1, 1))
+        # the side of lower degree is raised to the other's
+        r = QRational.of(qp(1, 2), qp(5, 0, 0, 1))
+        assert r.substitute_q_reciprocal() == QRational.of(qp(0, 0, 2, 1), qp(1, 0, 0, 5))
+        r = QRational.of(qp(3, 0, 1), qp(-1, 1))
+        assert r.substitute_q_reciprocal() == QRational.of(qp(1, 0, 3), qp(0, 1, -1))
+        assert QRational.zero().substitute_q_reciprocal().is_zero
 
     def test_json_round_trip(self):
         r = QRational.of(qp(1, -2, 5), qp(3, 0, 1))
@@ -180,6 +186,99 @@ class TestQRational:
         monkeypatch.setattr(exactalg, "_cancel", counting)
         assert x * y == expected
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: QPolynomial([1.5]), TypeError, "coefficient must be int or Fraction, got float"),
+        (
+            lambda: QPolynomial._raw([1], 0),
+            ZeroDivisionError,
+            "zero denominator in polynomial construction",
+        ),
+        (lambda: QPolynomial.monomial(-1), ValueError, "monomial exponent must be nonnegative"),
+        (lambda: Q.inflate(0), ValueError, "inflation exponent must be >= 1"),
+        (lambda: Q.divexact(None), TypeError, "divexact needs a polynomial"),
+        (lambda: Q.divexact(QPolynomial.zero()), ZeroDivisionError, "division by zero polynomial"),
+        (
+            lambda: QRational(ONE, QPolynomial.zero()),
+            ZeroDivisionError,
+            "division by zero polynomial",
+        ),
+        (lambda: QRational.of(None), TypeError, "cannot build QRational from NoneType"),
+        (
+            lambda: None - Q,
+            TypeError,
+            "unsupported operand type(s) for -: 'NoneType' and 'QPolynomial'",
+        ),
+        (
+            lambda: Q + None,
+            TypeError,
+            "unsupported operand type(s) for +: 'QPolynomial' and 'NoneType'",
+        ),
+        (
+            lambda: Q * None,
+            TypeError,
+            "unsupported operand type(s) for *: 'QPolynomial' and 'NoneType'",
+        ),
+        (
+            lambda: QRational.of(Q) + None,
+            TypeError,
+            "unsupported operand type(s) for +: 'QRational' and 'NoneType'",
+        ),
+        (
+            lambda: QRational.of(Q) * None,
+            TypeError,
+            "unsupported operand type(s) for *: 'QRational' and 'NoneType'",
+        ),
+        (
+            lambda: QRational.of(Q) / None,
+            TypeError,
+            "unsupported operand type(s) for /: 'QRational' and 'NoneType'",
+        ),
+        (
+            lambda: None / QRational.of(Q),
+            TypeError,
+            "unsupported operand type(s) for /: 'NoneType' and 'QRational'",
+        ),
+    ],
+    ids=[
+        "float-coefficient",
+        "zero-denominator",
+        "monomial",
+        "inflate",
+        "divexact-foreign",
+        "divexact-by-zero",
+        "rational-over-zero",
+        "rational-of-foreign",
+        "foreign-minus-polynomial",
+        "polynomial-plus-foreign",
+        "polynomial-times-foreign",
+        "rational-plus-foreign",
+        "rational-times-foreign",
+        "rational-over-foreign",
+        "foreign-over-rational",
+    ],
+)
+def test_a_bad_argument_raises(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_zero_polynomial_edge_values():
+    zero = QPolynomial.zero()
+    assert zero.leading_coefficient == 0 and type(zero.leading_coefficient) is Fraction
+    assert zero.divexact(qp(1, 1)) == zero
+    assert not zero and Q
+
+
+def test_kernel_zero_divisor_and_zero_scalar():
+    with pytest.raises(ZeroDivisionError) as err:
+        _intkernel.divexact([1, 2], [0])
+    assert str(err.value) == "division by zero polynomial"
+    assert _intkernel.mul_scalar([1, 2], 0) == []
 
 
 def test_equal_constants_hash_equal():
@@ -385,6 +484,15 @@ def test_kernel_unpack_matches_the_carry_loop(case):
     assert _intkernel.unpack(x, w) == _unpack_with_carries(x, w) == _intkernel.strip(list(cs))
 
 
+def _schoolbook(a: list[int], b: list[int]) -> list[int]:
+    """The product by the double loop over coefficient pairs: the oracle for mul and dots."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _intkernel.strip(out)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(int_coeffs, int_coeffs), max_size=5), st.integers(1, 3))
 def test_kernel_dots_match_sums_of_schoolbook_products(pairs, copies):
@@ -395,21 +503,32 @@ def test_kernel_dots_match_sums_of_schoolbook_products(pairs, copies):
         total = []
         for x, y in zip(xs, ys):
             if x and y:
-                total = _intkernel.add(total, _intkernel._mul_schoolbook(x, y))
+                total = _intkernel.add(total, _schoolbook(x, y))
         expected.append(_intkernel.strip(total))
     assert _intkernel.dots(xs, yss) == expected
 
 
-long_int_coeffs = st.lists(
-    st.integers(min_value=-(10**6), max_value=10**6), min_size=25, max_size=40
+# every length from 0 to 40, zeros (trailing ones included) drawn often
+any_length_int_coeffs = st.integers(0, 40).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.just(0), st.integers(min_value=-(10**6), max_value=10**6)),
+        min_size=n,
+        max_size=n,
+    )
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(long_int_coeffs, long_int_coeffs)
+@settings(max_examples=200, deadline=None)
+@given(any_length_int_coeffs, any_length_int_coeffs)
+@example([], [1, 2])
+@example([0, 0], [3])
+@example([-5], [1, 0, -2])
+@example([1, 2, 0, 0], [0, 7])
+@example([0, 0, 3, 0], [-1, 0, 0])
+@example([10**6] * 40, [-(10**6)] * 40)
 def test_kernel_multiplication_matches_schoolbook(a, b):
-    # inputs are long enough that mul takes the packed-integer route
-    assert _intkernel.mul(a, b) == _intkernel.strip(_intkernel._mul_schoolbook(a, b))
+    # every product of two non-constant polynomials is packed; a constant scales
+    assert _intkernel.mul(a, b) == _schoolbook(a, b)
 
 
 def _sized_int_poly(max_digits):

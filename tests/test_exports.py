@@ -4,8 +4,9 @@
 entry, so a deleted function that is still listed fails here.  A
 module-level import must be read in its module, listed in ``__all__`` or
 named in a quoted annotation, so an import left behind by a deletion
-fails here too.  And ``import qortho.cli``, the start of every CLI
-request, loads neither ``dataclasses`` nor ``inspect``.
+fails here too, and so does a private helper, class or constant that
+nothing in the package reads any more.  And ``import qortho.cli``, the
+start of every CLI request, loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
@@ -14,6 +15,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,15 +50,20 @@ def _annotations(tree):
             yield node.annotation
 
 
-def _used_names(tree):
-    """Names read anywhere in the module, including inside quoted annotations."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _quoted_names(tree):
+    """Names read inside quoted annotations."""
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 quoted = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
-    return used
+                yield from (n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+
+
+def _used_names(tree):
+    """Names read anywhere in the module, including inside quoted annotations."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(
+        _quoted_names(tree)
+    )
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -74,6 +81,47 @@ def test_every_module_level_import_is_used(path):
         if name not in used and name not in exported
     ]
     assert unused == []
+
+
+def _private_definitions(tree):
+    """(name, node) for each private function, class or constant defined at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _reads(node):
+    """Every name read under node: loaded, quoted, attribute and imported names."""
+    yield from _quoted_names(node)
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.ImportFrom):
+            yield from (alias.name for alias in n.names)
+
+
+def test_every_private_module_level_name_is_read():
+    # a helper, class or constant left behind when its last caller went fails here;
+    # a read inside its own definition, as by recursion, does not count
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    read = Counter(name for tree in trees.values() for name in _reads(tree))
+    unread = [
+        (path, name)
+        for path, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if read[name] == Counter(_reads(node))[name]
+    ]
+    assert unread == []
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():

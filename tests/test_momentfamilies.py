@@ -41,6 +41,7 @@ from qortho.qcombinatorics import (
     q_pochhammer_signed,
     q_power_binom2,
 )
+from qortho.xpoly import XPolynomial
 
 
 def qr(*coeffs):
@@ -375,8 +376,6 @@ class TestFunctionalFromBasis:
                 assert luc.moments.moment(2 * k - 1).is_zero
 
     def test_rejects_non_monic_basis(self):
-        from qortho.xpoly import XPolynomial
-
         with pytest.raises(ValueError):
             functional_from_basis(lambda n: XPolynomial.x_power(n, coefficient=2), 1)
 
@@ -644,3 +643,27 @@ class TestMomentsAtAPoint:
             assert not any(th.is_alive() for th in threads)
             assert len(seen) == 8
             assert all(seq is seen[0] for seq in seen)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: closed_T("andrews-q-catalan", -1), ValueError, "T index must be >= 0"),
+        (lambda: closed_st("q-factorial:m=1", -1), ValueError, "recurrence index must be >= 0"),
+        (
+            lambda: functional_from_basis(XPolynomial.x_power, -1),
+            ValueError,
+            "moment index must be >= 0",
+        ),
+        (lambda: family(3), TypeError, "family spec must be FamilyId or str, got int"),
+    ],
+    ids=["closed_T", "closed_st", "functional_from_basis", "family"],
+)
+def test_a_bad_argument_raises(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_family_repr_names_its_id():
+    assert repr(family("q-factorial:m=1")) == "MomentFamily(q-factorial:m=1)"

@@ -1266,3 +1266,37 @@ class TestFractionField:
         seq = family("geometric-q").specialized_moments(1)
         assert [type(d) for d in hankel_minors(seq, 3)] == [Fraction] * 4
         assert hankel_direct(seq, 2) == 0
+
+
+_SEQ = family("q-factorial:m=1").moments
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: stieltjes(_SEQ, -1), "depth must be >= 0"),
+        (lambda: orthopoly_recur(_SEQ, -1), "degree must be >= 0"),
+        (lambda: orthopoly_det(_SEQ, -1), "degree must be >= 0"),
+        (lambda: hankel_direct(_SEQ, -1), "order must be >= 0"),
+        (lambda: hankel_product(_SEQ, -1), "order must be >= 0"),
+        (lambda: expansion_triangle(_SEQ, -1), "rows must be >= 0"),
+        (lambda: deaerate([1, 1, 1], 0), "depth must be >= 1"),
+        (lambda: aerated_recurrence(_SEQ.aerated(), -1), "depth must be >= 0"),
+        (lambda: aerated_orthopoly(_SEQ.aerated(), -1), "degree must be >= 0"),
+    ],
+    ids=[
+        "stieltjes",
+        "orthopoly_recur",
+        "orthopoly_det",
+        "hankel_direct",
+        "hankel_product",
+        "expansion_triangle",
+        "deaerate",
+        "aerated_recurrence",
+        "aerated_orthopoly",
+    ],
+)
+def test_a_negative_size_raises_value_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

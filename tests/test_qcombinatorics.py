@@ -243,3 +243,40 @@ class TestQuantitiesAtAPoint:
         assert pair == (Fraction(2), Fraction(1)) and {type(v) for v in pair} == {Fraction}
         with pytest.raises(PoleError, match="pole at evaluation point q=-1"):
             built_at(QPoint(-1), pole)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: q_bracket(-1), "q_bracket wants n >= 0"),
+        (lambda: q_bracket(3, base=0), "base exponent must be a positive integer, got 0"),
+        (lambda: q_factorial(-1), "q_factorial wants n >= 0"),
+        (lambda: q_binomial(-1, 0), "q_binomial wants n >= 0"),
+        (lambda: q_pochhammer_signed(1, -1, 2), "q_pochhammer_signed wants power >= 0"),
+        (lambda: q_pochhammer_signed(1, 0, -1), "q_pochhammer_signed wants length >= 0"),
+        (lambda: q_double_factorial(-1, "odd"), "q_double_factorial wants n >= 0"),
+        (lambda: q_multifactorial(5, 0), "multifactorial step must be >= 1"),
+        (lambda: q_power_binom2(-1), "q_power_binom2 wants n >= 0"),
+        (lambda: QPoint(2).bracket(-1), "q_bracket wants n >= 0"),
+        (lambda: QPoint(2).binomial(-1, 0), "q_binomial wants n >= 0"),
+        (lambda: QPoint(2).double_factorial(3, "both"), "parity must be 'odd' or 'even'"),
+    ],
+    ids=[
+        "bracket",
+        "bracket-base-0",
+        "factorial",
+        "binomial",
+        "pochhammer-power",
+        "pochhammer-length",
+        "double-factorial",
+        "multifactorial-step-0",
+        "power-binom2",
+        "point-bracket",
+        "point-binomial",
+        "point-parity",
+    ],
+)
+def test_an_argument_out_of_range_raises_value_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -295,3 +295,40 @@ class TestEvenPartCompress:
     def test_rejects_polynomials_with_odd_terms(self):
         with pytest.raises(ValueError, match="even"):
             even_part_compress(XPolynomial.x_power(3))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: XPolynomial.x_power(-1), ValueError, "x_power wants n >= 0"),
+        (lambda: X.shift_x(-1), ValueError, "shift_x wants k >= 0"),
+        (lambda: MomentSequence(lambda n: 2), ValueError, "moment(0) must be 1, got 2"),
+        (lambda: MomentSequence(lambda n: 1).moment(-1), ValueError, "moment index must be >= 0"),
+        (
+            lambda: X + None,
+            TypeError,
+            "unsupported operand type(s) for +: 'XPolynomial' and 'NoneType'",
+        ),
+        (
+            lambda: X - None,
+            TypeError,
+            "unsupported operand type(s) for -: 'XPolynomial' and 'NoneType'",
+        ),
+    ],
+    ids=["x_power", "shift_x", "a(0)", "moment", "add-foreign", "sub-foreign"],
+)
+def test_a_bad_argument_raises(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_edge_values():
+    zero = XPolynomial.zero()
+    assert zero.shift_x(3) is zero
+    assert (str(zero), repr(zero)) == ("0", "XPolynomial(0)")
+    assert X.__eq__(None) is NotImplemented and X != None  # noqa: E711
+    # an int moment after a Fraction a(0) is lifted into Q
+    seq = MomentSequence(lambda n: Fraction(1) if n == 0 else n, name="ints")
+    assert type(seq.moment(2)) is Fraction and seq.moment(2) == 2
+    assert repr(seq) == "MomentSequence('ints')"
