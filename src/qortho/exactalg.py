@@ -3,15 +3,15 @@
 Everything is exact.  There is no floating point anywhere in this
 package; scalars are ``fractions.Fraction``,
 polynomials in q are :class:`QPolynomial`, and elements of the rational
-function field Q(q) are :class:`QRational` kept in a canonical reduced
-form (gcd of numerator and denominator is 1, denominator monic).  Two
-equal field elements therefore always compare equal structurally.
-Reduction is one cancellation on the integer coefficient lists, through
-``_intkernel.gcd``, after which the denominator is made monic by
-rescaling both sides.
+function field Q(q) are :class:`QRational`, two integer coefficient
+tuples in lowest terms (no common polynomial or integer factor, the
+denominator's lead positive), so equal field elements compare equal
+structurally.  Reduction is one cancellation through ``_intkernel.gcd``
+and one division by the integer content.  ``numerator`` and
+``denominator`` are views with the denominator monic.
 
-Subtraction, equality, ``repr`` and powers are written once for both,
-on their private base ``_Field``.
+Negation, subtraction, powers, equality, truth and ``repr`` are
+written once for both, on their private base ``_Field``.
 
 Values at a specialized q are plain ``Fraction``s, not degree-0
 QRationals.  A constant QRational equals its Fraction and hashes like
@@ -58,6 +58,9 @@ class _Field:
             return NotImplemented
         return o + (-self)
 
+    def __neg__(self):
+        return self._raw([-x for x in self._num], self._den)
+
     def __pow__(self, n: int):
         if n < 0:
             return self._reciprocal() ** -n
@@ -75,6 +78,13 @@ class _Field:
         if o is None:
             return NotImplemented
         return self._num == o._num and self._den == o._den
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __bool__(self):
+        return bool(self._num)
 
     def __repr__(self):
         return f"{type(self).__name__}({self!s})"
@@ -159,10 +169,6 @@ class QPolynomial(_Field):
         return len(self._num) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self._num
-
-    @property
     def is_one(self) -> bool:
         return self._num == (1,) and self._den == 1
 
@@ -205,9 +211,6 @@ class QPolynomial(_Field):
         return QPolynomial._raw(_k.add(a, b), d)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return QPolynomial._raw([-x for x in self._num], self._den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -270,9 +273,6 @@ class QPolynomial(_Field):
             return hash(Fraction(self._num[0] if self._num else 0, self._den))
         return hash((self._num, self._den))
 
-    def __bool__(self):
-        return bool(self._num)
-
     def __str__(self):
         if not self._num:
             return "0"
@@ -309,28 +309,23 @@ class QPolynomial(_Field):
         return cls([Fraction(s) for s in data])
 
 
-def _cancel(a: QPolynomial, b: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
-    """(a / g, b / g) for the primitive integer gcd g of a and b.
-
-    Both are returned unchanged when g is constant.  g divides each
-    integer coefficient list exactly, by Gauss's lemma, so the shared
-    denominators stay as they are.
-    """
-    g = _k.gcd(a._num, b._num)
+def _cancel(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(a / g, b / g) for the primitive gcd g of integer polynomials; as they are if g is 1."""
+    if len(a) < 2 or len(b) < 2:
+        return a, b
+    g = _k.gcd(a, b)
     if len(g) < 2:
         return a, b
-    return (
-        QPolynomial._raw(_k.divexact(a._num, g), a._den),
-        QPolynomial._raw(_k.divexact(b._num, g), b._den),
-    )
+    return _k.divexact(a, g), _k.divexact(b, g)
 
 
 class QRational(_Field):
-    """An element of Q(q) as a reduced fraction of two QPolynomials.
+    """An element of Q(q) as a reduced fraction n / d of two integer polynomials.
 
-    Canonical form: gcd(num, den) = 1 and den is monic, so equality is
-    structural.  Construct with :meth:`of`, or let the arithmetic
-    operators do the reduction.
+    Canonical form: n and d have no common polynomial or integer factor
+    and d's lead is positive, so equality is structural.  ``numerator``
+    and ``denominator`` are QPolynomials with the denominator monic.
+    Construct with :meth:`of`, or let the arithmetic operators reduce.
     """
 
     __slots__ = ("_num", "_den")
@@ -340,24 +335,25 @@ class QRational(_Field):
             den = QPolynomial.one()
         if den.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        if num.is_zero:
-            self._num = QPolynomial.zero()
-            self._den = QPolynomial.one()
-            return
-        if den.is_one:
-            self._num, self._den = num, den
-            return
-        self._monic(*_cancel(num, den))
+        # (n / e) / (d / f) = n f / (d e)
+        (n, e), (d, f) = num.int_parts(), den.int_parts()
+        out = QRational._raw(*_cancel(_k.mul_scalar(n, f), _k.mul_scalar(d, e)))
+        self._num, self._den = out._num, out._den
 
-    def _monic(self, num: QPolynomial, den: QPolynomial) -> None:
-        """Hold num / den, two coprime polynomials, with den made monic."""
-        # Divide both sides by den's leading coefficient lead / e.
-        lead, e = den._num[-1], den._den
-        if lead != e:
-            num = QPolynomial._raw(_k.mul_scalar(num._num, e), num._den * lead)
-            den = QPolynomial._raw(den._num, lead)
-        self._num = num
-        self._den = den
+    @classmethod
+    def _raw(cls, n: list[int], d: list[int]) -> "QRational":
+        """n / d for coprime integer polynomials, less their common integer factor, d's lead > 0."""
+        self = object.__new__(cls)
+        if not n:
+            self._num, self._den = (), (1,)
+            return self
+        g = _igcd(*n, *d)
+        if d[-1] < 0:
+            g = -g
+        if g != 1:
+            n, d = [x // g for x in n], [x // g for x in d]
+        self._num, self._den = tuple(n), tuple(d)
+        return self
 
     # -- construction ----------------------------------------------------------
 
@@ -371,31 +367,27 @@ class QRational(_Field):
 
     @classmethod
     def zero(cls) -> "QRational":
-        return cls(QPolynomial.zero())
+        return cls._raw([], [1])
 
     @classmethod
     def one(cls) -> "QRational":
-        return cls(QPolynomial.one())
+        return cls._raw([1], [1])
 
     @property
     def numerator(self) -> QPolynomial:
-        return self._num
+        return QPolynomial._raw(self._num, self._den[-1])
 
     @property
     def denominator(self) -> QPolynomial:
-        return self._den
-
-    @property
-    def is_zero(self) -> bool:
-        return self._num.is_zero
+        return QPolynomial._raw(self._den, self._den[-1])
 
     @property
     def is_one(self) -> bool:
-        return self._num.is_one and self._den.is_one
+        return self._num == self._den == (1,)
 
     @property
     def is_polynomial(self) -> bool:
-        return self._den.is_one
+        return len(self._den) == 1
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -413,41 +405,30 @@ class QRational(_Field):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero:
+        if not self._num:
             return o
-        if o.is_zero:
+        if not o._num:
             return self
         b, d = self._den, o._den
-        if b.is_one and d.is_one:
-            return QRational(self._num + o._num)
         b1, d1 = _cancel(b, d)
-        return QRational(self._num * d1 + o._num * b1, b1 * d)
+        num = _k.add(_k.mul(self._num, d1), _k.mul(o._num, b1))
+        return QRational._raw(*_cancel(num, _k.mul(b1, d)))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        out = object.__new__(QRational)
-        out._num = -self._num
-        out._den = self._den
-        return out
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return QRational.zero()
         a, b = self._num, self._den
         c, d = o._num, o._den
+        if not a or not c:
+            return QRational.zero()
         # Cross-cancel before multiplying; keeps intermediate degrees down.
         # Then a*c and b*d are coprime (Knuth, TAOCP vol. 2, 4.5.1): no gcd.
-        if not d.is_one:
-            a, d = _cancel(a, d)
-        if not b.is_one:
-            c, b = _cancel(c, b)
-        out = object.__new__(QRational)
-        out._monic(a * c, b * d)
-        return out
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return QRational._raw(_k.mul(a, c), _k.mul(b, d))
 
     __rmul__ = __mul__
 
@@ -457,9 +438,7 @@ class QRational(_Field):
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        inv = object.__new__(QRational)
-        inv._num, inv._den = o._den, o._num
-        return self * inv
+        return self * QRational._raw(o._den, o._num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -479,42 +458,40 @@ class QRational(_Field):
         be a removable singularity.
         """
         p = Fraction(point)
-        dv = self._den.evaluate(p)
+        dv = QPolynomial._raw(self._den, 1).evaluate(p)
         if dv == 0:
             raise PoleError(f"pole at evaluation point q={p}")
-        return self._num.evaluate(p) / dv
+        return QPolynomial._raw(self._num, 1).evaluate(p) / dv
 
     def substitute_q_reciprocal(self) -> "QRational":
-        """The element r(1/q): each side read backwards is q**degree * p(1/q)."""
-        if self.is_zero:
+        """The element r(1/q): each side read backwards is q**degree * p(1/q).
+
+        Neither reversed side is divisible by q, so they stay coprime: no gcd.
+        """
+        if not self._num:
             return self
-        num, den = self._num, self._den
-        shift = den.degree - num.degree
-        return QRational(
-            QPolynomial._raw([0] * shift + list(reversed(num._num)), num._den),
-            QPolynomial._raw([0] * -shift + list(reversed(den._num)), den._den),
+        n, d = self._num, self._den
+        shift = len(d) - len(n)
+        return QRational._raw(
+            _k.strip([0] * shift + list(reversed(n))), _k.strip([0] * -shift + list(reversed(d)))
         )
 
     # -- comparisons, hashing, display -------------------------------------------
 
     def __hash__(self):
         # A polynomial value equals its QPolynomial, so it hashes like one.
-        if self._den.is_one:
-            return hash(self._num)
+        if len(self._den) == 1:
+            return hash(QPolynomial._raw(self._num, self._den[0]))
         return hash((self._num, self._den))
 
-    def __bool__(self):
-        return bool(self._num._num)
-
     def __str__(self):
-        if self._den.is_one:
-            return str(self._num)
-        return f"({self._num})/({self._den})"
+        if len(self._den) == 1:
+            return str(self.numerator)
+        return f"({self.numerator})/({self.denominator})"
 
     def to_json(self) -> dict:
-        return {"num": self._num.to_json(), "den": self._den.to_json()}
+        return {"num": self.numerator.to_json(), "den": self.denominator.to_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "QRational":
         return cls(QPolynomial.from_json(data["num"]), QPolynomial.from_json(data["den"]))
-

@@ -14,7 +14,9 @@ Every computation that clears denominators takes its arithmetic on the
 numerators from one ring, chosen once per sequence from its field and
 held as ``MomentSequence.ring``: integer polynomials through
 ``_intkernel`` over Q(q) (``_Polys``), plain Python ints at a
-specialized q (``_Ints``).  Those are the long sums of c_i a(i), in
+specialized q (``_Ints``).  Each ring reads and builds its field's own
+pair: a QRational is held as two integer polynomials as a Fraction is
+as two ints.  Those are the long sums of c_i a(i), in
 ``stieltjes`` and the orthogonality check of ``verify``, and the
 cleared Hankel blocks of the determinant path.  ``_Window`` holds
 a(0..m) times one common denominator, the lcm of theirs; ``_cleared``
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 from . import _intkernel as _k
-from .exactalg import QPolynomial, QRational
+from .exactalg import QPolynomial, QRational, _cancel
 
 __all__ = [
     "Scalar",
@@ -367,7 +369,7 @@ class MomentSequence:
 
 
 class _Polys:
-    """Numerators cleared over Q(q): integer polynomials, through ``_intkernel``."""
+    """Numerators cleared over Q(q): a QRational's own integer polynomials, by ``_intkernel``."""
 
     zero, one = [], [1]  # shared: the _intkernel routines change no input in place
     mul = staticmethod(_k.mul)
@@ -381,15 +383,12 @@ class _Polys:
 
     @staticmethod
     def parts(value: QRational) -> tuple[list[int], list[int]]:
-        """(numerator, denominator) of value as integer polynomials."""
-        # (n / a) / (d / b) = n b / (d a)
-        n, a = value.numerator.int_parts()
-        d, b = value.denominator.int_parts()
-        return (_k.mul_scalar(n, b) if b != 1 else n), (_k.mul_scalar(d, a) if a != 1 else d)
+        """The field's own (numerator, denominator) pair of value, as fresh lists."""
+        return list(value._num), list(value._den)
 
     @staticmethod
     def value(num: list[int], den: list[int]) -> QRational:
-        return QRational(QPolynomial._raw(num, 1), QPolynomial._raw(den, 1))
+        return QRational._raw(*_cancel(num, den))
 
 
 class _Ints:

@@ -2,6 +2,7 @@
 arithmetic, normalized quotients, and evaluation at rational points."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from qortho import _intkernel, exactalg
 from qortho.exactalg import PoleError, QPolynomial, QRational
+from qortho.momentfamilies import family_moment
+from qortho.xpoly import _Ints, _Polys
 
 
 def qp(*coeffs):
@@ -167,9 +170,30 @@ class TestQRational:
         assert r.substitute_q_reciprocal() == QRational.of(qp(1, 0, 3), qp(0, 1, -1))
         assert QRational.zero().substitute_q_reciprocal().is_zero
 
+    def test_reciprocal_substitution_takes_no_gcd(self, monkeypatch):
+        # the reversed sides of a reduced fraction are coprime already
+        values = [family_moment("andrews-q-catalan", n) for n in range(2, 9)]
+        calls = []
+        gcd = exactalg._k.gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(exactalg._k, "gcd", counting)
+        reversed_values = [r.substitute_q_reciprocal() for r in values]
+        assert len(calls) == 0
+        assert [r.substitute_q_reciprocal() for r in reversed_values] == values
+
     def test_json_round_trip(self):
         r = QRational.of(qp(1, -2, 5), qp(3, 0, 1))
         assert QRational.from_json(r.to_json()) == r
+
+    def test_pickle_round_trip(self):
+        rational, polynomial = QRational.of(qp(1, -2, 5), qp(3, 0, 1)), QRational.of(Q) / 2
+        for r in (rational, polynomial, QRational.of(Fraction(-3, 4))):
+            again = pickle.loads(pickle.dumps(r))
+            assert again == r and hash(again) == hash(r) and str(again) == str(r)
 
     def test_a_product_takes_no_gcd_after_its_cross_cancels(self, monkeypatch):
         # a/b and c/d reduced, so a*c and b*d are coprime once a, d and c, b
@@ -370,6 +394,56 @@ def test_rational_field_axioms(a, b, c):
     assert a - a == QRational.zero()
     if not b.is_zero:
         assert (a / b) * b == a
+
+
+def _is_lowest_pair(n, d):
+    """No common polynomial or integer factor, and d's lead positive (zero is ([], [1]))."""
+    if not n:
+        return d == [1]
+    coprime = _intkernel._gcd_prs(_intkernel.primitive(n)[1], _intkernel.primitive(d)[1]) == [1]
+    return coprime and math.gcd(*n, *d) == 1 and d[-1] > 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(rationals)
+def test_the_numerator_ring_reads_and_builds_the_fields_own_pair(r):
+    n, d = _Polys.parts(r)
+    assert _is_lowest_pair(n, d)
+    assert _Polys.value(n, d) == r
+    # fresh lists: changing them leaves r as it was
+    before = (r.numerator, r.denominator)
+    n.append(7)
+    d[:] = [0]
+    assert (r.numerator, r.denominator) == before
+    assert _Polys.value(*_Polys.parts(r)) == r
+    # the views are the same fraction, over a monic denominator
+    assert QRational(r.numerator, r.denominator) == r
+    assert r.denominator.leading_coefficient == 1
+    if r.is_polynomial:
+        p = r.numerator
+        assert hash(r) == hash(p)
+        if p.degree <= 0:
+            assert hash(r) == hash(p.coefficient(0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.fractions(max_denominator=10**6))
+def test_the_integer_ring_reads_and_builds_a_fraction(f):
+    assert _Ints.value(*_Ints.parts(f)) == f
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationals, st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=5))
+def test_reciprocal_substitution_is_an_involution_in_lowest_terms(r, point):
+    s = r.substitute_q_reciprocal()
+    assert _is_lowest_pair(*_Polys.parts(s))
+    assert s.substitute_q_reciprocal() == r
+    if point:
+        try:
+            expected = r.eval_at(1 / point)
+        except PoleError:
+            return
+        assert s.eval_at(point) == expected
 
 
 @settings(max_examples=60, deadline=None)
